@@ -10,6 +10,7 @@
 
 use crate::rng::Xoshiro256StarStar;
 use mcf0_gf2::{AffineSubspace, BitMatrix, BitVec};
+use std::sync::Arc;
 
 /// Common interface of the affine (2-wise independent) hash families.
 pub trait LinearHash {
@@ -114,13 +115,14 @@ pub trait LinearHash {
 /// (constant along diagonals), `b` a random vector. The randomness is the
 /// `n + m − 1` diagonal bits plus `b`, i.e. Θ(n + m) bits as in the paper.
 ///
-/// Three expansions of the matrix are cached at sampling time so that the
-/// per-item streaming hot paths never re-materialise anything: the rows (for
-/// dot-product evaluation), the *columns* (so `h(x)` is the word-wise XOR of
-/// `popcount(x)` columns into `b` — the fast path of the Minimum sketch and
-/// of `image_of_cube`), and, when `n ≤ 64`, each row as a raw `u64` mask (so
-/// the Bucketing cell test `h_{m'}(x) = 0^{m'}` is `m'` AND+popcount word
-/// operations on the item itself, with no `BitVec` materialisation).
+/// Everything else is derived from `(diag, b)` once per draw and shared by
+/// every clone through one `Arc` (the window ring and every partial-sketch
+/// extraction clone hashes, so a clone copies the randomness and a
+/// pointer): the rows (dot-product evaluation of prefix slices), the
+/// *columns* (`h(x)` is the word-wise XOR of `popcount(x)` columns into `b`,
+/// the full evaluation and `image_of_cube`), and, when `n ≤ 64`, the
+/// byte-indexed tables of [`ToeplitzHash::lead_u64`], the kernel both
+/// streaming hot loops run per item.
 #[derive(Clone, Debug)]
 pub struct ToeplitzHash {
     n: usize,
@@ -128,12 +130,21 @@ pub struct ToeplitzHash {
     /// `diag[k]` is the matrix entry `A[i][j]` for all `i − j = k − (n − 1)`.
     diag: BitVec,
     b: BitVec,
+    derived: Arc<Derived>,
+}
+
+/// The expansions of one draw; a function of `(n, m, diag, b)` only.
+#[derive(Debug)]
+struct Derived {
     rows: Vec<BitVec>,
     /// Column `j` of `A` as an `m`-bit vector.
     cols: Vec<BitVec>,
-    /// Row `i` of `A` packed into a `u64` (MSB-first, matching
-    /// `BitVec::from_u64`); present iff `n ≤ 64`.
-    row_masks: Option<Vec<u64>>,
+    /// `lead[k][v]` is the first word of the XOR of the columns selected by
+    /// byte `k` (little-endian) of a `u64` item holding the value `v`, with
+    /// the first word of `b` folded into `lead[0]`. `⌈n/8⌉` tables when
+    /// `n ≤ 64`, none otherwise; bits of the top byte beyond `n` select
+    /// nothing.
+    lead: Vec<[u64; 256]>,
 }
 
 impl ToeplitzHash {
@@ -147,9 +158,9 @@ impl ToeplitzHash {
 
     /// Rebuilds the hash from its randomness `(diag, b)` — the lossless
     /// import matching [`ToeplitzHash::diagonal`] / [`ToeplitzHash::offset`],
-    /// used by the sketch-service snapshot restore path. The cached row,
-    /// column and packed-mask expansions are rederived, so a round trip is
-    /// bit-identical to the originally sampled hash.
+    /// used by the sketch-service snapshot restore path. The expansions are
+    /// rederived, so a round trip is bit-identical to the originally sampled
+    /// hash.
     pub fn from_parts(n: usize, m: usize, diag: BitVec, b: BitVec) -> Self {
         assert!(n > 0 && m > 0);
         assert_eq!(diag.len(), n + m - 1, "diagonal width mismatch");
@@ -166,7 +177,7 @@ impl ToeplitzHash {
                 row
             })
             .collect();
-        let cols = (0..n)
+        let cols: Vec<BitVec> = (0..n)
             .map(|j| {
                 let mut col = BitVec::zeros(m);
                 for i in 0..m {
@@ -177,20 +188,22 @@ impl ToeplitzHash {
                 col
             })
             .collect();
-        let row_masks = (n <= 64).then(|| rows.iter().map(BitVec::to_u64).collect());
+        let lead = if n <= 64 {
+            lead_tables(&cols, &b)
+        } else {
+            Vec::new()
+        };
         ToeplitzHash {
             n,
             m,
             diag,
             b,
-            rows,
-            cols,
-            row_masks,
+            derived: Arc::new(Derived { rows, cols, lead }),
         }
     }
 
     /// Number of random bits this representation stores (Θ(n + m)); the
-    /// cached row/column expansions are derived data, not randomness.
+    /// shared expansions are derived data, not randomness.
     pub fn representation_bits(&self) -> usize {
         self.diag.len() + self.b.len()
     }
@@ -219,26 +232,57 @@ impl ToeplitzHash {
         while rest != 0 {
             let p = rest.trailing_zeros() as usize;
             // u64 bit p is MSB-first index n − 1 − p (see BitVec::from_u64).
-            out.xor_assign(&self.cols[self.n - 1 - p]);
+            out.xor_assign(&self.derived.cols[self.n - 1 - p]);
             rest &= rest - 1;
         }
         out
     }
 
-    /// `h_{m'}(x) = 0^{m'}` for a `u64`-encoded item, via the packed row
-    /// masks: one AND+popcount per row, no `BitVec` materialisation
-    /// (requires `n ≤ 64`).
-    pub fn prefix_is_zero_u64(&self, x: u64, m_prime: usize) -> bool {
-        let masks = self
-            .row_masks
-            .as_ref()
-            .expect("prefix_is_zero_u64 requires an input width of at most 64");
-        debug_assert!(m_prime <= self.m);
-        masks[..m_prime]
-            .iter()
-            .enumerate()
-            .all(|(i, &mask)| ((mask & x).count_ones() & 1 == 1) == self.b.get(i))
+    /// The first `min(m, 64)` bits of `h(x)`, MSB-aligned in one word — the
+    /// first word of [`ToeplitzHash::eval_u64`] — from `⌈n/8⌉` table
+    /// lookups, with nothing materialised (requires `n ≤ 64`). Bits of `x`
+    /// at or above `n` are ignored; callers check the universe.
+    #[inline]
+    pub fn lead_u64(&self, x: u64) -> u64 {
+        let lead = &self.derived.lead;
+        assert!(
+            !lead.is_empty(),
+            "lead_u64 requires an input width of at most 64"
+        );
+        debug_assert!(self.n == 64 || x < (1u64 << self.n), "item out of range");
+        lead.iter()
+            .zip(x.to_le_bytes())
+            .fold(0, |acc, (table, byte)| acc ^ table[usize::from(byte)])
     }
+
+    /// `h_{m'}(x) = 0^{m'}` for a `u64`-encoded item, for levels within the
+    /// leading word (`m' ≤ min(m, 64)`; requires `n ≤ 64`).
+    #[inline]
+    pub fn prefix_is_zero_u64(&self, x: u64, m_prime: usize) -> bool {
+        assert!(
+            m_prime <= self.m.min(64),
+            "prefix level beyond the leading word"
+        );
+        m_prime == 0 || self.lead_u64(x) >> (64 - m_prime) == 0
+    }
+}
+
+/// Builds the byte-indexed tables of [`ToeplitzHash::lead_u64`] from the
+/// columns of an `n ≤ 64` draw: each entry extends the entry with its lowest
+/// set bit cleared by one column word.
+fn lead_tables(cols: &[BitVec], b: &BitVec) -> Vec<[u64; 256]> {
+    let n = cols.len();
+    let mut tables = vec![[0u64; 256]; n.div_ceil(8)];
+    for (k, table) in tables.iter_mut().enumerate() {
+        table[0] = if k == 0 { b.words()[0] } else { 0 };
+        for v in 1..256usize {
+            // u64 bit p is MSB-first index n − 1 − p (see BitVec::from_u64).
+            let p = 8 * k + v.trailing_zeros() as usize;
+            let col = if p < n { cols[n - 1 - p].words()[0] } else { 0 };
+            table[v] = table[v & (v - 1)] ^ col;
+        }
+    }
+    tables
 }
 
 impl PartialEq for ToeplitzHash {
@@ -264,7 +308,7 @@ impl LinearHash for ToeplitzHash {
     }
 
     fn matrix_row(&self, i: usize) -> BitVec {
-        self.rows[i].clone()
+        self.derived.rows[i].clone()
     }
 
     fn offset_bit(&self, i: usize) -> bool {
@@ -277,7 +321,7 @@ impl LinearHash for ToeplitzHash {
         // into `b` — word operations instead of `m` row dot products.
         let mut out = self.b.clone();
         for j in x.iter_ones() {
-            out.xor_assign(&self.cols[j]);
+            out.xor_assign(&self.derived.cols[j]);
         }
         out
     }
@@ -285,7 +329,7 @@ impl LinearHash for ToeplitzHash {
     fn eval_prefix(&self, x: &BitVec, m_prime: usize) -> BitVec {
         assert!(m_prime <= self.m);
         let mut out = self.b.prefix(m_prime);
-        for (i, row) in self.rows[..m_prime].iter().enumerate() {
+        for (i, row) in self.derived.rows[..m_prime].iter().enumerate() {
             if row.dot(x) {
                 out.flip(i);
             }
@@ -294,7 +338,7 @@ impl LinearHash for ToeplitzHash {
     }
 
     fn prefix_is_zero(&self, x: &BitVec, m_prime: usize) -> bool {
-        self.rows[..m_prime]
+        self.derived.rows[..m_prime]
             .iter()
             .enumerate()
             .all(|(i, row)| row.dot(x) == self.b.get(i))
@@ -316,7 +360,7 @@ impl LinearHash for ToeplitzHash {
             .iter()
             .enumerate()
             .filter(|&(_, &f)| !f)
-            .map(|(j, _)| self.cols[j].clone())
+            .map(|(j, _)| self.derived.cols[j].clone())
             .collect();
         AffineSubspace::new(offset, generators)
     }
@@ -442,25 +486,68 @@ mod tests {
     #[test]
     fn u64_fast_paths_match_bitvec_paths() {
         let mut rng = rng();
-        for (n, m) in [(1usize, 3usize), (12, 8), (24, 72), (32, 32), (64, 64)] {
-            let h = ToeplitzHash::sample(&mut rng, n, m);
-            for _ in 0..30 {
-                let x = if n == 64 {
-                    rng.next_u64()
-                } else {
-                    rng.next_u64() & ((1u64 << n) - 1)
-                };
-                let bits = BitVec::from_u64(x, n);
-                assert_eq!(h.eval_u64(x), h.eval(&bits), "n={n} m={m}");
-                for level in [0usize, 1, m / 2, m] {
-                    assert_eq!(
-                        h.prefix_is_zero_u64(x, level),
-                        h.prefix_is_zero(&bits, level),
-                        "n={n} m={m} level={level}"
-                    );
+        for n in [1usize, 7, 8, 9, 12, 33, 63, 64] {
+            for m in [1usize, 63, 64, 65, 96, 192] {
+                let sampled = ToeplitzHash::sample(&mut rng, n, m);
+                let rebuilt = ToeplitzHash::from_parts(
+                    n,
+                    m,
+                    sampled.diagonal().clone(),
+                    sampled.offset().clone(),
+                );
+                let top = m.min(64);
+                // All-ones reaches every table's last entry, 0 the offset.
+                let mut items = vec![0, u64::MAX >> (64 - n)];
+                items.extend((0..30).map(|_| rng.next_u64() >> (64 - n)));
+                for x in items {
+                    let full = sampled.eval(&BitVec::from_u64(x, n));
+                    for h in [&sampled, &rebuilt, &sampled.clone()] {
+                        assert_eq!(h.eval_u64(x), full, "n={n} m={m}");
+                        assert_eq!(h.lead_u64(x), full.words()[0], "n={n} m={m}");
+                        // `top` is 64 whenever m ≥ 64: the `>> 64` shift trap.
+                        for level in [0, 1, top - 1, top] {
+                            assert_eq!(
+                                h.prefix_is_zero_u64(x, level),
+                                full.prefix_is_zero(level),
+                                "n={n} m={m} level={level}"
+                            );
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_cell_test_matches_the_bitvec_cell_over_a_whole_universe() {
+        // The parity test above would pass on a kernel that never reports a
+        // zero prefix at deep levels if no sampled item had one; here every
+        // level of an 8-bit draw is checked over the whole universe.
+        let mut rng = rng();
+        let h = ToeplitzHash::sample(&mut rng, 8, 8);
+        for level in 0..=8 {
+            let cell: Vec<u64> = (0..256)
+                .filter(|&x| h.prefix_is_zero_u64(x, level))
+                .collect();
+            let expected: Vec<u64> = (0..256)
+                .filter(|&x| h.prefix_is_zero(&BitVec::from_u64(x, 8), level))
+                .collect();
+            assert_eq!(cell, expected, "level={level}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix level beyond the leading word")]
+    fn the_cell_test_refuses_levels_past_the_leading_word() {
+        let h = ToeplitzHash::sample(&mut rng(), 8, 72);
+        h.prefix_is_zero_u64(0, 65);
+    }
+
+    #[test]
+    #[should_panic(expected = "input width of at most 64")]
+    fn the_word_kernel_refuses_wide_inputs() {
+        let h = ToeplitzHash::sample(&mut rng(), 65, 8);
+        h.lead_u64(0);
     }
 
     #[test]

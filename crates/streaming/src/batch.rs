@@ -3,9 +3,11 @@
 //! Every F0 sketch in this crate is a function of the *set* of distinct
 //! items seen (duplication- and order-invariant), and its repetition rows
 //! are mutually independent given their hash draws. The batched paths
-//! exploit exactly those two facts: deduplicate the batch once up front, and
-//! split the rows across std threads with in-place updates — so the batched
-//! and parallel results are bit-for-bit identical to the item-at-a-time
+//! exploit exactly those two facts: deduplicate the batch once up front
+//! (Estimation and Flajolet–Martin only; a Minimum or Bucketing row handles
+//! a repeated item in less time than the hash-set probe takes), and split
+//! the rows across std threads with in-place updates — so the batched and
+//! parallel results are bit-for-bit identical to the item-at-a-time
 //! sequential ones (the parity proptests in `tests/proptests.rs` pin this).
 
 use std::collections::HashSet;

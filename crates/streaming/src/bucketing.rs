@@ -8,7 +8,7 @@
 //! This is the streaming algorithm whose transformation recipe yields
 //! `ApproxMC` (Section 3.2 of the paper).
 
-use crate::batch::{dedup_preserving_order, for_each_row_chunk};
+use crate::batch::for_each_row_chunk;
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
@@ -23,8 +23,8 @@ struct BucketRow {
 
 impl BucketRow {
     /// Folds one item into the row, word-packed: the cell-membership test
-    /// runs directly on the `u64` item via the hash's packed row masks (no
-    /// `BitVec` materialisation anywhere on this path).
+    /// is one `lead_u64` of the `u64` item (no `BitVec` materialisation
+    /// anywhere on this path).
     fn update(&mut self, item: u64, thresh: usize, universe_bits: usize) {
         if self.hash.prefix_is_zero_u64(item, self.level) {
             self.cell.insert(item);
@@ -166,8 +166,8 @@ impl F0Sketch for BucketingF0 {
     }
 
     fn process(&mut self, item: u64) {
-        // Hard check (not debug-only): the packed-mask cell test would
-        // silently ignore out-of-range high bits while the cell stored them.
+        // Hard check (not debug-only): the cell test would silently ignore
+        // out-of-range high bits while the cell stored them.
         assert!(
             self.universe_bits == 64 || item < (1u64 << self.universe_bits),
             "item outside the declared universe"
@@ -179,21 +179,20 @@ impl F0Sketch for BucketingF0 {
         }
     }
 
-    /// Batched path: deduplicate the batch (cell and level are functions of
-    /// the distinct-item set) and split the `t` rows across
-    /// `F0Config::parallel_rows` threads. Identical to the item-at-a-time
-    /// path bit for bit.
+    /// Batched path: split the `t` rows across `F0Config::parallel_rows`
+    /// threads. Identical to the item-at-a-time path bit for bit. No
+    /// deduplication: a repeated item costs one cell test per row, less
+    /// than the hash-set probe that would drop it (DESIGN.md §6).
     fn process_stream(&mut self, items: &[u64]) {
-        let distinct = dedup_preserving_order(items);
         let thresh = self.thresh;
         let universe_bits = self.universe_bits;
         assert!(
-            universe_bits == 64 || distinct.iter().all(|&x| x < (1u64 << universe_bits)),
+            universe_bits == 64 || items.iter().all(|&x| x < (1u64 << universe_bits)),
             "item outside the declared universe"
         );
         for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
             for row in chunk.iter_mut() {
-                for &item in &distinct {
+                for &item in items {
                     row.update(item, thresh, universe_bits);
                 }
             }

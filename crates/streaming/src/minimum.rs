@@ -8,7 +8,7 @@
 //! the median over rows. The transformation recipe applied to this strategy
 //! yields `ApproxModelCountMin` (Section 3.3 of the paper).
 
-use crate::batch::{dedup_preserving_order, for_each_row_chunk};
+use crate::batch::for_each_row_chunk;
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_gf2::BitVec;
@@ -22,19 +22,37 @@ struct MinimumRow {
 }
 
 impl MinimumRow {
-    /// Folds one item into the row's reservoir of smallest hash values.
-    /// `eval_u64` is the word-packed column-XOR evaluation, and the
-    /// reservoir test compares against the current maximum by reference
-    /// before touching the set.
-    fn update(&mut self, item: u64, thresh: usize) {
-        let value = self.hash.eval_u64(item);
-        if self.smallest.len() < thresh {
-            self.smallest.insert(value);
-        } else if self.smallest.last().is_some_and(|max| &value < max)
-            && self.smallest.insert(value)
-        {
-            // The reservoir grew past `thresh`; evict the (old) maximum.
+    /// Folds a batch into the row's reservoir of smallest hash values. An
+    /// item whose leading hash word exceeds the full reservoir's maximum
+    /// cannot enter, and `lead_u64` decides that without materialising the
+    /// value; only admitted and first-word-tied items are evaluated in full.
+    fn update(&mut self, items: &[u64], thresh: usize) {
+        let mut bound = self.lead_bound(thresh);
+        for &item in items {
+            if self.hash.lead_u64(item) <= bound && self.offer(&self.hash.eval_u64(item), thresh) {
+                bound = self.lead_bound(thresh);
+            }
+        }
+    }
+
+    /// Stores `value` if it is among the `thresh` smallest seen, evicting
+    /// the old maximum when the reservoir overfills; false if it cannot
+    /// enter (the reservoir is full and `value` is not below its maximum).
+    fn offer(&mut self, value: &BitVec, thresh: usize) -> bool {
+        let enters =
+            self.smallest.len() < thresh || self.smallest.last().is_some_and(|max| value < max);
+        if enters && self.smallest.insert(value.clone()) && self.smallest.len() > thresh {
             self.smallest.pop_last();
+        }
+        enters
+    }
+
+    /// The largest leading word a value that may still enter can have: that
+    /// of the maximum once the reservoir is full, anything before.
+    fn lead_bound(&self, thresh: usize) -> u64 {
+        match self.smallest.last() {
+            Some(max) if self.smallest.len() >= thresh => max.words()[0],
+            _ => u64::MAX,
         }
     }
 }
@@ -118,10 +136,10 @@ impl MinimumF0 {
     /// distinct-union semantics, i.e. the merged state is bit-identical to
     /// the state after processing both sketches' streams into one sketch.
     /// The two sketches must share their hash draws (same creation seed and
-    /// configuration); per-row the reservoirs are unioned and re-truncated
-    /// to the `Thresh` smallest values, which loses nothing because the
-    /// `Thresh` smallest of a union are among the `Thresh` smallest of each
-    /// side. Panics on a draw or shape mismatch.
+    /// configuration); per-row the result is the `Thresh` smallest values of
+    /// the union of the reservoirs, which loses nothing because the `Thresh`
+    /// smallest of a union are among the `Thresh` smallest of each side.
+    /// Panics on a draw or shape mismatch.
     pub fn merge_from(&mut self, other: &Self) {
         assert_eq!(self.universe_bits, other.universe_bits, "universe width");
         assert_eq!(self.thresh, other.thresh, "Thresh mismatch");
@@ -132,11 +150,12 @@ impl MinimumF0 {
                 mine.hash == theirs.hash,
                 "merge requires identical hash draws"
             );
+            // Ascending iteration: after the first value that cannot enter,
+            // no later one can either.
             for value in &theirs.smallest {
-                mine.smallest.insert(value.clone());
-            }
-            while mine.smallest.len() > thresh {
-                mine.smallest.pop_last();
+                if !mine.offer(value, thresh) {
+                    break;
+                }
             }
         }
     }
@@ -180,35 +199,30 @@ impl F0Sketch for MinimumF0 {
     }
 
     fn process(&mut self, item: u64) {
-        // Hard check (not debug-only), as the pre-word-packing path enforced
-        // via `BitVec::from_u64`: out-of-range high bits would otherwise be
-        // silently ignored by the column-XOR evaluation.
+        // Hard check (not debug-only): the hash kernels silently ignore
+        // out-of-range high bits.
         assert!(
             self.universe_bits == 64 || item < (1u64 << self.universe_bits),
             "item outside the declared universe"
         );
-        let thresh = self.thresh;
         for row in &mut self.rows {
-            row.update(item, thresh);
+            row.update(&[item], self.thresh);
         }
     }
 
-    /// Batched path: deduplicate the batch (the reservoirs are functions of
-    /// the distinct-item set) and split the `t` rows across
-    /// `F0Config::parallel_rows` threads. Identical to the item-at-a-time
-    /// path bit for bit.
+    /// Batched path: split the `t` rows across `F0Config::parallel_rows`
+    /// threads. Identical to the item-at-a-time path bit for bit. No
+    /// deduplication: a repeated item costs one `lead_u64` per row, less
+    /// than the hash-set probe that would drop it (DESIGN.md §6).
     fn process_stream(&mut self, items: &[u64]) {
-        let distinct = dedup_preserving_order(items);
         let thresh = self.thresh;
         assert!(
-            self.universe_bits == 64 || distinct.iter().all(|&x| x < (1u64 << self.universe_bits)),
+            self.universe_bits == 64 || items.iter().all(|&x| x < (1u64 << self.universe_bits)),
             "item outside the declared universe"
         );
         for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
             for row in chunk.iter_mut() {
-                for &item in &distinct {
-                    row.update(item, thresh);
-                }
+                row.update(items, thresh);
             }
         });
     }

@@ -21,8 +21,9 @@ pub trait F0Sketch {
     /// **Batching contract** (DESIGN.md §6): the final sketch state must be
     /// bit-for-bit identical to calling [`F0Sketch::process`] on every item
     /// in order. Implementors override the default loop with batched
-    /// engines — deduplicating the batch (every F0 sketch is a function of
-    /// the distinct-item set), amortising per-item hash preparation across
+    /// engines — deduplicating the batch where an item costs more than the
+    /// probe (every F0 sketch is a function of the distinct-item set),
+    /// amortising per-item hash preparation across
     /// repetition rows, and optionally splitting the rows across std threads
     /// (`F0Config::parallel_rows`) — but the contract is pinned by parity
     /// proptests, so callers may mix `process` and `process_stream` freely.

@@ -5,12 +5,13 @@
 
 use proptest::prelude::*;
 
-use mcf0_hashing::Xoshiro256StarStar;
+use mcf0_gf2::BitVec;
+use mcf0_hashing::{LinearHash, Xoshiro256StarStar};
 use mcf0_streaming::{
     compute_f0, AmsF2, BucketingF0, EstimationF0, ExactDistinct, F0Config, F0Sketch,
     FlajoletMartinF0, MinimumF0, SketchStrategy,
 };
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 fn rng_from(seed: u64) -> Xoshiro256StarStar {
     Xoshiro256StarStar::seed_from_u64(seed)
@@ -269,6 +270,116 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The Minimum sketch against its definition: hash every item in full with
+// the bit-vector evaluation, keep the `Thresh` smallest values. The sketch
+// itself rejects almost every item on the leading hash word alone, so the
+// reservoirs are compared exactly, at widths whose hash values fill one word
+// (8), two (24, 33) and three (64).
+// ---------------------------------------------------------------------------
+
+fn assert_minimum_matches_naive(
+    bits: usize,
+    thresh: usize,
+    items: &[u64],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let config = F0Config::explicit(0.5, 0.3, thresh, 3);
+    let mut batched = MinimumF0::new(bits, &config, &mut rng_from(seed));
+    let mut single = batched.clone();
+    batched.process_stream(items);
+    for &x in items {
+        single.process(x);
+    }
+    for i in 0..batched.num_rows() {
+        let (hash, reservoir) = batched.row_parts(i);
+        let mut naive: BTreeSet<BitVec> = items
+            .iter()
+            .map(|&x| hash.eval(&BitVec::from_u64(x, bits)))
+            .collect();
+        while naive.len() > thresh {
+            naive.pop_last();
+        }
+        prop_assert_eq!(reservoir, &naive, "bits={} thresh={}", bits, thresh);
+        prop_assert_eq!(single.row_parts(i).1, &naive);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn minimum_reservoirs_match_the_naive_reference(raw in stream(64, 400), seed in any::<u64>()) {
+        for bits in [8usize, 24, 33, 64] {
+            // Up to 400 items: shorter than Thresh = 150 and longer, and at
+            // width 8 mostly duplicates.
+            let items: Vec<u64> = raw.iter().map(|x| x >> (64 - bits)).collect();
+            // Heavy duplication at every width: a quarter of the items,
+            // cycled to the full length.
+            let pool = &items[..items.len().div_ceil(4)];
+            let repeated: Vec<u64> = pool.iter().cycle().take(items.len()).copied().collect();
+            for thresh in [1usize, 3, 150] {
+                assert_minimum_matches_naive(bits, thresh, &items, seed)?;
+                assert_minimum_matches_naive(bits, thresh, &repeated, seed)?;
+            }
+        }
+    }
+}
+
+// The universe checks are hard asserts on every ingest path: the word-level
+// hash kernels ignore bits at or above the universe width, so without them
+// an out-of-range item would be sketched as some other item.
+
+fn out_of_universe(sketch: &mut dyn F0Sketch, batched: bool) {
+    let item = 1u64 << sketch.universe_bits();
+    if batched {
+        sketch.process_stream(&[1, 2, item, 3]);
+    } else {
+        sketch.process(item);
+    }
+}
+
+fn small_config() -> F0Config {
+    F0Config::explicit(0.8, 0.3, 8, 2)
+}
+
+#[test]
+#[should_panic(expected = "outside the declared universe")]
+fn minimum_process_rejects_an_item_outside_the_universe() {
+    out_of_universe(
+        &mut MinimumF0::new(12, &small_config(), &mut rng_from(1)),
+        false,
+    );
+}
+
+#[test]
+#[should_panic(expected = "outside the declared universe")]
+fn minimum_process_stream_rejects_an_item_outside_the_universe() {
+    out_of_universe(
+        &mut MinimumF0::new(12, &small_config(), &mut rng_from(1)),
+        true,
+    );
+}
+
+#[test]
+#[should_panic(expected = "outside the declared universe")]
+fn bucketing_process_rejects_an_item_outside_the_universe() {
+    out_of_universe(
+        &mut BucketingF0::new(12, &small_config(), &mut rng_from(1)),
+        false,
+    );
+}
+
+#[test]
+#[should_panic(expected = "outside the declared universe")]
+fn bucketing_process_stream_rejects_an_item_outside_the_universe() {
+    out_of_universe(
+        &mut BucketingF0::new(12, &small_config(), &mut rng_from(1)),
+        true,
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Merge semantics: merge(sketch(A), sketch(B)) == sketch(A ∪ B) for every
 // mergeable sketch (distinct-union; multiset-sum for the linear AMS sketch),
 // including empty streams and duplicate-heavy overlap. The two sketches must
@@ -301,6 +412,10 @@ fn assert_merge_matches_union(
     // Merge is symmetric: B ← A reaches the identical state.
     prop_assert_eq!(ba.estimate(), u.estimate());
     prop_assert_eq!(ba.space_bits(), u.space_bits());
+    for i in 0..u.num_rows() {
+        prop_assert_eq!(a.row_parts(i).1, u.row_parts(i).1);
+        prop_assert_eq!(ba.row_parts(i).1, u.row_parts(i).1);
+    }
 
     // BucketingF0: estimate + space + levels.
     let mut a = BucketingF0::new(BITS, &config, &mut rng_from(seed));
