@@ -29,9 +29,9 @@
 use mcf0::hashing::Xoshiro256StarStar;
 use mcf0::service::net::proto::encode_line;
 use mcf0::service::{
-    serve, AcceptBackend, CommandReply, DurableConfig, DurableSketchService, ReferenceService,
-    Request, Response, ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService,
-    TenantDirectory, TenantQuota,
+    serve, CommandReply, DurableConfig, DurableSketchService, ReferenceService, Request, Response,
+    ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory,
+    TenantQuota,
 };
 use mcf0::streaming::workloads::{planted_f0_stream, skewed_stream};
 use mcf0_bench::merge_bench_json;
@@ -94,7 +94,7 @@ const PINNED: &[(&str, f64, u64)] = &[
     // connections into one shared session. The F0 sketch is a function of
     // the distinct-item set — arrival order and interleaving are
     // irrelevant — so the estimate is pinned to the same value at every
-    // client count and on both accept backends.
+    // client count.
     (
         "service_socket_minimum_w32_s2_c1",
         19632.324160866257,
@@ -107,11 +107,6 @@ const PINNED: &[(&str, f64, u64)] = &[
     ),
     (
         "service_socket_minimum_w32_s2_c32",
-        19632.324160866257,
-        131607,
-    ),
-    (
-        "service_socket_minimum_w32_s2_c32_threaded",
         19632.324160866257,
         131607,
     ),
@@ -422,9 +417,8 @@ fn socket_round_trip(
         .unwrap_or_else(|e| panic!("socket request failed: {e}"))
 }
 
-/// A loopback bench server on the given accept backend with the single
-/// `bench` tenant registered.
-fn bench_server(backend: AcceptBackend, shards: usize) -> mcf0::service::ServerHandle {
+/// A loopback bench server with the single `bench` tenant registered.
+fn bench_server(shards: usize) -> mcf0::service::ServerHandle {
     let mut directory = TenantDirectory::new();
     directory
         .register("bench", "tok-bench", TenantQuota::unlimited())
@@ -433,10 +427,7 @@ fn bench_server(backend: AcceptBackend, shards: usize) -> mcf0::service::ServerH
         "127.0.0.1:0",
         SketchService::new(shards),
         directory,
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind loopback bench server")
 }
@@ -450,7 +441,7 @@ fn bench_server(backend: AcceptBackend, shards: usize) -> mcf0::service::ServerH
 /// unchanged — the wire adds routing, never semantics.
 fn socket_minimum(shards: usize) -> (f64, u64, Option<f64>) {
     let stream = minimum_stream();
-    let handle = bench_server(AcceptBackend::Threaded, shards);
+    let handle = bench_server(shards);
     let socket = TcpStream::connect(handle.local_addr()).expect("connect bench client");
     socket.set_nodelay(true).expect("bench socket nodelay");
     let mut reader = BufReader::new(socket.try_clone().expect("clone bench socket"));
@@ -491,18 +482,13 @@ fn socket_minimum(shards: usize) -> (f64, u64, Option<f64>) {
 /// The minimum stream split round-robin across `clients` concurrent
 /// connections, each *pipelining* its ingest batches (all requests written
 /// before any reply is read) into one shared session. `items_per_sec` is
-/// the aggregate multi-client ingest throughput — the number the
-/// evented-vs-threaded comparison gate reads. The estimate stays pinned:
+/// the aggregate multi-client ingest throughput. The estimate stays pinned:
 /// the sketch is a function of the distinct-item set, not of the
 /// interleaving.
-fn socket_minimum_concurrent(
-    backend: AcceptBackend,
-    shards: usize,
-    clients: usize,
-) -> (f64, u64, Option<f64>) {
+fn socket_minimum_concurrent(shards: usize, clients: usize) -> (f64, u64, Option<f64>) {
     let stream = minimum_stream();
     let total_items = stream.len();
-    let handle = bench_server(backend, shards);
+    let handle = bench_server(shards);
     let socket = TcpStream::connect(handle.local_addr()).expect("connect bench client");
     socket.set_nodelay(true).expect("bench socket nodelay");
     let mut reader = BufReader::new(socket.try_clone().expect("clone bench socket"));
@@ -611,13 +597,12 @@ fn process_cpu_seconds() -> Option<f64> {
     Some((utime + stime) / ticks_per_sec)
 }
 
-/// The idle-CPU sanity gate: 128 open-but-silent connections against the
-/// evented backend must cost (near) zero CPU — the loop sits blocked in
-/// the kernel, in contrast to the threaded backend's per-connection
-/// read-timeout tick. Returns an error string on regression, `None` when
-/// the platform cannot measure (non-Linux).
+/// The idle-CPU sanity gate: 128 open-but-silent connections must cost
+/// (near) zero CPU — the loop sits blocked in the kernel. Returns an error
+/// string on regression, `None` when the platform cannot measure
+/// (non-Linux).
 fn idle_cpu_gate() -> Option<String> {
-    let handle = bench_server(AcceptBackend::Evented, 1);
+    let handle = bench_server(1);
     let mut conns = Vec::new();
     for _ in 0..128 {
         conns.push(TcpStream::connect(handle.local_addr()).expect("connect idle client"));
@@ -636,11 +621,11 @@ fn idle_cpu_gate() -> Option<String> {
     // of magnitude above healthy and far below a busy-wait.
     if spent > 0.1 {
         Some(format!(
-            "idle-CPU regression: 128 idle evented connections burned {spent:.3}s CPU \
+            "idle-CPU regression: 128 idle connections burned {spent:.3}s CPU \
              in a 0.5s window (expected ~0)"
         ))
     } else {
-        println!("idle-CPU gate: 128 idle evented connections cost {spent:.3}s CPU in 0.5s");
+        println!("idle-CPU gate: 128 idle connections cost {spent:.3}s CPU in 0.5s");
         None
     }
 }
@@ -682,16 +667,13 @@ fn run_instances() -> Vec<InstanceResult> {
     record("service_durable_minimum_w32_s2", &|| durable_minimum(2));
     record("service_socket_minimum_w32_s2", &|| socket_minimum(2));
     record("service_socket_minimum_w32_s2_c1", &|| {
-        socket_minimum_concurrent(AcceptBackend::Evented, 2, 1)
+        socket_minimum_concurrent(2, 1)
     });
     record("service_socket_minimum_w32_s2_c8", &|| {
-        socket_minimum_concurrent(AcceptBackend::Evented, 2, 8)
+        socket_minimum_concurrent(2, 8)
     });
     record("service_socket_minimum_w32_s2_c32", &|| {
-        socket_minimum_concurrent(AcceptBackend::Evented, 2, 32)
-    });
-    record("service_socket_minimum_w32_s2_c32_threaded", &|| {
-        socket_minimum_concurrent(AcceptBackend::Threaded, 2, 32)
+        socket_minimum_concurrent(2, 32)
     });
     out
 }
@@ -870,20 +852,6 @@ fn main() {
             );
             drift = true;
         }
-        // Multi-client scaling guard: at 32 pipelining clients the evented
-        // backend must not fall behind the thread-per-connection baseline.
-        // Locally it wins comfortably (fewer threads, coalesced flushes);
-        // the 0.8 floor absorbs CI scheduler noise while still catching a
-        // real event-loop regression.
-        let evented_c32 = throughput("service_socket_minimum_w32_s2_c32");
-        let threaded_c32 = throughput("service_socket_minimum_w32_s2_c32_threaded");
-        if evented_c32 < threaded_c32 * 0.8 {
-            eprintln!(
-                "evented front-end regression: {evented_c32:.0} items/s at 32 clients vs \
-                 {threaded_c32:.0} items/s threaded"
-            );
-            drift = true;
-        }
         if let Some(why) = idle_cpu_gate() {
             eprintln!("{why}");
             drift = true;
@@ -895,10 +863,6 @@ fn main() {
         println!("service outputs match the direct-engine pinned baseline");
         println!(
             "durability tax within bounds: {durable:.0} items/s durable vs {direct:.0} items/s direct"
-        );
-        println!(
-            "evented front-end at 32 clients: {evented_c32:.0} items/s vs {threaded_c32:.0} \
-             items/s threaded"
         );
     } else if let Some(why) = heavy_failure {
         eprintln!("{why}");

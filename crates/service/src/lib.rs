@@ -81,8 +81,8 @@ pub use command::{CommandReply, ServiceCommand};
 pub use durable::{DurableConfig, DurableSketchService, Health, RecoveryReport};
 pub use error::ServiceError;
 pub use net::{
-    serve, AcceptBackend, ApplyService, ErrorCode, Request, Response, ServerConfig, ServerHandle,
-    TenantDirectory, TenantQuota, WireError,
+    serve, ApplyService, ErrorCode, Request, Response, ServerConfig, ServerHandle, TenantDirectory,
+    TenantQuota, WireError,
 };
 pub use reference::ReferenceService;
 pub use service::{SessionSnapshot, SketchService, MAX_WINDOW_EPOCHS};

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //!            ┌──────────────────────────────┐   Job (frame)   ┌──────────┐
-//!  sockets ──► event loop (epoll/poll wait) ├────────────────►│ worker 0 │──┐
+//!  sockets ──► event loop (epoll wait)      ├────────────────►│ worker 0 │──┐
 //!            │  accept / read / frame /     │  sticky mpsc    ├──────────┤  │ Done
 //!            │  flush coalesced write-backs │◄────────────────┤ worker N │◄─┘ + wake
 //!            └──────────────────────────────┘   completions   └──────────┘
@@ -48,7 +48,7 @@
 //! and resumed when the backlog drains. Bytes already buffered in its
 //! `LineReader` are re-scanned on resume, so pausing never loses frames.
 
-use super::poll::{raw_fd, Interest, PollBackend, Poller, Waker};
+use super::poll::{raw_fd, Interest, Poller, Waker};
 use super::proto::{encode_line, Line, LineReader};
 use super::server::{
     accept_resource_exhausted, busy_line, handle_frame, oversized_response, ApplyService, Shared,
@@ -95,7 +95,8 @@ struct Done {
 
 /// Per-connection state, owned exclusively by the loop thread.
 struct Conn {
-    stream: TcpStream,
+    /// The connection's one descriptor: reads go through the reader,
+    /// writes and poller registration through `reader.get_ref()`.
     reader: LineReader<TcpStream>,
     /// Coalesced write-back buffer; `cursor` is the partial-write resume
     /// offset (bytes before it are already on the wire).
@@ -152,12 +153,8 @@ pub(super) fn spawn<S: ApplyService>(
     listener: TcpListener,
     shared: Arc<Shared<S>>,
 ) -> Result<(JoinHandle<()>, Waker), ServiceError> {
-    let backend = match shared.config.backend {
-        super::server::AcceptBackend::EventedPollFallback => PollBackend::Poll,
-        _ => PollBackend::Epoll,
-    };
-    let (mut poller, waker) = Poller::new(backend)
-        .map_err(|e| ServiceError::Storage(format!("readiness poller setup: {e}")))?;
+    let (mut poller, waker) =
+        Poller::new().map_err(|e| ServiceError::Storage(format!("readiness poller setup: {e}")))?;
     poller
         .register(
             raw_fd(&listener),
@@ -169,7 +166,10 @@ pub(super) fn spawn<S: ApplyService>(
         )
         .map_err(|e| ServiceError::Storage(format!("register listener: {e}")))?;
 
-    let pool = shared.config.workers.max(1);
+    // More pool threads than cores only adds switching.
+    let pool = std::thread::available_parallelism()
+        .map(|n| n.get().min(8))
+        .unwrap_or(4);
     let (done_tx, done_rx) = mpsc::channel::<Done>();
     let mut jobs = Vec::with_capacity(pool);
     let mut workers = Vec::with_capacity(pool);
@@ -319,7 +319,7 @@ impl<S: ApplyService> EventLoop<S> {
         }
         // Shutdown: close every socket, retire the pool, join it.
         for (_, conn) in self.conns.drain() {
-            let _ = self.poller.deregister(raw_fd(&conn.stream));
+            let _ = self.poller.deregister(raw_fd(conn.reader.get_ref()));
         }
         self.jobs.clear();
         for worker in self.workers.drain(..) {
@@ -353,9 +353,6 @@ impl<S: ApplyService> EventLoop<S> {
                     // Write-backs are already coalesced per readiness
                     // cycle; Nagle would only add latency on top.
                     let _ = stream.set_nodelay(true);
-                    let Ok(read_half) = stream.try_clone() else {
-                        continue;
-                    };
                     let token = self.next_token;
                     let interest = Interest {
                         readable: true,
@@ -372,8 +369,7 @@ impl<S: ApplyService> EventLoop<S> {
                     self.conns.insert(
                         token,
                         Conn {
-                            stream,
-                            reader: LineReader::new(read_half),
+                            reader: LineReader::new(stream),
                             out: Vec::new(),
                             cursor: 0,
                             inflight_jobs: 0,
@@ -584,7 +580,7 @@ impl<S: ApplyService> EventLoop<S> {
             if desired != conn.registered {
                 if self
                     .poller
-                    .modify(raw_fd(&conn.stream), token, desired)
+                    .modify(raw_fd(conn.reader.get_ref()), token, desired)
                     .is_err()
                 {
                     self.remove(token);
@@ -597,7 +593,7 @@ impl<S: ApplyService> EventLoop<S> {
 
     fn remove(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.deregister(raw_fd(&conn.stream));
+            let _ = self.poller.deregister(raw_fd(conn.reader.get_ref()));
             // A closing connection frees fds — the signal a parked
             // listener is waiting on.
             self.fd_freed = true;
@@ -616,7 +612,7 @@ fn flush(conn: &mut Conn) {
             conn.blocked = false;
             return;
         }
-        match (&conn.stream).write(&conn.out[conn.cursor..]) {
+        match conn.reader.get_ref().write(&conn.out[conn.cursor..]) {
             Ok(0) => {
                 conn.dead = true;
                 return;

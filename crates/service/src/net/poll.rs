@@ -1,18 +1,9 @@
-//! The readiness abstraction of the evented front-end: a [`Poller`] that
-//! multiplexes every registered socket through one blocking wait, plus a
-//! cross-thread [`Waker`].
+//! The readiness abstraction of the network front-end: a [`Poller`] that
+//! multiplexes every registered socket through one blocking `epoll` wait
+//! (level-triggered, O(ready) per wait), plus a cross-thread [`Waker`].
 //!
 //! This is the safe layer over `mcf0-syspoll`'s FFI shim (the workspace's
-//! only `unsafe`). Two interchangeable backends sit behind one enum:
-//!
-//! * **Epoll** — `epoll` on Linux, level-triggered. O(ready) wait cost,
-//!   the backend the evented server defaults to.
-//! * **Poll** — portable `poll(2)` over an internally maintained `pollfd`
-//!   array. O(registered) per wait, fine into the hundreds of connections,
-//!   and the fallback for kernels/platforms without epoll. Selected via
-//!   [`crate::net::AcceptBackend::EventedPollFallback`]; the socket
-//!   differential suite runs against it too, so the fallback is held to
-//!   the same byte-identity contract.
+//! only `unsafe`).
 //!
 //! The [`Waker`] is a non-blocking self-pipe whose read end is registered
 //! under [`WAKE_TOKEN`]: worker threads finishing a response (and the
@@ -21,8 +12,7 @@
 //! drains the pipe internally and never surfaces the wake token — an
 //! empty event batch after a wake simply sends the loop through its
 //! completion-draining phase. With no traffic and no wakes the loop is
-//! fully blocked in the kernel: idle connections cost **zero** CPU, in
-//! contrast to the threaded backend's per-connection read-timeout tick.
+//! fully blocked in the kernel: idle connections cost **zero** CPU.
 
 use mcf0_syspoll as syspoll;
 use std::fs::File;
@@ -44,23 +34,9 @@ pub struct Interest {
     pub writable: bool,
 }
 
-/// Which readiness syscall a [`Poller`] drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PollBackend {
-    /// Linux `epoll` (the default on Linux).
-    Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-enum Inner {
-    Epoll(syspoll::Epoll),
-    Poll(syspoll::PollSet),
-}
-
 /// A readiness multiplexer owning the wake pipe's read end.
 pub struct Poller {
-    inner: Inner,
+    epoll: syspoll::Epoll,
     wake_rx: File,
 }
 
@@ -78,14 +54,13 @@ impl Waker {
 }
 
 impl Poller {
-    /// Creates a poller on the chosen backend plus its [`Waker`].
-    pub fn new(backend: PollBackend) -> io::Result<(Self, Waker)> {
+    /// Creates a poller plus its [`Waker`].
+    pub fn new() -> io::Result<(Self, Waker)> {
         let (wake_rx, wake_tx) = syspoll::wake_pipe()?;
-        let inner = match backend {
-            PollBackend::Epoll => Inner::Epoll(syspoll::Epoll::new()?),
-            PollBackend::Poll => Inner::Poll(syspoll::PollSet::new()?),
+        let mut poller = Poller {
+            epoll: syspoll::Epoll::new()?,
+            wake_rx,
         };
-        let mut poller = Poller { inner, wake_rx };
         poller.register(
             raw_fd(&poller.wake_rx),
             WAKE_TOKEN,
@@ -99,26 +74,19 @@ impl Poller {
 
     /// Registers `fd` under `token` with the given interest.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            Inner::Epoll(e) => e.register(fd, token, interest.readable, interest.writable),
-            Inner::Poll(p) => p.register(fd, token, interest.readable, interest.writable),
-        }
+        self.epoll
+            .register(fd, token, interest.readable, interest.writable)
     }
 
     /// Replaces the interest set of an already registered `fd`.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.inner {
-            Inner::Epoll(e) => e.modify(fd, token, interest.readable, interest.writable),
-            Inner::Poll(p) => p.modify(fd, token, interest.readable, interest.writable),
-        }
+        self.epoll
+            .modify(fd, token, interest.readable, interest.writable)
     }
 
     /// Removes `fd` from the poller.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.inner {
-            Inner::Epoll(e) => e.deregister(fd),
-            Inner::Poll(p) => p.deregister(fd),
-        }
+        self.epoll.deregister(fd)
     }
 
     /// Blocks until something is ready (or `timeout_ms` elapses; `None`
@@ -128,10 +96,7 @@ impl Poller {
     /// which tells the loop "re-check stop flag and completion queue".
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<()> {
         events.clear();
-        match &mut self.inner {
-            Inner::Epoll(e) => e.wait(events, timeout_ms)?,
-            Inner::Poll(p) => p.wait(events, timeout_ms)?,
-        }
+        self.epoll.wait(events, timeout_ms)?;
         if events.iter().any(|e| e.token == WAKE_TOKEN) {
             let mut drain = [0u8; 256];
             loop {

@@ -392,9 +392,9 @@ pub enum Line {
 }
 
 /// A newline-splitting reader that enforces [`MAX_FRAME_BYTES`] while
-/// buffering — the decoder-side half of the frame cap. Read timeouts
-/// (`WouldBlock` / `TimedOut`) surface as errors for the caller to treat as
-/// "no data yet"; buffered partial lines survive them.
+/// buffering — the decoder-side half of the frame cap. `WouldBlock` from a
+/// non-blocking stream surfaces as an error for the caller to treat as "no
+/// data yet"; buffered partial lines survive it.
 pub struct LineReader<R: Read> {
     inner: R,
     buf: Vec<u8>,
@@ -413,6 +413,12 @@ impl<R: Read> LineReader<R> {
             scanned: 0,
             discarding: false,
         }
+    }
+
+    /// The wrapped stream — the event loop writes to and registers the same
+    /// socket it reads from, so a connection costs one descriptor.
+    pub fn get_ref(&self) -> &R {
+        &self.inner
     }
 
     /// The next complete line, [`Line::Oversized`] when the cap tripped, or

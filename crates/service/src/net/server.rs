@@ -1,20 +1,15 @@
-//! The TCP accept layer: two interchangeable backends behind one
-//! [`serve`] call.
+//! The TCP accept layer: [`serve`] binds a listener and hands it to the
+//! one accept path, a single readiness-driven event-loop thread over
+//! non-blocking sockets (epoll via [`super::poll`]) that dispatches
+//! decoded frames to a small fixed worker pool; see [`super::evented`].
+//! Idle connections cost zero CPU and the default ceiling is
+//! [`ServerConfig::max_connections`] = 1024. Linux only: elsewhere
+//! [`serve`] returns the poller's typed `Unsupported` error.
 //!
-//! * [`AcceptBackend::Evented`] (default) — a single readiness-driven
-//!   event-loop thread over non-blocking sockets (epoll via
-//!   [`super::poll`]), dispatching decoded frames to a small fixed worker
-//!   pool; see [`super::evented`]. Idle connections cost zero CPU and the
-//!   default ceiling is [`ServerConfig::max_connections`] = 1024.
-//! * [`AcceptBackend::Threaded`] — the original bounded
-//!   thread-per-connection layer, retained both as the portable fallback
-//!   and as the differential baseline the socket suite runs against.
-//!
-//! Both backends serve any [`ApplyService`] — the in-memory
-//! [`SketchService`] or the crash-safe
-//! [`crate::DurableSketchService`] (networked durability needs no extra
-//! wiring: the WAL append happens inside `apply`, under the same lock
-//! acquisition that assigns `seq`).
+//! It serves any [`ApplyService`] — the in-memory [`SketchService`] or
+//! the crash-safe [`crate::DurableSketchService`] (networked durability
+//! needs no extra wiring: the WAL append happens inside `apply`, under the
+//! same lock acquisition that assigns `seq`).
 //!
 //! All request execution shares one `Mutex` around the service, the
 //! tenant directory and the `seq` counter. The lock-acquisition order *is*
@@ -24,27 +19,24 @@
 //! reference interpreter and demand byte-identical replies. (Quota
 //! accounting happens on the same lock, *before* shard routing —
 //! admission is control-plane work; only admitted commands ever reach the
-//! shard workers.) The evented backend's worker pool changes *who* takes
-//! that lock, never the contract.
+//! shard workers.) The worker pool changes *who* takes that lock, never
+//! the contract.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or drop) raises a
-//! stop flag; the threaded accept loop polls it between non-blocking
-//! accepts and connection threads observe it via their read timeout,
-//! while the evented loop is woken through its [`super::poll::Waker`].
+//! stop flag and wakes the event loop through its [`super::poll::Waker`].
 //! Every thread is joined before shutdown returns.
 
 use super::evented;
-use super::proto::{self, ErrorCode, Line, LineReader, Response, WireError, MAX_FRAME_BYTES};
+use super::poll::Waker;
+use super::proto::{self, ErrorCode, Response, WireError, MAX_FRAME_BYTES};
 use super::tenant::TenantDirectory;
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
 use crate::service::SketchService;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Anything [`serve`] can put behind the wire: one mutable `apply` entry
 /// point over the shared [`ServiceCommand`] surface. Implemented by the
@@ -75,62 +67,18 @@ impl ApplyService for crate::reference::ReferenceService {
     }
 }
 
-/// Which accept layer [`serve`] runs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AcceptBackend {
-    /// Bounded thread-per-connection handlers (the portable baseline).
-    Threaded,
-    /// One readiness-driven event-loop thread (epoll) plus a fixed worker
-    /// pool. Linux only; the default there.
-    Evented,
-    /// The evented loop over the portable `poll(2)` readiness fallback
-    /// instead of epoll — same loop, same contract, O(connections) waits.
-    EventedPollFallback,
-}
-
-impl AcceptBackend {
-    /// The platform default: evented on Linux, threaded elsewhere.
-    pub fn platform_default() -> Self {
-        if cfg!(target_os = "linux") {
-            AcceptBackend::Evented
-        } else {
-            AcceptBackend::Threaded
-        }
-    }
-}
-
-/// Accept-layer knobs.
+/// The accept layer's one knob.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Live-connection cap; connection `max_connections + 1` is refused
-    /// with one `server_busy` line. The evented backend holds this at its
-    /// default of 1024 with a single loop thread; the threaded backend
-    /// spends one OS thread per live connection.
+    /// with one `server_busy` line.
     pub max_connections: usize,
-    /// Threaded backend only: read timeout of connection sockets — the
-    /// granularity at which idle connections notice the stop flag (and
-    /// the reason an idle threaded connection costs a tick of CPU where
-    /// an evented one costs none).
-    pub read_timeout: Duration,
-    /// Which accept layer to run.
-    pub backend: AcceptBackend,
-    /// Evented backend only: size of the fixed worker pool that executes
-    /// decoded frames (sketch `apply` work never blocks the event loop).
-    /// Defaults to the machine's available parallelism, clamped to [1, 8]
-    /// — more pool threads than cores only adds switching, because frame
-    /// execution is serialized by the core lock anyway.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_connections: 1024,
-            read_timeout: Duration::from_millis(25),
-            backend: AcceptBackend::platform_default(),
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(4),
         }
     }
 }
@@ -160,11 +108,11 @@ pub(super) fn lock_core<S>(core: &Mutex<Core<S>>) -> MutexGuard<'_, Core<S>> {
 }
 
 /// A running server; dropping it (or calling [`ServerHandle::shutdown`])
-/// stops the accept/event loop and joins every thread.
+/// stops the event loop and joins every thread.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    waker: Option<super::poll::Waker>,
+    waker: Waker,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -183,9 +131,7 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
         if let Some(handle) = self.thread.take() {
             let _ = handle.join();
         }
@@ -227,20 +173,7 @@ pub fn serve<S: ApplyService>(
         stop: Arc::clone(&stop),
         config,
     });
-    let (thread, waker) = match config.backend {
-        AcceptBackend::Threaded => {
-            let accept_shared = Arc::clone(&shared);
-            let thread = std::thread::Builder::new()
-                .name("mcf0-net-accept".to_string())
-                .spawn(move || accept_loop(listener, accept_shared))
-                .map_err(|e| ServiceError::Storage(format!("spawn accept thread: {e}")))?;
-            (thread, None)
-        }
-        AcceptBackend::Evented | AcceptBackend::EventedPollFallback => {
-            let (thread, waker) = evented::spawn(listener, Arc::clone(&shared))?;
-            (thread, Some(waker))
-        }
-    };
+    let (thread, waker) = evented::spawn(listener, shared)?;
     Ok(ServerHandle {
         addr: local,
         stop,
@@ -249,7 +182,7 @@ pub fn serve<S: ApplyService>(
     })
 }
 
-/// The one `server_busy` response line both backends refuse with.
+/// The `server_busy` response line an over-cap connection is refused with.
 pub(super) fn busy_line() -> String {
     proto::encode_line(&Response {
         id: None,
@@ -290,140 +223,9 @@ pub(super) fn oversized_response() -> Response {
     }
 }
 
-fn accept_loop<S: ApplyService>(listener: TcpListener, shared: Arc<Shared<S>>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        // Reap finished handler threads on *every* iteration — including
-        // the idle (WouldBlock) path — so a burst of short-lived
-        // connections does not leave joinable threads pinned until the
-        // next accept.
-        conns.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if conns.len() >= shared.config.max_connections {
-                    refuse(stream);
-                    continue;
-                }
-                let conn_shared = Arc::clone(&shared);
-                let spawned = std::thread::Builder::new()
-                    .name("mcf0-net-conn".to_string())
-                    .spawn(move || serve_connection(stream, conn_shared));
-                match spawned {
-                    Ok(handle) => conns.push(handle),
-                    Err(_) => {
-                        // Out of threads: treat like the cap.
-                    }
-                }
-            }
-            // Non-blocking accept with nothing pending: nap briefly and
-            // poll the stop flag again.
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Transient per-connection failures (the peer gave up between
-            // SYN and accept, or a signal landed): try again immediately.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                ) =>
-            {
-                continue;
-            }
-            // Resource exhaustion (EMFILE/ENFILE/ENOBUFS/ENOMEM) is
-            // transient — fds free as connections close — so nap and
-            // retry; a momentary fd spike must not silently kill accepts
-            // for the lifetime of the server.
-            Err(e) if accept_resource_exhausted(&e) => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Anything else is a fatal listener error (bad descriptor,
-            // listener torn down): spinning on it forever would burn CPU
-            // without ever accepting again. Stop accepting; established
-            // connections drain below.
-            Err(_) => break,
-        }
-    }
-    for handle in conns {
-        let _ = handle.join();
-    }
-}
-
-/// One `server_busy` line, then close — the typed over-cap rejection. The
-/// write is bounded: a refused peer that never reads cannot pin the accept
-/// loop (the line is small, but a zero-window peer would otherwise block
-/// `write_all` indefinitely).
-fn refuse(stream: TcpStream) {
-    let mut stream = stream;
-    if stream
-        .set_write_timeout(Some(Duration::from_secs(1)))
-        .is_err()
-    {
-        return;
-    }
-    let _ = stream.write_all(busy_line().as_bytes());
-}
-
-fn serve_connection<S: ApplyService>(stream: TcpStream, shared: Arc<Shared<S>>) {
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
-    {
-        return;
-    }
-    // Request/response over newline frames: never trade latency for
-    // Nagle coalescing the protocol already does at the line level.
-    let _ = stream.set_nodelay(true);
-    let read_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut reader = LineReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let line = match reader.next_line() {
-            Ok(Some(line)) => line,
-            // EOF: the client is done (a torn trailing line is dropped —
-            // there is no complete frame to answer).
-            Ok(None) => return,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        };
-        let response = match line {
-            Line::Oversized => oversized_response(),
-            Line::Frame(bytes) => {
-                if bytes.is_empty() {
-                    // Blank keep-alive lines are ignored, not answered.
-                    continue;
-                }
-                handle_frame(&bytes, &shared)
-            }
-        };
-        if writer
-            .write_all(proto::encode_line(&response).as_bytes())
-            .is_err()
-        {
-            return;
-        }
-    }
-}
-
 /// Decode → authenticate → admit (quotas) → scope → apply, with `seq`
-/// assigned under the same lock acquisition as the apply. Shared by both
-/// backends: a threaded connection handler calls it inline, an evented
-/// worker calls it off the event loop.
+/// assigned under the same lock acquisition as the apply. Runs on a pool
+/// worker, off the event loop.
 pub(super) fn handle_frame<S: ApplyService>(bytes: &[u8], shared: &Shared<S>) -> Response {
     let request = match proto::decode_request(bytes) {
         Ok(request) => request,
@@ -476,7 +278,7 @@ mod tests {
     use super::accept_resource_exhausted;
     use std::io::{Error, ErrorKind};
 
-    /// The accept loops must retry resource exhaustion (it clears as
+    /// The accept path must retry resource exhaustion (it clears as
     /// connections close) but treat descriptor-level errors as fatal.
     #[test]
     fn accept_error_classification() {

@@ -21,9 +21,9 @@
 use mcf0_bench::service_support::random_trace;
 use mcf0_service::net::proto::{encode_line, MAX_FRAME_BYTES};
 use mcf0_service::{
-    serve, AcceptBackend, CommandReply, ErrorCode, ReferenceService, Request, Response,
-    ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory,
-    TenantQuota, TenantSketch, WireError,
+    serve, CommandReply, ErrorCode, ReferenceService, Request, Response, ServerConfig,
+    ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    TenantSketch, WireError,
 };
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -31,36 +31,9 @@ use std::time::Duration;
 
 const BITS: usize = 16;
 
-/// Every differential scenario runs against every accept backend — the
-/// threaded baseline, the epoll event loop, and its portable `poll(2)`
-/// fallback — via the `backend_tests!` expansion at the bottom.
-macro_rules! backend_tests {
-    ($($name:ident => $imp:ident),* $(,)?) => {$(
-        mod $name {
-            use super::*;
-            #[test]
-            fn threaded() {
-                $imp(AcceptBackend::Threaded);
-            }
-            #[test]
-            fn evented() {
-                $imp(AcceptBackend::Evented);
-            }
-            #[test]
-            fn evented_poll_fallback() {
-                $imp(AcceptBackend::EventedPollFallback);
-            }
-        }
-    )*};
-}
-
-/// Starts a loopback server on `backend` over `shards` shard workers with
-/// the given tenants registered.
-fn start(
-    backend: AcceptBackend,
-    shards: usize,
-    tenants: &[(&str, &str, TenantQuota)],
-) -> mcf0_service::ServerHandle {
+/// Starts a loopback server over `shards` shard workers with the given
+/// tenants registered.
+fn start(shards: usize, tenants: &[(&str, &str, TenantQuota)]) -> mcf0_service::ServerHandle {
     let mut directory = TenantDirectory::new();
     for (id, token, quota) in tenants {
         directory.register(id, token, *quota).unwrap();
@@ -69,10 +42,7 @@ fn start(
         "127.0.0.1:0",
         SketchService::new(shards),
         directory,
-        ServerConfig {
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap()
 }
@@ -149,15 +119,12 @@ fn expected_line(
 
 /// One tenant, one client, shard counts {1, 2, 4}: every reply line is
 /// byte-identical to the reference interpreter's.
-fn single_client_replies_are_byte_identical_across_shard_counts(backend: AcceptBackend) {
+#[test]
+fn single_client_replies_are_byte_identical_across_shard_counts() {
     for shards in [1usize, 2, 4] {
         for seed in [7u64, 1234, 998877] {
             let trace = random_trace(seed, BITS, 40);
-            let handle = start(
-                backend,
-                shards,
-                &[("alpha", "tok-alpha", TenantQuota::unlimited())],
-            );
+            let handle = start(shards, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
             let mut client = Client::connect(&handle);
             let mut reference = ReferenceService::new();
             for (i, command) in trace.iter().enumerate() {
@@ -176,25 +143,29 @@ fn single_client_replies_are_byte_identical_across_shard_counts(backend: AcceptB
     }
 }
 
-/// Two tenants pipelining concurrently: collecting all replies and
-/// replaying the commands in `seq` order against one reference reproduces
-/// every reply line byte for byte — the acknowledged order fully explains
-/// the interleaving.
-fn interleaved_clients_replay_byte_identical_in_seq_order(backend: AcceptBackend) {
-    let handle = start(
-        backend,
-        2,
-        &[
-            ("alpha", "tok-alpha", TenantQuota::unlimited()),
-            ("beta", "tok-beta", TenantQuota::unlimited()),
-        ],
-    );
-    let clients = [
-        ("alpha", "tok-alpha", 1000u64, random_trace(42, BITS, 35)),
-        ("beta", "tok-beta", 2000u64, random_trace(43, BITS, 35)),
-    ];
+/// One pipelined line and what must come back for it.
+enum Sent {
+    /// A well-formed request: the reply is pinned against the reference
+    /// interpreter at its `seq`.
+    Command(ServiceCommand),
+    /// Raw bytes rejected before the service sees them: a typed error with
+    /// no `id` and no `seq`.
+    Hostile(Vec<u8>, ErrorCode),
+}
+
+/// Every `(tenant, token, id_base, script)` client pipelines its whole
+/// script on its own connection, all concurrently. Pins the wire's two
+/// ordering contracts: per connection, reply *i* answers line *i*; across
+/// connections, the `seq` values are exactly `0..n` and replaying the
+/// commands in `seq` order against one reference reproduces every reply
+/// line byte for byte — the acknowledged order fully explains the
+/// interleaving.
+fn pipelined_clients_replay_byte_identical_in_seq_order(
+    handle: mcf0_service::ServerHandle,
+    clients: Vec<(&'static str, &'static str, u64, Vec<Sent>)>,
+) {
     let mut joins = Vec::new();
-    for (tenant, token, id_base, trace) in clients {
+    for (tenant, token, id_base, script) in clients {
         let addr = handle.local_addr();
         joins.push(std::thread::spawn(move || {
             let writer = TcpStream::connect(addr).unwrap();
@@ -203,43 +174,51 @@ fn interleaved_clients_replay_byte_identical_in_seq_order(backend: AcceptBackend
                 .unwrap();
             let mut reader = BufReader::new(writer.try_clone().unwrap());
             let mut writer = writer;
-            // Pipeline: write every request before reading any reply, so
-            // the two connections genuinely interleave at the server.
-            for (i, command) in trace.iter().enumerate() {
-                let request = Request {
-                    id: id_base + i as u64,
-                    token: token.to_string(),
-                    command: command.clone(),
-                };
-                writer.write_all(encode_line(&request).as_bytes()).unwrap();
+            // Pipeline: write every line before reading any reply, so the
+            // connections genuinely interleave at the server.
+            for (i, sent) in script.iter().enumerate() {
+                match sent {
+                    Sent::Command(command) => {
+                        let request = Request {
+                            id: id_base + i as u64,
+                            token: token.to_string(),
+                            command: command.clone(),
+                        };
+                        writer.write_all(encode_line(&request).as_bytes()).unwrap();
+                    }
+                    Sent::Hostile(bytes, _) => writer.write_all(bytes).unwrap(),
+                }
             }
             let mut lines = Vec::new();
-            for _ in 0..trace.len() {
+            for _ in 0..script.len() {
                 let mut line = String::new();
                 assert!(reader.read_line(&mut line).unwrap() > 0);
                 lines.push(line);
             }
-            (tenant, id_base, trace, lines)
+            (tenant, id_base, script, lines)
         }));
     }
-    // Collect (seq, tenant, id, command, raw line) across both clients.
+    // Collect (seq, tenant, id, command, raw line) across all clients.
     let mut acknowledged = Vec::new();
     for join in joins {
-        let (tenant, id_base, trace, lines) = join.join().unwrap();
-        assert_eq!(trace.len(), lines.len());
-        for (i, (command, line)) in trace.iter().zip(&lines).enumerate() {
+        let (tenant, id_base, script, lines) = join.join().unwrap();
+        for (i, (sent, line)) in script.iter().zip(&lines).enumerate() {
             let response = serde_json::from_str::<Response>(line.trim_end()).unwrap();
-            // Per-connection replies come back in request order…
-            assert_eq!(response.id, Some(id_base + i as u64), "tenant {tenant}");
-            // …and every admitted command owns a seq slot.
-            let seq = response.seq.unwrap();
-            acknowledged.push((
-                seq,
-                tenant,
-                id_base + i as u64,
-                command.clone(),
-                line.clone(),
-            ));
+            match sent {
+                Sent::Command(command) => {
+                    // Per-connection replies come back in request order…
+                    let id = id_base + i as u64;
+                    assert_eq!(response.id, Some(id), "tenant {tenant}");
+                    // …and every admitted command owns a seq slot.
+                    let seq = response.seq.unwrap();
+                    acknowledged.push((seq, tenant, id, command.clone(), line.clone()));
+                }
+                Sent::Hostile(_, code) => {
+                    assert_eq!(response.id, None, "line {i} of {id_base}");
+                    assert_eq!(response.seq, None, "line {i} of {id_base}");
+                    assert_eq!(response.body.unwrap_err().code, *code);
+                }
+            }
         }
     }
     // The seq values are exactly 0..N with no gaps or duplicates.
@@ -255,11 +234,68 @@ fn interleaved_clients_replay_byte_identical_in_seq_order(backend: AcceptBackend
     handle.shutdown();
 }
 
+fn commands(trace: Vec<ServiceCommand>) -> Vec<Sent> {
+    trace.into_iter().map(Sent::Command).collect()
+}
+
+/// Two tenants pipelining concurrently.
+#[test]
+fn interleaved_clients_replay_byte_identical_in_seq_order() {
+    let handle = start(
+        2,
+        &[
+            ("alpha", "tok-alpha", TenantQuota::unlimited()),
+            ("beta", "tok-beta", TenantQuota::unlimited()),
+        ],
+    );
+    let clients = vec![
+        (
+            "alpha",
+            "tok-alpha",
+            1000,
+            commands(random_trace(42, BITS, 35)),
+        ),
+        (
+            "beta",
+            "tok-beta",
+            2000,
+            commands(random_trace(43, BITS, 35)),
+        ),
+    ];
+    pipelined_clients_replay_byte_identical_in_seq_order(handle, clients);
+}
+
+/// More connections than pool workers: the pool is at most 8 threads, so
+/// with 17 connections every sticky worker serves several of them at once.
+/// All share one tenant — their sessions collide, so cross-connection
+/// order decides reply *content* — and each script carries an undecodable
+/// and an oversized line between the commands, whose rejections must keep
+/// their place in the connection's reply order.
+#[test]
+fn more_connections_than_workers_keep_reply_order_and_seq_replay() {
+    const CLIENTS: u64 = 2 * 8 + 1;
+    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+    let mut oversized = vec![b'x'; MAX_FRAME_BYTES + 4096];
+    oversized.push(b'\n');
+    let clients = (0..CLIENTS)
+        .map(|k| {
+            let mut script = commands(random_trace(500 + k, BITS, 50));
+            assert!(script.len() >= 64, "script too short to pipeline deep");
+            let junk = Sent::Hostile(b"this is not json\n".to_vec(), ErrorCode::BadRequest);
+            script.insert(script.len() / 3, junk);
+            let huge = Sent::Hostile(oversized.clone(), ErrorCode::FrameTooLarge);
+            script.insert(2 * script.len() / 3, huge);
+            ("alpha", "tok-alpha", 1000 * (k + 1), script)
+        })
+        .collect();
+    pipelined_clients_replay_byte_identical_in_seq_order(handle, clients);
+}
+
 /// Namespacing: both tenants own a session literally named `"sessions"`,
 /// and neither sees the other's data.
-fn tenants_can_reuse_session_names_without_collision(backend: AcceptBackend) {
+#[test]
+fn tenants_can_reuse_session_names_without_collision() {
     let handle = start(
-        backend,
         2,
         &[
             ("alpha", "tok-alpha", TenantQuota::unlimited()),
@@ -317,13 +353,13 @@ fn tenants_can_reuse_session_names_without_collision(backend: AcceptBackend) {
 /// Request-count quotas: the capped tenant's sixth command is a typed
 /// `quota_exceeded` with `seq: null`, while the unlimited tenant keeps
 /// succeeding before, between and after.
-fn one_tenant_exhausting_requests_does_not_starve_another(backend: AcceptBackend) {
+#[test]
+fn one_tenant_exhausting_requests_does_not_starve_another() {
     let capped = TenantQuota {
         max_requests: Some(5),
         max_space_bits: None,
     };
     let handle = start(
-        backend,
         2,
         &[
             ("small", "tok-small", capped),
@@ -382,7 +418,8 @@ fn one_tenant_exhausting_requests_does_not_starve_another(backend: AcceptBackend
 
 /// Space quotas: a tenant sized for one session cannot create a second,
 /// a `drop` refunds the charge, and a roomier tenant is unaffected.
-fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend) {
+#[test]
+fn space_quota_is_charged_on_create_and_refunded_on_drop() {
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
     let bits = TenantSketch::new(&spec).space_bits() as u64;
     let cramped = TenantQuota {
@@ -390,7 +427,6 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend)
         max_space_bits: Some(3 * bits), // room for exactly three sessions
     };
     let handle = start(
-        backend,
         1,
         &[
             ("cramped", "tok-cramped", cramped),
@@ -452,12 +488,9 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop(backend: AcceptBackend)
 /// lines each produce one typed error line and leave the connection fully
 /// usable; an unknown token is `auth_failed`; a torn trailing line closes
 /// silently without wedging the listener.
-fn hostile_lines_get_typed_errors_and_the_connection_stays_sane(backend: AcceptBackend) {
-    let handle = start(
-        backend,
-        2,
-        &[("alpha", "tok-alpha", TenantQuota::unlimited())],
-    );
+#[test]
+fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
+    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
     let mut client = Client::connect(&handle);
 
     // 1. Well-encoded junk → bad_request, no id, no seq.
@@ -534,7 +567,8 @@ fn hostile_lines_get_typed_errors_and_the_connection_stays_sane(backend: AcceptB
 /// The connection cap: connection `max_connections + 1` is refused with one
 /// typed `server_busy` line and closed, while established connections keep
 /// working.
-fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
+#[test]
+fn over_cap_connections_are_refused_with_server_busy() {
     let mut directory = TenantDirectory::new();
     directory
         .register("alpha", "tok-alpha", TenantQuota::unlimited())
@@ -543,16 +577,12 @@ fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
         "127.0.0.1:0",
         SketchService::new(1),
         directory,
-        ServerConfig {
-            max_connections: 1,
-            backend,
-            ..ServerConfig::default()
-        },
+        ServerConfig { max_connections: 1 },
     )
     .unwrap();
     let mut first = Client::connect(&handle);
-    // Prove the first connection is live (and its handler thread running)
-    // before opening the over-cap one.
+    // Prove the first connection is live (and counted by the loop) before
+    // opening the over-cap one.
     let ping = Request {
         id: 0,
         token: "tok-alpha".to_string(),
@@ -573,14 +603,4 @@ fn over_cap_connections_are_refused_with_server_busy(backend: AcceptBackend) {
     // …and the established connection is untouched.
     assert_eq!(first.round_trip(&ping).seq, Some(1));
     handle.shutdown();
-}
-
-backend_tests! {
-    single_client => single_client_replies_are_byte_identical_across_shard_counts,
-    interleaved_clients => interleaved_clients_replay_byte_identical_in_seq_order,
-    tenant_namespacing => tenants_can_reuse_session_names_without_collision,
-    request_quota => one_tenant_exhausting_requests_does_not_starve_another,
-    space_quota => space_quota_is_charged_on_create_and_refunded_on_drop,
-    hostile_input => hostile_lines_get_typed_errors_and_the_connection_stays_sane,
-    over_cap => over_cap_connections_are_refused_with_server_busy,
 }

@@ -15,9 +15,9 @@
 
 use mcf0_service::net::proto::encode_line;
 use mcf0_service::{
-    serve, AcceptBackend, DurableConfig, DurableSketchService, ReferenceService, Request, Response,
-    ServerConfig, ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory,
-    TenantQuota, WireError,
+    serve, DurableConfig, DurableSketchService, ReferenceService, Request, Response, ServerConfig,
+    ServiceCommand, SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    WireError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -55,13 +55,6 @@ fn directory() -> TenantDirectory {
     directory
 }
 
-fn config(backend: AcceptBackend) -> ServerConfig {
-    ServerConfig {
-        backend,
-        ..ServerConfig::default()
-    }
-}
-
 fn request(id: u64, command: ServiceCommand) -> Request {
     Request {
         id,
@@ -94,7 +87,8 @@ fn expected_line(
 /// server's write-backs overrun the socket buffers mid-response, so the
 /// flush must park on `WouldBlock` and resume at the exact byte offset —
 /// every reply line still byte-identical to the reference interpreter.
-fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
+#[test]
+fn slow_reader_gets_byte_identical_pipelined_responses() {
     const SAVES: usize = 200;
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 256, 7, 11);
     let mut commands = vec![
@@ -118,7 +112,7 @@ fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
         "127.0.0.1:0",
         SketchService::new(2),
         directory(),
-        config(backend),
+        ServerConfig::default(),
     )
     .unwrap();
     let writer = TcpStream::connect(handle.local_addr()).unwrap();
@@ -154,22 +148,6 @@ fn slow_reader_gets_byte_identical_pipelined_responses(backend: AcceptBackend) {
     handle.shutdown();
 }
 
-mod slow_reader {
-    use super::*;
-    #[test]
-    fn threaded() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::Threaded);
-    }
-    #[test]
-    fn evented() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::Evented);
-    }
-    #[test]
-    fn evented_poll_fallback() {
-        slow_reader_gets_byte_identical_pipelined_responses(AcceptBackend::EventedPollFallback);
-    }
-}
-
 /// 256 connections held open and idle do not exhaust the evented server
 /// (default ceiling is ≥ 1024), and the front-end stays fully responsive:
 /// the first, a middle, and the last connection all still round-trip.
@@ -183,7 +161,7 @@ fn evented_sustains_256_idle_connections() {
         "127.0.0.1:0",
         SketchService::new(1),
         directory(),
-        config(AcceptBackend::Evented),
+        ServerConfig::default(),
     )
     .unwrap();
     let mut conns = Vec::new();
@@ -212,6 +190,58 @@ fn evented_sustains_256_idle_connections() {
         assert_eq!(response.seq, Some(k as u64), "conn {index}");
     }
     drop(conns);
+    handle.shutdown();
+}
+
+/// Descriptors of this process that are the server's end of a connection
+/// to the listener on `port`: `/proc/self/fd` joined with `/proc/net/tcp`
+/// on the socket inode, so tests running in parallel do not count.
+#[cfg(target_os = "linux")]
+fn server_side_fds(port: u16) -> usize {
+    const LISTEN: &str = "0A";
+    let table = std::fs::read_to_string("/proc/self/net/tcp").unwrap();
+    let sockets: std::collections::HashSet<String> = table
+        .lines()
+        .skip(1)
+        .filter_map(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            let local_port = u16::from_str_radix(cols[1].rsplit(':').next()?, 16).ok()?;
+            (local_port == port && cols[3] != LISTEN).then(|| format!("socket:[{}]", cols[9]))
+        })
+        .collect();
+    std::fs::read_dir("/proc/self/fd")
+        .unwrap()
+        .filter_map(|entry| std::fs::read_link(entry.ok()?.path()).ok())
+        .filter(|target| target.to_str().is_some_and(|t| sockets.contains(t)))
+        .count()
+}
+
+/// A connection costs the server one descriptor, so `max_connections`
+/// live connections fit under an fd limit of about that size (a second,
+/// `dup`ed descriptor per connection would park the listener on `EMFILE`
+/// at half the advertised cap).
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connection_costs_the_server_one_descriptor() {
+    let handle = serve(
+        "127.0.0.1:0",
+        SketchService::new(1),
+        directory(),
+        ServerConfig::default(),
+    )
+    .unwrap();
+    let idle: Vec<TcpStream> = (0..63)
+        .map(|_| TcpStream::connect(handle.local_addr()).unwrap())
+        .collect();
+    // The loop accepts in connection order: once the 64th connection is
+    // answered, all 64 are established on the server side.
+    let mut last = Client::connect(&handle);
+    let ping = ServiceCommand::SpaceBits {
+        name: "nope".to_string(),
+    };
+    assert!(!last.round_trip_raw(&request(0, ping)).is_empty());
+    assert_eq!(server_side_fds(handle.local_addr().port()), 64);
+    drop(idle);
     handle.shutdown();
 }
 
@@ -257,13 +287,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
     // Phase 1: a durable-backed evented server takes the opening trace…
     let (durable, _report) =
         DurableSketchService::open(&store.0, 2, DurableConfig::default()).unwrap();
-    let handle = serve(
-        "127.0.0.1:0",
-        durable,
-        directory(),
-        config(AcceptBackend::Evented),
-    )
-    .unwrap();
+    let handle = serve("127.0.0.1:0", durable, directory(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
     for (i, command) in phase1.iter().enumerate() {
         let got = client.round_trip_raw(&request(i as u64, command.clone()));
@@ -289,7 +313,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
         "127.0.0.1:0",
         recovered,
         directory(),
-        config(AcceptBackend::Evented),
+        ServerConfig::default(),
     )
     .unwrap();
     let mut client = Client::connect(&handle);

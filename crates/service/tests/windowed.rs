@@ -13,9 +13,9 @@
 use mcf0_service::net::proto::{decode_request, encode_line};
 use mcf0_service::wal::{frame, scan_bytes};
 use mcf0_service::{
-    serve, AcceptBackend, CommandReply, ErrorCode, ReferenceService, Request, Response,
-    ServerConfig, ServiceCommand, ServiceError, SessionSpec, SketchKind, SketchService,
-    TenantDirectory, TenantQuota, WireError, MAX_WINDOW_EPOCHS,
+    serve, CommandReply, ErrorCode, ReferenceService, Request, Response, ServerConfig,
+    ServiceCommand, ServiceError, SessionSpec, SketchKind, SketchService, TenantDirectory,
+    TenantQuota, WireError, MAX_WINDOW_EPOCHS,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -236,10 +236,7 @@ fn typed_errors_survive_the_wire_byte_identically() {
         "127.0.0.1:0",
         SketchService::new(2),
         directory,
-        ServerConfig {
-            backend: AcceptBackend::Threaded,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
 

@@ -1,39 +1,34 @@
 //! Minimal FFI shim over the OS readiness syscalls — the **only** `unsafe`
 //! in the workspace.
 //!
-//! `mcf0-service` is built under `#![forbid(unsafe_code)]`; its evented
-//! network front-end needs three kernel facilities that `std` does not
-//! expose: `epoll` (scalable readiness on Linux), `poll(2)` (the portable
-//! POSIX fallback), and a non-blocking self-pipe to wake a blocked wait
-//! from other threads. This crate wraps exactly those — no `libc` crate,
-//! just `extern "C"` declarations against the libc every Rust binary on a
-//! glibc/musl target already links — behind a fully safe API:
+//! `mcf0-service` is built under `#![forbid(unsafe_code)]`; its network
+//! front-end needs two kernel facilities that `std` does not expose:
+//! `epoll` (scalable readiness on Linux) and a non-blocking self-pipe to
+//! wake a blocked wait from other threads. This crate wraps exactly those
+//! — no `libc` crate, just `extern "C"` declarations against the libc
+//! every Rust binary on a glibc/musl target already links — behind a fully
+//! safe API:
 //!
 //! * [`Epoll`] — `epoll_create1` / `epoll_ctl` / `epoll_wait`, level
 //!   triggered, one `u64` token per registered descriptor.
-//! * [`PollSet`] — the same register/modify/remove/wait surface over
-//!   `poll(2)` with an internally maintained `pollfd` array.
 //! * [`wake_pipe`] — a `pipe2(O_NONBLOCK | O_CLOEXEC)` pair returned as
 //!   two `std::fs::File`s (reads and writes go through ordinary safe IO).
 //!
 //! Every call reports failures as `std::io::Error` (from `errno` via
-//! `Error::last_os_error`), and `EINTR` is retried inside the wait calls.
+//! `Error::last_os_error`), and `EINTR` is retried inside the wait call.
 //! File descriptors are owned [`std::os::fd::OwnedFd`]s, so nothing leaks
 //! on panic or early return.
 //!
 //! Only Linux is wired up (the deployment and CI target); on other
-//! platforms every constructor returns `ErrorKind::Unsupported`. The
-//! service's *default* config selects its thread-per-connection backend
-//! there (`AcceptBackend::platform_default()`); explicitly requesting the
-//! evented backend off-Linux surfaces the `Unsupported` error from
-//! `serve` rather than silently switching layers. The `poll(2)` path
-//! itself is portable POSIX — supporting another Unix is a matter of
-//! adding its constant table next to the Linux one.
+//! platforms every constructor returns `ErrorKind::Unsupported`, which
+//! the service's `serve` surfaces as a typed error rather than switching
+//! to some other accept layer. Supporting another Unix means a second
+//! shim (kqueue) next to the Linux one.
 
 #![warn(missing_docs)]
 
 /// One readiness event: the registered token plus what the descriptor is
-/// ready for. `error` covers fatal conditions (`EPOLLERR` / `POLLNVAL`);
+/// ready for. `error` covers fatal conditions (`EPOLLERR`);
 /// peer hang-ups surface through `readable` so buffered bytes still drain
 /// and the owner discovers EOF from `read() == 0`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,7 +53,7 @@ mod linux {
     // `extern "C"` declarations against the already-linked libc. Kept to
     // the absolute minimum the readiness loop needs.
     mod ffi {
-        use core::ffi::{c_int, c_ulong};
+        use core::ffi::c_int;
 
         /// Mirror of the kernel's `struct epoll_event`. The kernel (and
         /// glibc/musl via `__EPOLL_PACKED`) packs the struct **only on
@@ -91,15 +86,6 @@ mod linux {
             assert!(core::mem::size_of::<EpollEvent>() == expected);
         };
 
-        /// Mirror of `struct pollfd`.
-        #[repr(C)]
-        #[derive(Clone, Copy)]
-        pub struct PollFd {
-            pub fd: c_int,
-            pub events: i16,
-            pub revents: i16,
-        }
-
         extern "C" {
             pub fn epoll_create1(flags: c_int) -> c_int;
             pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -109,7 +95,6 @@ mod linux {
                 maxevents: c_int,
                 timeout: c_int,
             ) -> c_int;
-            pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
             pub fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
         }
 
@@ -122,11 +107,6 @@ mod linux {
         pub const EPOLLERR: u32 = 0x008;
         pub const EPOLLHUP: u32 = 0x010;
         pub const EPOLLRDHUP: u32 = 0x2000;
-        pub const POLLIN: i16 = 0x001;
-        pub const POLLOUT: i16 = 0x004;
-        pub const POLLERR: i16 = 0x008;
-        pub const POLLHUP: i16 = 0x010;
-        pub const POLLNVAL: i16 = 0x020;
         pub const O_NONBLOCK: c_int = 0o4000;
         pub const O_CLOEXEC: c_int = 0o2000000;
     }
@@ -252,112 +232,6 @@ mod linux {
         }
     }
 
-    /// The portable `poll(2)` readiness set: the same surface as [`Epoll`]
-    /// over an internally maintained `pollfd` array.
-    pub struct PollSet {
-        fds: Vec<ffi::PollFd>,
-        tokens: Vec<u64>,
-    }
-
-    impl PollSet {
-        /// An empty set.
-        pub fn new() -> io::Result<Self> {
-            Ok(PollSet {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
-        }
-
-        fn mask(readable: bool, writable: bool) -> i16 {
-            (if readable { ffi::POLLIN } else { 0 }) | (if writable { ffi::POLLOUT } else { 0 })
-        }
-
-        fn position(&self, fd: RawFd) -> io::Result<usize> {
-            self.fds
-                .iter()
-                .position(|p| p.fd == fd)
-                .ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))
-        }
-
-        /// Registers `fd` under `token` with the given interest.
-        pub fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            if self.position(fd).is_ok() {
-                return Err(io::Error::from(io::ErrorKind::AlreadyExists));
-            }
-            self.fds.push(ffi::PollFd {
-                fd,
-                events: Self::mask(readable, writable),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        /// Replaces the interest set of an already registered `fd`.
-        pub fn modify(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            readable: bool,
-            writable: bool,
-        ) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.fds[i].events = Self::mask(readable, writable);
-            self.tokens[i] = token;
-            Ok(())
-        }
-
-        /// Removes `fd` from the set.
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.fds.swap_remove(i);
-            self.tokens.swap_remove(i);
-            Ok(())
-        }
-
-        /// Blocks until at least one descriptor is ready (or `timeout_ms`
-        /// elapses; `None` waits forever), appending events to `out`.
-        /// `EINTR` is retried.
-        pub fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: Option<i32>) -> io::Result<()> {
-            let timeout = timeout_ms.unwrap_or(-1);
-            loop {
-                // SAFETY: `fds` is a live, exclusively borrowed pollfd
-                // slice; nfds matches its length.
-                let ret = unsafe {
-                    ffi::poll(
-                        self.fds.as_mut_ptr(),
-                        self.fds.len() as core::ffi::c_ulong,
-                        timeout,
-                    )
-                };
-                match cvt(ret) {
-                    Ok(_) => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            for (p, &token) in self.fds.iter().zip(&self.tokens) {
-                let revents = p.revents;
-                if revents == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: revents & (ffi::POLLIN | ffi::POLLHUP) != 0,
-                    writable: revents & ffi::POLLOUT != 0,
-                    error: revents & (ffi::POLLERR | ffi::POLLNVAL) != 0,
-                });
-            }
-            Ok(())
-        }
-    }
-
     /// A non-blocking self-pipe, `(read_end, write_end)`. Writing any byte
     /// to the write end wakes a wait that has the read end registered;
     /// `WouldBlock` on a full pipe is harmless (a wake-up is already
@@ -374,7 +248,7 @@ mod linux {
 }
 
 #[cfg(target_os = "linux")]
-pub use linux::{wake_pipe, Epoll, PollSet};
+pub use linux::{wake_pipe, Epoll};
 
 #[cfg(not(target_os = "linux"))]
 mod stub {
@@ -416,32 +290,6 @@ mod stub {
         }
     }
 
-    /// Unsupported on this platform; every constructor fails.
-    pub struct PollSet(());
-
-    impl PollSet {
-        /// Always `ErrorKind::Unsupported` on this platform.
-        pub fn new() -> io::Result<Self> {
-            unsupported()
-        }
-        /// Unreachable (no instance can exist).
-        pub fn register(&mut self, _: RawFd, _: u64, _: bool, _: bool) -> io::Result<()> {
-            unsupported()
-        }
-        /// Unreachable (no instance can exist).
-        pub fn modify(&mut self, _: RawFd, _: u64, _: bool, _: bool) -> io::Result<()> {
-            unsupported()
-        }
-        /// Unreachable (no instance can exist).
-        pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
-            unsupported()
-        }
-        /// Unreachable (no instance can exist).
-        pub fn wait(&mut self, _: &mut Vec<Event>, _: Option<i32>) -> io::Result<()> {
-            unsupported()
-        }
-    }
-
     /// Always `ErrorKind::Unsupported` on this platform.
     pub fn wake_pipe() -> io::Result<(File, File)> {
         unsupported()
@@ -449,7 +297,7 @@ mod stub {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use stub::{wake_pipe, Epoll, PollSet};
+pub use stub::{wake_pipe, Epoll};
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
@@ -458,14 +306,15 @@ mod tests {
     use std::net::{TcpListener, TcpStream};
     use std::os::fd::AsRawFd;
 
-    /// Readiness + token plumbing over a real loopback socket, for both
-    /// backends through the identical call sequence.
-    fn socket_readiness<R, M, W>(mut register: R, mut modify: M, mut wait: W)
-    where
-        R: FnMut(std::os::fd::RawFd, u64, bool, bool),
-        M: FnMut(std::os::fd::RawFd, u64, bool, bool),
-        W: FnMut(Option<i32>) -> Vec<Event>,
-    {
+    /// Readiness + token plumbing over a real loopback socket.
+    #[test]
+    fn epoll_socket_readiness() {
+        fn wait(epoll: &mut Epoll, timeout_ms: i32) -> Vec<Event> {
+            let mut out = Vec::new();
+            epoll.wait(&mut out, Some(timeout_ms)).unwrap();
+            out
+        }
+        let mut epoll = Epoll::new().unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
@@ -473,19 +322,21 @@ mod tests {
 
         // Nothing to read yet: a zero timeout returns no event for the
         // socket's read interest.
-        register(server.as_raw_fd(), 7, true, false);
-        assert!(wait(Some(0)).iter().all(|e| e.token != 7 || !e.readable));
+        epoll.register(server.as_raw_fd(), 7, true, false).unwrap();
+        assert!(wait(&mut epoll, 0)
+            .iter()
+            .all(|e| e.token != 7 || !e.readable));
 
         client.write_all(b"ping").unwrap();
-        let events = wait(Some(1000));
+        let events = wait(&mut epoll, 1000);
         assert!(
             events.iter().any(|e| e.token == 7 && e.readable),
             "readable after peer write: {events:?}"
         );
 
         // Write interest on an empty send buffer fires immediately.
-        modify(server.as_raw_fd(), 7, true, true);
-        let events = wait(Some(1000));
+        epoll.modify(server.as_raw_fd(), 7, true, true).unwrap();
+        let events = wait(&mut epoll, 1000);
         assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
         // Drain and hang up: readable again (EOF surfaces via read() == 0).
@@ -493,39 +344,9 @@ mod tests {
         let mut readable = &server;
         assert_eq!(readable.read(&mut buf).unwrap(), 4);
         drop(client);
-        let events = wait(Some(1000));
+        let events = wait(&mut epoll, 1000);
         assert!(events.iter().any(|e| e.token == 7 && e.readable));
         assert_eq!(readable.read(&mut buf).unwrap(), 0);
-    }
-
-    #[test]
-    fn epoll_socket_readiness() {
-        let mut epoll = Epoll::new().unwrap();
-        let cell = std::cell::RefCell::new(&mut epoll);
-        socket_readiness(
-            |fd, t, r, w| cell.borrow().register(fd, t, r, w).unwrap(),
-            |fd, t, r, w| cell.borrow().modify(fd, t, r, w).unwrap(),
-            |timeout| {
-                let mut out = Vec::new();
-                cell.borrow_mut().wait(&mut out, timeout).unwrap();
-                out
-            },
-        );
-    }
-
-    #[test]
-    fn pollset_socket_readiness() {
-        let mut set = PollSet::new().unwrap();
-        let cell = std::cell::RefCell::new(&mut set);
-        socket_readiness(
-            |fd, t, r, w| cell.borrow_mut().register(fd, t, r, w).unwrap(),
-            |fd, t, r, w| cell.borrow_mut().modify(fd, t, r, w).unwrap(),
-            |timeout| {
-                let mut out = Vec::new();
-                cell.borrow_mut().wait(&mut out, timeout).unwrap();
-                out
-            },
-        );
     }
 
     #[test]

@@ -12,17 +12,16 @@
 //! connection), and a hostile oversized line is answered with
 //! `frame_too_large` while the connection stays usable.
 //!
-//! The second act is the readiness-driven backend (DESIGN.md §11): an
-//! explicitly `AcceptBackend::Evented` server takes 64 concurrent
-//! pipelining clients feeding one shared session through the epoll event
-//! loop, and the merged estimate still matches a single-client run —
-//! interleaving is routing, never semantics.
+//! The second act is the readiness-driven front-end (DESIGN.md §10)
+//! under load: 64 concurrent pipelining clients feed one shared session
+//! through the epoll event loop, and the merged estimate still matches a
+//! single-client run — interleaving is routing, never semantics.
 
 use mcf0::hashing::Xoshiro256StarStar;
 use mcf0::service::net::proto::encode_line;
 use mcf0::service::{
-    serve, AcceptBackend, CommandReply, Request, Response, ServerConfig, ServiceCommand,
-    SessionSpec, SketchKind, SketchService, TenantDirectory, TenantQuota,
+    serve, CommandReply, Request, Response, ServerConfig, ServiceCommand, SessionSpec, SketchKind,
+    SketchService, TenantDirectory, TenantQuota,
 };
 use mcf0::streaming::workloads::planted_f0_stream;
 use std::io::{BufRead, BufReader, Write};
@@ -166,7 +165,7 @@ fn main() {
     handle.shutdown();
     println!("server drained and shut down");
 
-    // ── Act two: the evented backend under 64 concurrent clients. ──────
+    // ── Act two: the event loop under 64 concurrent clients. ───────────
     //
     // One epoll event-loop thread owns every connection; a fixed worker
     // pool executes the frames; responses are coalesced into one flush
@@ -180,14 +179,11 @@ fn main() {
         "127.0.0.1:0",
         SketchService::new(4),
         directory,
-        ServerConfig {
-            backend: AcceptBackend::Evented,
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     )
     .unwrap();
     let addr = handle.local_addr();
-    println!("\nevented server on {addr} (64 pipelining clients)");
+    println!("\nsecond server on {addr} (64 pipelining clients)");
 
     let mut setup = Client::connect(addr, "tok-globex");
     let created = setup.call(ServiceCommand::Create {
@@ -258,5 +254,5 @@ fn main() {
     );
 
     handle.shutdown();
-    println!("evented server drained and shut down");
+    println!("second server drained and shut down");
 }
