@@ -131,7 +131,7 @@ fn minimum_stream() -> Vec<u64> {
     planted_f0_stream(&mut rng, 32, 20_000, 40_000)
 }
 
-/// Minimum workload through `shards` shard threads (the `sketch_bench`
+/// Minimum workload through a `shards`-shard service (the `sketch_bench`
 /// `minimum_w32` seeds), with ingest throughput measured over the batch.
 fn minimum(shards: usize) -> (f64, u64, Option<f64>) {
     let stream = minimum_stream();
@@ -616,7 +616,7 @@ fn idle_cpu_gate() -> Option<String> {
     handle.shutdown();
     let (before, after) = (before?, after?);
     let spent = after - before;
-    // The whole process (shard workers, net workers, loop) should be
+    // The whole process (shard helpers, net workers, loop) should be
     // parked; 100ms of CPU over a 500ms idle window is already an order
     // of magnitude above healthy and far below a busy-wait.
     if spent > 0.1 {

@@ -71,7 +71,7 @@
 //!   distinct-summation / max-dominance / triangle-counting reductions;
 //! * [`service`] — the multi-tenant sharded sketch service: named streaming
 //!   sessions over the sketches above, batched ingestion routed to per-shard
-//!   worker threads, pairwise distinct-union merge, and serde-based
+//!   partial sketches, pairwise distinct-union merge, and serde-based
 //!   snapshot save/restore — all bit-identical to driving the sketches
 //!   directly.
 

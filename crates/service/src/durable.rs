@@ -52,7 +52,7 @@
 //!   *published but maybe not durable*: a machine crash could rewind the
 //!   rename, so the store keeps the superseded log and degrades rather
 //!   than risk logging commands only the possibly-lost generation knows.
-//! * A shard-worker panic triggers an automatic **rebuild**: the log window
+//! * A shard panic triggers an automatic **rebuild**: the log window
 //!   is synced and the whole service is reloaded from checkpoint + log
 //!   through the normal recovery surface. Write-ahead means the panicking
 //!   mutating command is already on disk, so the rebuilt state *includes*
@@ -165,7 +165,7 @@ pub struct RecoveryReport {
 
 /// A [`SketchService`] with crash-safe durability (write-ahead log +
 /// checkpoint recovery) and an explicit fault model (retries, degraded
-/// read-only mode, shard-worker rebuild — see the module docs). The
+/// read-only mode, shard-panic rebuild — see the module docs). The
 /// in-memory service is untouched — this wrapper adds logging around
 /// [`SketchService::apply`], persistence IO, and supervision reactions.
 pub struct DurableSketchService {
@@ -277,7 +277,7 @@ impl DurableSketchService {
                 });
             match decoded {
                 Ok(command) => {
-                    // A worker dying *during replay* makes the reload itself
+                    // A shard panicking *during replay* makes the reload itself
                     // unreliable, so recovery fails as a value (the
                     // deterministically-poisonous-command edge the design
                     // notes document). Every other failed command fails
@@ -342,7 +342,7 @@ impl DurableSketchService {
     /// outgrows [`DurableConfig::compact_after_bytes`].
     ///
     /// Fault reactions (see the module docs): log-append give-up degrades
-    /// the store; a shard-worker panic rebuilds from checkpoint + log and —
+    /// the store; a shard panic rebuilds from checkpoint + log and —
     /// because the command was already logged — still reports success.
     pub fn apply(&mut self, command: &ServiceCommand) -> Result<CommandReply, ServiceError> {
         if let Health::Degraded {
@@ -358,7 +358,7 @@ impl DurableSketchService {
             // from the (still consistent) memory image.
             return match self.inner.apply(command) {
                 Err(ServiceError::ShardPanicked { .. }) => {
-                    // A worker died while storage is down, so the usual
+                    // A shard panicked while storage is down, so the usual
                     // rebuild path is unavailable; the memory image is now
                     // unreliable too and heal() must reload it.
                     self.health = Health::Degraded {
@@ -415,7 +415,7 @@ impl DurableSketchService {
         reply
     }
 
-    /// The supervision reaction to a dead shard worker: reload the whole
+    /// The supervision reaction to a retired shard: reload the whole
     /// service from checkpoint + log through the normal recovery surface.
     ///
     /// Write-ahead logging makes this sound for the *triggering* command

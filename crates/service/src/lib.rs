@@ -3,10 +3,11 @@
 //! The streaming front-end the ROADMAP queued once the word-packed,
 //! deterministically-parallel sketch engine landed: named sessions own one
 //! sketch each (Minimum / Bucketing / Estimation / AMS F2 / structured F0),
-//! batched ingestion commands are routed to per-shard worker threads, and
-//! estimates, pairwise merges, snapshots and serde-based save/restore all
-//! operate on the deterministic shard-order merge of the per-shard partial
-//! sketches.
+//! batched ingestion commands are routed to per-shard partial sketches
+//! (applied on the calling thread, with a helper thread per extra shard
+//! for large batches), and estimates, pairwise merges, snapshots and
+//! serde-based save/restore all operate on the deterministic shard-order
+//! merge of the partials.
 //!
 //! ## The determinism contract
 //!
@@ -26,8 +27,9 @@
 //!
 //! ## The fault contract
 //!
-//! Failures are **values, never panics**: a shard-worker panic is caught by
-//! its supervisor and surfaces as [`ServiceError::ShardPanicked`]; storage
+//! Failures are **values, never panics**: a panic inside a shard, on the
+//! caller's thread or a helper's, is caught by the shard's supervisor and
+//! surfaces as [`ServiceError::ShardPanicked`]; storage
 //! IO goes through the [`storage::Storage`] trait, is retried under a
 //! deterministic [`storage::RetryPolicy`], and an exhausted budget flips
 //! the durable store into degraded read-only mode
@@ -43,7 +45,7 @@
 //! ```
 //! use mcf0_service::{ServiceCommand, SessionSpec, SketchKind, SketchService};
 //!
-//! let mut service = SketchService::new(4); // 4 shard worker threads
+//! let mut service = SketchService::new(4); // 4 shards, 3 helper threads
 //! let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
 //! service.create_session("tenant-a", spec).unwrap();
 //! service.ingest("tenant-a", &[1, 2, 3, 2, 1]).unwrap();

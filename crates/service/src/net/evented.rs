@@ -14,10 +14,9 @@
 //! A single loop thread owns **all** connection state: the per-connection
 //! [`LineReader`] buffer and a coalesced write-back buffer with partial-
 //! write resumption. Decoded frames are dispatched to a small fixed pool
-//! of worker threads over `mpsc` channels (the same supervision-friendly
-//! plumbing as the shard workers), so sketch `apply` work — which takes
-//! the shared core lock and fans out to shard threads — never blocks the
-//! loop. `seq` stays assigned under the existing core lock inside
+//! of worker threads over `mpsc` channels, so sketch `apply` work — which
+//! takes the shared core lock and runs on the worker that holds it — never
+//! blocks the loop. `seq` stays assigned under the existing core lock inside
 //! [`super::server::handle_frame`], so acknowledged order and the
 //! byte-identical differential replay are unchanged.
 //!

@@ -19,8 +19,8 @@
 //! reference interpreter and demand byte-identical replies. (Quota
 //! accounting happens on the same lock, *before* shard routing —
 //! admission is control-plane work; only admitted commands ever reach the
-//! shard workers.) The worker pool changes *who* takes that lock, never
-//! the contract.
+//! shards.) The worker pool changes *who* takes that lock, never the
+//! contract.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or drop) raises a
 //! stop flag and wakes the event loop through its [`super::poll::Waker`].

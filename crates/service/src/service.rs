@@ -1,14 +1,14 @@
-//! The sharded multi-tenant service front-end.
+//! The sharded multi-tenant service front-end: the session registry, and
+//! the routing of every command onto the shards' state (see `shard.rs`).
 
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
-use crate::shard::{ShardHandle, ShardReply, ShardRequest};
+use crate::shard::{self, partial, Partials, Shard};
 use crate::sketch::{set_algebra_estimates, SessionSketch};
 use crate::snapshot;
 use mcf0_formula::DnfFormula;
 use std::collections::BTreeMap;
-use std::sync::mpsc;
 
 /// Hard cap on a session's window size (ring slots). A windowed `create` is
 /// admitted from the wire, and each ring slot is a complete sketch — without
@@ -51,38 +51,40 @@ struct SessionEntry {
 /// A multi-tenant, sharded sketch service.
 ///
 /// Named sessions own one sketch each; ingestion batches are routed to
-/// per-shard worker threads holding identically-drawn partial sketches, and
-/// every read (estimate, snapshot, save) folds the partials back together in
-/// shard order. Sharding and batching are **pure routing**: every output is
-/// bit-identical to driving the underlying sketch directly with the same
-/// command trace, for every shard count and batch split — the invariant the
-/// differential test suite pins against
-/// [`crate::reference::ReferenceService`].
+/// shards holding identically-drawn partial sketches, and every read
+/// (estimate, snapshot, save) folds the partials back together in shard
+/// order. Commands run on the calling thread; only large `u64` batches wake
+/// the shards' helper threads (`new(K)` keeps K − 1 of them). Sharding and
+/// batching are **pure routing**: every output is bit-identical to driving
+/// the underlying sketch directly with the same command trace, for every
+/// shard count and batch split — the invariant the differential test suite
+/// pins against [`crate::reference::ReferenceService`].
 ///
-/// **Failure contract.** A panic inside a shard worker never re-raises in a
+/// **Failure contract.** A panic inside a shard never re-raises in a
 /// caller: it surfaces as [`ServiceError::ShardPanicked`] from the
-/// operation that touched the dead shard, and from every later operation
-/// (the worker has retired and its partial state is gone). An in-memory
+/// operation that touched the shard, and from every later operation (the
+/// shard has retired and its partial state is gone). An in-memory
 /// service cannot repair that by itself — its state may be mid-command
 /// inconsistent — so callers should discard it;
 /// [`crate::DurableSketchService`] rebuilds automatically from checkpoint +
 /// write-ahead log instead.
 pub struct SketchService {
-    shards: Vec<ShardHandle>,
+    shards: Vec<Shard>,
     sessions: BTreeMap<String, SessionEntry>,
 }
 
 impl SketchService {
-    /// Starts the service with `shards` worker threads (at least 1).
+    /// Starts the service with `shards` shards (at least 1) and one helper
+    /// thread for each shard after the first.
     pub fn new(shards: usize) -> Self {
         let shards = shards.max(1);
         SketchService {
-            shards: (0..shards).map(ShardHandle::spawn).collect(),
+            shards: (0..shards).map(Shard::new).collect(),
             sessions: BTreeMap::new(),
         }
     }
 
-    /// Number of shard worker threads.
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
     }
@@ -103,14 +105,14 @@ impl SketchService {
         self.entry(name).map(|e| &e.ledger)
     }
 
-    /// Chaos hook for the supervision suite: makes worker `shard` panic on
-    /// its next request and retire. Returns the typed error the panic
-    /// surfaced as (callers assert on it), or `Ok(())` for an out-of-range
-    /// index. Deterministic and safe — but the service is state-poisoned
-    /// afterwards, exactly like a real worker bug.
+    /// Chaos hook for the supervision suite: panics inside shard `shard`'s
+    /// supervisor, on the calling thread, and retires the shard. Returns the
+    /// typed error the panic surfaced as (callers assert on it), or `Ok(())`
+    /// for an out-of-range index. Deterministic and safe — but the service
+    /// is state-poisoned afterwards, exactly like a real sketch bug.
     pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ServiceError> {
         match self.shards.get(shard) {
-            Some(handle) => handle.request(ShardRequest::Panic).map(|_| ()),
+            Some(shard) => shard.run(|_| panic!("injected worker panic")),
             None => Ok(()),
         }
     }
@@ -129,9 +131,8 @@ impl SketchService {
                 });
             }
         }
-        self.broadcast(|| ShardRequest::Create {
-            name: name.to_string(),
-            spec,
+        self.broadcast(|partials| {
+            partials.insert(name.to_string(), SessionSketch::new(&spec));
         })?;
         self.sessions.insert(
             name.to_string(),
@@ -147,19 +148,20 @@ impl SketchService {
     /// Forgets a session on every shard.
     pub fn drop_session(&mut self, name: &str) -> Result<(), ServiceError> {
         self.entry(name)?;
-        self.broadcast(|| ShardRequest::Drop {
-            name: name.to_string(),
+        self.broadcast(|partials| {
+            partials.remove(name);
         })?;
         self.sessions.remove(name);
         Ok(())
     }
 
     /// Feeds a batch of `u64` items: each item is routed to its shard (a
-    /// fixed function of the item value alone), the sub-batches are
-    /// processed concurrently by the workers' batched sketch engines, and
-    /// the call returns once every shard has applied its share. Routing
-    /// never changes semantics — the sketches are functions of the distinct
-    /// item set, and the shard partials merge back losslessly.
+    /// fixed function of the item value alone) and each shard's batched
+    /// sketch engine applies its sub-batch — on a helper thread when the
+    /// sub-batch is large, on the caller otherwise — and the call returns
+    /// once every shard has applied its share. Routing never changes
+    /// semantics — the sketches are functions of the distinct item set, and
+    /// the shard partials merge back losslessly.
     pub fn ingest(&mut self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
         let entry = self.entry(name)?;
         if entry.spec.kind == SketchKind::StructuredMinimum {
@@ -169,28 +171,29 @@ impl SketchService {
             });
         }
         let shards = self.shards.len();
-        let mut routed: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        for &item in items {
-            routed[route_item(item, shards)].push(item);
+        if shards == 1 {
+            // The caller's slice passes straight through.
+            if !items.is_empty() {
+                self.shards[0].run(|partials| shard::ingest(partials, name, items))?;
+            }
+        } else {
+            for shard in &mut self.shards {
+                shard.routed.clear();
+            }
+            for &item in items {
+                self.shards[route_item(item, shards)].routed.push(item);
+            }
+            // Large sub-batches leave first, so the helpers run while the
+            // caller applies shard 0; then every shard is finished in shard
+            // order (each reply must be collected) and the first error wins.
+            for shard in &mut self.shards[1..] {
+                shard.hand_off(name);
+            }
+            self.shards
+                .iter_mut()
+                .map(|shard| shard.finish_ingest(name))
+                .fold(Ok(()), Result::and)?;
         }
-        // Fan out first, then drain replies in shard order (the distributed
-        // protocols' deterministic merge discipline).
-        let pending = self.fan_out(
-            routed
-                .into_iter()
-                .enumerate()
-                .filter(|(_, sub)| !sub.is_empty())
-                .map(|(shard, sub)| {
-                    (
-                        shard,
-                        ShardRequest::Ingest {
-                            name: name.to_string(),
-                            items: sub,
-                        },
-                    )
-                }),
-        )?;
-        self.drain(pending)?;
         let ledger = &mut self.entry_mut(name)?.ledger;
         ledger.batches += 1;
         ledger.items += items.len() as u64;
@@ -217,22 +220,18 @@ impl SketchService {
         for (i, set) in sets.iter().enumerate() {
             routed[(offset as usize + i) % shards].push(set.clone());
         }
-        let pending = self.fan_out(
-            routed
-                .into_iter()
-                .enumerate()
-                .filter(|(_, sub)| !sub.is_empty())
-                .map(|(shard, sub)| {
-                    (
-                        shard,
-                        ShardRequest::IngestStructured {
-                            name: name.to_string(),
-                            sets: sub,
-                        },
-                    )
-                }),
-        )?;
-        self.drain(pending)?;
+        self.shards
+            .iter()
+            .zip(&routed)
+            .filter(|(_, sub)| !sub.is_empty())
+            .map(|(shard, sub)| {
+                shard.run(|partials| {
+                    if let Err(e) = partial(partials, name).ingest_structured(name, sub) {
+                        panic!("shard invariant: item kind mismatch ({e})");
+                    }
+                })
+            })
+            .fold(Ok(()), Result::and)?;
         let ledger = &mut self.entry_mut(name)?.ledger;
         ledger.batches += 1;
         ledger.structured_items += sets.len() as u64;
@@ -279,10 +278,7 @@ impl SketchService {
         // All cross-shard state lands on shard 0; the per-sketch merges are
         // associative and commute with the shard partition, so estimates and
         // snapshots after this are exactly the direct-run values.
-        self.shards[0].request(ShardRequest::Apply {
-            name: dst.to_string(),
-            sketch: Box::new(merged_src),
-        })?;
+        self.shards[0].run(|partials| partial(partials, dst).absorb(&merged_src))?;
         self.entry_mut(dst)?.ledger.merges += 1;
         Ok(())
     }
@@ -292,8 +288,8 @@ impl SketchService {
     /// only holds the last `K` epochs, so there is no everything-ever
     /// estimate to report.
     ///
-    /// Read-only operations take `&self`: they only `Extract` and fold the
-    /// shard partials, never mutate them, so the durable wrapper can
+    /// Read-only operations take `&self`: they only fold the shard
+    /// partials, never mutate them, so the durable wrapper can
     /// checkpoint (save every session) without exclusive access.
     pub fn estimate(&self, name: &str) -> Result<f64, ServiceError> {
         self.entry(name)?;
@@ -318,10 +314,7 @@ impl SketchService {
                 requested: epoch,
             });
         }
-        self.broadcast(|| ShardRequest::Advance {
-            name: name.to_string(),
-            epoch,
-        })?;
+        self.broadcast(|partials| partial(partials, name).advance(name, epoch))?;
         let entry = self.entry_mut(name)?;
         entry.epoch = epoch;
         entry.ledger.advances += 1;
@@ -439,7 +432,7 @@ impl SketchService {
         // document's hashes must be exactly what the spec's seed produces,
         // or the shard partials (redrawn from that seed) could never merge
         // with the restored state. A tampered seed or hash word is rejected
-        // here instead of detonating a worker-thread assert later.
+        // here instead of detonating a shard-side assert later.
         if !SessionSketch::new(&spec).same_draw(&sketch) {
             return Err(ServiceError::Snapshot(
                 "hash draws do not match the specification's seed".into(),
@@ -449,24 +442,17 @@ impl SketchService {
             Some(ring) => ring.epoch(),
             None => 0,
         };
-        self.broadcast(|| ShardRequest::Create {
-            name: name.clone(),
-            spec,
+        self.broadcast(|partials| {
+            partials.insert(name.clone(), SessionSketch::new(&spec));
         })?;
         // Freshly created ring partials sit at epoch 0; catch every shard up
         // to the saved epoch (their slots are still empty, so the catch-up
         // retires nothing) before the saved state lands on shard 0 — rings
         // must be epoch-aligned across shards for every later fold.
         if epoch > 0 {
-            self.broadcast(|| ShardRequest::Advance {
-                name: name.clone(),
-                epoch,
-            })?;
+            self.broadcast(|partials| partial(partials, &name).advance(&name, epoch))?;
         }
-        self.shards[0].request(ShardRequest::Apply {
-            name: name.clone(),
-            sketch: Box::new(sketch),
-        })?;
+        self.shards[0].run(|partials| partial(partials, &name).absorb(&sketch))?;
         self.sessions.insert(
             name.clone(),
             SessionEntry {
@@ -530,75 +516,26 @@ impl SketchService {
             .ok_or_else(|| ServiceError::UnknownSession(name.to_string()))
     }
 
-    /// Dispatches one request per `(shard, request)` pair, returning the
-    /// pending receivers (tagged with their shard) for an in-order drain.
-    fn fan_out(
-        &self,
-        requests: impl Iterator<Item = (usize, ShardRequest)>,
-    ) -> Result<Vec<(usize, mpsc::Receiver<ShardReply>)>, ServiceError> {
-        let mut pending = Vec::new();
-        for (shard, request) in requests {
-            pending.push((shard, self.shards[shard].dispatch(request)?));
-        }
-        Ok(pending)
-    }
-
-    /// Drains fan-out replies in shard order. Every receiver is drained
-    /// even after a failure (so no worker blocks on a dropped channel), and
-    /// the first typed error wins.
-    fn drain(&self, pending: Vec<(usize, mpsc::Receiver<ShardReply>)>) -> Result<(), ServiceError> {
-        let mut first_err = None;
-        for (shard, rx) in pending {
-            if let Err(e) = self.shards[shard].wait(rx) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
-    /// Extracts every shard's partial and folds them **in shard order** into
-    /// the session's full state (for rings: a slot-wise union — the shards'
-    /// rings stay epoch-aligned, so `absorb` degenerates to the plain
-    /// slot-wise merge).
+    /// Folds the shard partials **in shard order** into the session's full
+    /// state, by reference: shard 0's partial is cloned, every other one is
+    /// absorbed in place (for rings: a slot-wise union — the shards' rings
+    /// stay epoch-aligned, so `absorb` degenerates to the plain slot-wise
+    /// merge).
     fn merged_sketch(&self, name: &str) -> Result<SessionSketch, ServiceError> {
-        let pending = self.fan_out((0..self.shards.len()).map(|shard| {
-            (
-                shard,
-                ShardRequest::Extract {
-                    name: name.to_string(),
-                },
-            )
-        }))?;
-        let mut merged: Option<SessionSketch> = None;
-        for (shard, rx) in pending {
-            match self.shards[shard].wait(rx)? {
-                ShardReply::Sketch(sketch) => match merged.as_mut() {
-                    Some(acc) => acc.absorb(&sketch),
-                    None => merged = Some(*sketch),
-                },
-                // Extract always answers with a sketch; a protocol drift
-                // here is a worker bug, reported as the typed error.
-                ShardReply::Done | ShardReply::Panicked(_) => {
-                    return Err(ServiceError::ShardPanicked {
-                        shard,
-                        message: "protocol violation: Extract answered without a sketch".into(),
-                    })
-                }
-            }
+        let mut merged = self.shards[0].run(|partials| partial(partials, name).clone())?;
+        for shard in &self.shards[1..] {
+            shard.run(|partials| merged.absorb(partial(partials, name)))?;
         }
-        merged.ok_or_else(|| ServiceError::ShardPanicked {
-            shard: 0,
-            message: "no shard produced a partial".into(),
-        })
+        Ok(merged)
     }
 
-    /// Sends one request to every shard and waits for all of them.
-    fn broadcast(&self, request: impl Fn() -> ShardRequest) -> Result<(), ServiceError> {
-        let pending = self.fan_out((0..self.shards.len()).map(|shard| (shard, request())))?;
-        self.drain(pending)
+    /// Runs `op` on every shard in shard order; every shard runs even after
+    /// a failure, and the first typed error wins.
+    fn broadcast(&self, op: impl Fn(&mut Partials)) -> Result<(), ServiceError> {
+        self.shards
+            .iter()
+            .map(|shard| shard.run(&op))
+            .fold(Ok(()), Result::and)
     }
 }
 

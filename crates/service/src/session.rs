@@ -179,7 +179,7 @@ impl Deserialize for SessionSpec {
 }
 
 /// Deterministic per-session accounting, maintained on the control plane —
-/// never on the shard threads — so it is identical for every shard count and
+/// never in the shards' state — so it is identical for every shard count and
 /// equal to the reference interpreter's ledger on the same command trace
 /// (the differential suite pins this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,194 +1,230 @@
-//! The shard worker threads and their supervision.
+//! Shard state, the helper threads, and their supervision.
 //!
-//! Each shard is a long-lived std thread owning its slice of every session's
-//! state (one complete [`SessionSketch`] per session — a plain sketch or an
-//! epoch ring, drawn from the session seed, fed only the items routed to
-//! the shard). Workers never touch a
-//! shared RNG and never talk to each other; the coordinator fans commands
-//! out over `mpsc` channels and collects replies **in shard order** — the
+//! A shard is *state*, not a thread: its slice of every session (one
+//! complete [`SessionSketch`] per session — a plain sketch or an epoch
+//! ring, drawn from the session seed, fed only the items routed to the
+//! shard) sits behind one `Mutex` owned by the service, and every command
+//! runs on the calling thread. Shards never touch a shared RNG and never
+//! talk to each other; reads fold the partials **in shard order** — the
 //! same deterministic-merge discipline as the distributed protocols'
 //! `par.rs` fan-out, which is why sharding is pure routing and never a
 //! semantic change.
 //!
-//! **Supervision.** A worker wraps every request in `catch_unwind`: a panic
-//! inside the sketch engine (or one injected by the chaos hook) is caught,
-//! reported back to the coordinator as a [`ShardReply::Panicked`] value,
-//! and the worker retires — its partial state may be half-updated and must
-//! not serve again. The control plane turns dead-worker sends, dropped
-//! replies and `Panicked` replies into the typed
-//! [`ServiceError::ShardPanicked`]; no panic ever re-raises in a caller,
-//! and no `expect` sits on the channel paths. Rebuilding a consistent
-//! service after a panic is the durable layer's job (checkpoint + log
-//! replay); a bare in-memory service surfaces the typed error from every
-//! operation that touches the dead shard.
+//! **Helpers.** Shards 1..K−1 each keep one persistent helper thread
+//! (`mcf0-shard-<i>`); shard 0 has none, so a one-shard service runs no
+//! thread at all. A routed `u64` sub-batch of at least
+//! [`HELPER_MIN_ITEMS`] items is handed to its shard's helper while the
+//! caller applies shard 0; anything smaller runs on the caller, where a
+//! channel hop and a wake would cost more than the sketch work (DESIGN §7
+//! has the sweep that sets the gate).
+//!
+//! **Supervision.** Every operation on a shard's state, on the caller or
+//! on a helper, goes through one wrapper, [`Shard::run`], which runs it
+//! under `catch_unwind`: a panic inside the sketch engine (or one injected
+//! by the chaos hook) comes back as [`ServiceError::ShardPanicked`], and
+//! the shard retires — its partials may be half-updated and must not serve
+//! again. No panic ever re-raises in a caller, and no `expect` sits on
+//! these paths. Rebuilding a consistent service after a panic is the
+//! durable layer's job (checkpoint + log replay); a bare in-memory service
+//! surfaces the typed error from every operation that touches the retired
+//! shard.
 
 use crate::error::ServiceError;
-use crate::session::SessionSpec;
 use crate::sketch::SessionSketch;
-use mcf0_formula::DnfFormula;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
-/// One request to a shard worker. The control plane validates session
-/// existence and item kinds before dispatch; a violated invariant inside
-/// the worker panics and is surfaced by the supervisor as a typed error.
-pub(crate) enum ShardRequest {
-    /// Register a session: the worker draws its partial from the spec.
-    Create {
-        /// Session name.
-        name: String,
-        /// Draw specification (equal on every shard).
-        spec: SessionSpec,
-    },
-    /// Feed routed `u64` items to a session's partial.
-    Ingest {
-        /// Session name.
-        name: String,
-        /// The sub-batch routed to this shard, in arrival order.
-        items: Vec<u64>,
-    },
-    /// Feed routed structured items to a session's partial.
-    IngestStructured {
-        /// Session name.
-        name: String,
-        /// The sub-batch routed to this shard, in arrival order.
-        sets: Vec<DnfFormula>,
-    },
-    /// Reply with a clone of the session's partial.
-    Extract {
-        /// Session name.
-        name: String,
-    },
-    /// Move a windowed session's ring to a new epoch. The control plane
-    /// validates windowedness and monotonicity first, then broadcasts to
-    /// every shard so the rings stay epoch-aligned.
-    Advance {
-        /// Session name.
-        name: String,
-        /// The new (strictly larger) epoch.
-        epoch: u64,
-    },
-    /// Merge a sketch into the session's partial (cross-session merge and
-    /// snapshot restore both land here, always on shard 0).
-    Apply {
-        /// Session name.
-        name: String,
-        /// Sketch to fold in.
-        sketch: Box<SessionSketch>,
-    },
-    /// Forget a session.
-    Drop {
-        /// Session name.
-        name: String,
-    },
-    /// Chaos hook: panic inside the worker loop (the supervision tests'
-    /// stand-in for a sketch-engine bug).
-    Panic,
-    /// Exit the worker loop (service drop).
-    Shutdown,
+/// Items in a routed sub-batch from which the shard's helper thread takes
+/// the work instead of the caller (a property of the input, not a knob;
+/// DESIGN §7 records the measurement).
+const HELPER_MIN_ITEMS: usize = 1024;
+
+/// One shard's sessions: name → partial.
+pub(crate) type Partials = HashMap<String, SessionSketch>;
+
+/// The one job a helper takes: feed a routed sub-batch to a session.
+struct ShardRequest {
+    name: String,
+    items: Vec<u64>,
 }
 
-/// A worker's answer.
-pub(crate) enum ShardReply {
-    /// Command applied.
-    Done,
-    /// The extracted partial.
-    Sketch(Box<SessionSketch>),
-    /// The request panicked inside the worker; the payload message rides
-    /// back as a value and the worker has retired.
-    Panicked(String),
+/// A helper's answer, handing the sub-batch buffer back for reuse.
+struct ShardReply {
+    outcome: Result<(), ServiceError>,
+    items: Vec<u64>,
 }
 
-type Envelope = (ShardRequest, mpsc::Sender<ShardReply>);
-
-/// Coordinator-side handle to one worker thread.
-pub(crate) struct ShardHandle {
-    sender: mpsc::Sender<Envelope>,
-    thread: Option<JoinHandle<()>>,
+/// A shard's partials behind its supervision lock (`None` once a panic has
+/// retired the shard), shared by `Arc` with the shard's helper.
+struct ShardState {
     index: usize,
+    partials: Mutex<Option<Partials>>,
 }
 
-impl ShardHandle {
-    /// Spawns the worker.
-    pub(crate) fn spawn(shard_index: usize) -> Self {
-        let (sender, receiver) = mpsc::channel::<Envelope>();
-        // Thread spawn is an environment failure before any state exists;
-        // leave the handle dead (`None`) so every request reports the typed
-        // error instead of panicking here.
-        let thread = std::thread::Builder::new()
-            .name(format!("mcf0-shard-{shard_index}"))
-            .spawn(move || run_worker(receiver))
-            .ok();
-        ShardHandle {
-            sender,
-            thread,
-            index: shard_index,
-        }
+impl ShardState {
+    fn run<R>(&self, op: impl FnOnce(&mut Partials) -> R) -> Result<R, ServiceError> {
+        // `op` always runs under `catch_unwind`, so no panic poisons the
+        // lock; a poisoned one reads as retired all the same.
+        let Ok(mut guard) = self.partials.lock() else {
+            return Err(self.retired());
+        };
+        let Some(partials) = guard.as_mut() else {
+            return Err(self.retired());
+        };
+        catch_unwind(AssertUnwindSafe(|| op(partials))).map_err(|payload| {
+            *guard = None;
+            ServiceError::ShardPanicked {
+                shard: self.index,
+                message: panic_message(payload.as_ref()),
+            }
+        })
     }
 
-    /// The typed error for a worker that is gone (panicked earlier, or
-    /// never spawned).
-    fn dead(&self) -> ServiceError {
+    fn retired(&self) -> ServiceError {
         ServiceError::ShardPanicked {
             shard: self.index,
-            message: "worker terminated by an earlier panic".into(),
+            message: "shard retired by an earlier panic".into(),
         }
-    }
-
-    /// Sends a request without waiting; the caller collects the reply via
-    /// [`ShardHandle::wait`] (batch fan-out sends to every shard first,
-    /// then drains in shard order). A dead worker is a typed error.
-    pub(crate) fn dispatch(
-        &self,
-        request: ShardRequest,
-    ) -> Result<mpsc::Receiver<ShardReply>, ServiceError> {
-        if self.thread.is_none() {
-            return Err(self.dead());
-        }
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.sender
-            .send((request, reply_tx))
-            .map_err(|_| self.dead())?;
-        Ok(reply_rx)
-    }
-
-    /// Waits for a dispatched request's reply, converting worker death and
-    /// in-worker panics into [`ServiceError::ShardPanicked`].
-    pub(crate) fn wait(
-        &self,
-        reply: mpsc::Receiver<ShardReply>,
-    ) -> Result<ShardReply, ServiceError> {
-        match reply.recv() {
-            Ok(ShardReply::Panicked(message)) => Err(ServiceError::ShardPanicked {
-                shard: self.index,
-                message,
-            }),
-            Ok(reply) => Ok(reply),
-            // The worker dropped the reply sender without answering: it died
-            // (or retired on an earlier panic) while our request was queued.
-            Err(mpsc::RecvError) => Err(self.dead()),
-        }
-    }
-
-    /// Sends a request and waits for the worker to apply it.
-    pub(crate) fn request(&self, request: ShardRequest) -> Result<ShardReply, ServiceError> {
-        let rx = self.dispatch(request)?;
-        self.wait(rx)
     }
 }
 
-impl Drop for ShardHandle {
+/// A helper thread and its two channels.
+struct Helper {
+    jobs: mpsc::Sender<ShardRequest>,
+    /// In a `Mutex` only so the service stays `Sync`; reached through
+    /// `get_mut`, never locked.
+    replies: Mutex<mpsc::Receiver<ShardReply>>,
+    thread: JoinHandle<()>,
+    /// A job is out and its reply not yet collected.
+    busy: bool,
+}
+
+/// One shard: its state, its helper (none for shard 0) and the buffer
+/// `ingest` routes its sub-batch into, reused call to call.
+pub(crate) struct Shard {
+    state: Arc<ShardState>,
+    helper: Option<Helper>,
+    pub(crate) routed: Vec<u64>,
+}
+
+impl Shard {
+    pub(crate) fn new(index: usize) -> Self {
+        let state = Arc::new(ShardState {
+            index,
+            partials: Mutex::new(Some(Partials::new())),
+        });
+        // A helper that cannot be spawned leaves its shard on the caller:
+        // the state lives here, so nothing is lost but the parallelism.
+        let helper = (index > 0).then(|| spawn_helper(&state)).flatten();
+        Shard {
+            state,
+            helper,
+            routed: Vec::new(),
+        }
+    }
+
+    /// Runs `op` on the shard's partials under supervision (see the module
+    /// docs). The one wrapper both the caller and the helper use.
+    pub(crate) fn run<R>(&self, op: impl FnOnce(&mut Partials) -> R) -> Result<R, ServiceError> {
+        self.state.run(op)
+    }
+
+    /// Hands the routed sub-batch to the helper if it is large enough;
+    /// [`Shard::finish_ingest`] collects the outcome.
+    pub(crate) fn hand_off(&mut self, name: &str) {
+        let Some(helper) = self.helper.as_mut() else {
+            return;
+        };
+        if self.routed.len() < HELPER_MIN_ITEMS {
+            return;
+        }
+        let job = ShardRequest {
+            name: name.to_string(),
+            items: std::mem::take(&mut self.routed),
+        };
+        match helper.jobs.send(job) {
+            Ok(()) => helper.busy = true,
+            Err(mpsc::SendError(job)) => self.routed = job.items,
+        }
+    }
+
+    /// Applies the routed sub-batch: waits for the helper's reply if it
+    /// took the batch, runs it here otherwise. Must be called once after
+    /// every [`Shard::hand_off`], even when another shard failed.
+    pub(crate) fn finish_ingest(&mut self, name: &str) -> Result<(), ServiceError> {
+        match self.helper.as_mut().filter(|helper| helper.busy) {
+            Some(helper) => {
+                helper.busy = false;
+                let replies = helper
+                    .replies
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner);
+                match replies.recv() {
+                    Ok(ShardReply { outcome, items }) => {
+                        self.routed = items;
+                        outcome
+                    }
+                    // The helper died outside `run` with the batch: the
+                    // partials missed it, so the shard must retire.
+                    Err(mpsc::RecvError) => self.run(|_| panic!("shard helper thread exited")),
+                }
+            }
+            None if self.routed.is_empty() => Ok(()),
+            None => self.run(|partials| ingest(partials, name, &self.routed)),
+        }
+    }
+}
+
+impl Drop for Shard {
     fn drop(&mut self) {
-        // A worker that already panicked has dropped its receiver; ignore
-        // the send failure, and ignore the join outcome too — the panic was
-        // already surfaced as a typed reply, never re-raised here.
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        let _ = self.sender.send((ShardRequest::Shutdown, reply_tx));
-        if let Some(thread) = self.thread.take() {
+        // Closing the job channel ends the helper's loop; join it so no
+        // thread outlives the service.
+        if let Some(Helper { jobs, thread, .. }) = self.helper.take() {
+            drop(jobs);
             let _ = thread.join();
         }
+    }
+}
+
+fn spawn_helper(state: &Arc<ShardState>) -> Option<Helper> {
+    let (jobs, inbox) = mpsc::channel::<ShardRequest>();
+    let (outbox, replies) = mpsc::channel();
+    let shared = Arc::clone(state);
+    let thread = std::thread::Builder::new()
+        .name(format!("mcf0-shard-{}", state.index))
+        .spawn(move || {
+            for ShardRequest { name, items } in inbox {
+                let outcome = shared.run(|partials| ingest(partials, &name, &items));
+                if outbox.send(ShardReply { outcome, items }).is_err() {
+                    break;
+                }
+            }
+        })
+        .ok()?;
+    Some(Helper {
+        jobs,
+        replies: Mutex::new(replies),
+        thread,
+        busy: false,
+    })
+}
+
+/// A session's partial. The control plane vouched for its existence, so a
+/// miss is an invariant violation: it panics, and [`Shard::run`] reports it.
+pub(crate) fn partial<'a>(partials: &'a mut Partials, name: &str) -> &'a mut SessionSketch {
+    match partials.get_mut(name) {
+        Some(sketch) => sketch,
+        None => panic!("shard invariant: session `{name}` missing"),
+    }
+}
+
+/// Feeds routed `u64` items to a session's partial (the control plane
+/// checked the item kind; a mismatch panics like any invariant).
+pub(crate) fn ingest(partials: &mut Partials, name: &str, items: &[u64]) {
+    if let Err(e) = partial(partials, name).ingest(name, items) {
+        panic!("shard invariant: item kind mismatch ({e})");
     }
 }
 
@@ -201,83 +237,5 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    }
-}
-
-/// Applies one request to the worker's session map. Invariant violations
-/// (the control plane vouched for session existence and item kind) panic —
-/// and the supervisor in [`run_worker`] catches and reports them.
-fn handle(sessions: &mut HashMap<String, SessionSketch>, request: ShardRequest) -> ShardReply {
-    match request {
-        ShardRequest::Create { name, spec } => {
-            sessions.insert(name, SessionSketch::new(&spec));
-            ShardReply::Done
-        }
-        ShardRequest::Ingest { name, items } => {
-            let Some(sketch) = sessions.get_mut(&name) else {
-                panic!("shard invariant: session `{name}` missing");
-            };
-            if let Err(e) = sketch.ingest(&name, &items) {
-                panic!("shard invariant: item kind mismatch ({e})");
-            }
-            ShardReply::Done
-        }
-        ShardRequest::IngestStructured { name, sets } => {
-            let Some(sketch) = sessions.get_mut(&name) else {
-                panic!("shard invariant: session `{name}` missing");
-            };
-            if let Err(e) = sketch.ingest_structured(&name, &sets) {
-                panic!("shard invariant: item kind mismatch ({e})");
-            }
-            ShardReply::Done
-        }
-        ShardRequest::Extract { name } => {
-            let Some(sketch) = sessions.get(&name) else {
-                panic!("shard invariant: session `{name}` missing");
-            };
-            ShardReply::Sketch(Box::new(sketch.clone()))
-        }
-        ShardRequest::Advance { name, epoch } => {
-            let Some(sketch) = sessions.get_mut(&name) else {
-                panic!("shard invariant: session `{name}` missing");
-            };
-            sketch.advance(&name, epoch);
-            ShardReply::Done
-        }
-        ShardRequest::Apply { name, sketch } => {
-            let Some(partial) = sessions.get_mut(&name) else {
-                panic!("shard invariant: session `{name}` missing");
-            };
-            partial.absorb(&sketch);
-            ShardReply::Done
-        }
-        ShardRequest::Drop { name } => {
-            sessions.remove(&name);
-            ShardReply::Done
-        }
-        ShardRequest::Panic => panic!("injected worker panic"),
-        ShardRequest::Shutdown => ShardReply::Done, // filtered by the loop
-    }
-}
-
-fn run_worker(receiver: mpsc::Receiver<Envelope>) {
-    let mut sessions: HashMap<String, SessionSketch> = HashMap::new();
-    for (request, reply) in receiver {
-        if matches!(request, ShardRequest::Shutdown) {
-            break;
-        }
-        match catch_unwind(AssertUnwindSafe(|| handle(&mut sessions, request))) {
-            Ok(answer) => {
-                let _ = reply.send(answer);
-            }
-            Err(payload) => {
-                // Report the panic as a value and retire: the session map
-                // may be half-updated mid-panic, so this worker must never
-                // serve another request. (Queued envelopes observe the
-                // dropped receiver and surface as typed errors.)
-                let _ = reply.send(ShardReply::Panicked(panic_message(payload.as_ref())));
-                break;
-            }
-        }
     }
 }

@@ -75,7 +75,7 @@ impl TenantSketch {
 
     /// Feeds a batch of `u64` stream items through the sketch's batched
     /// engine. `Err` on structured sessions (the control plane checks this
-    /// before dispatch, so shard threads never see the error path).
+    /// before routing, so shards never see the error path).
     pub fn ingest(&mut self, session: &str, items: &[u64]) -> Result<(), ServiceError> {
         match self {
             TenantSketch::Minimum(s) => s.process_stream(items),
@@ -135,7 +135,7 @@ impl TenantSketch {
     /// reject well-formed snapshot documents whose hashes were not actually
     /// drawn from the accompanying spec's seed — such a document would
     /// otherwise pass shape validation and only explode later, inside a
-    /// shard worker's `merge_from` assert.
+    /// shard's `merge_from` assert.
     pub fn same_draw(&self, other: &Self) -> bool {
         match (self, other) {
             (TenantSketch::Minimum(a), TenantSketch::Minimum(b)) => {

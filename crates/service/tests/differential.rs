@@ -8,13 +8,15 @@
 //! space accounting, snapshot documents, error values — equal via
 //! `PartialEq`, which on `f64` payloads and JSON strings means bit-for-bit.
 //! Batch boundaries are re-split separately: they may only move the ledger's
-//! batch count, never a query answer.
+//! batch count, never a query answer. Random batches stay small, so one
+//! scripted trace adds batches on both sides of the size gate at which the
+//! shards' helper threads take over from the caller.
 
 // Tests assert on infallible setup with `unwrap`; the production-code ban
 // (clippy `disallowed-methods`, see clippy.toml) does not extend here.
 #![allow(clippy::disallowed_methods)]
 
-use mcf0_bench::service_support::{query_outputs, random_trace, resplit_batches};
+use mcf0_bench::service_support::{query_outputs, random_trace, resplit_batches, trace_sessions};
 use mcf0_service::{
     CommandReply, ReferenceService, ServiceCommand, ServiceError, SessionSpec, SketchKind,
     SketchService,
@@ -132,7 +134,7 @@ fn corrupt_snapshots_are_rejected_not_trusted() {
         // Well-formed but inconsistent: the seed no longer produces the
         // document's hashes, so merging the restored state with the shards'
         // redrawn partials would be unsound — must be an Err, not a
-        // worker-thread assert.
+        // shard-side assert.
         doc.replace("\"seed\":1", "\"seed\":2"),
     ] {
         assert!(
@@ -196,6 +198,95 @@ fn self_merge_is_rejected_in_both_interpreters() {
     let missing = Err(ServiceError::UnknownSession("ghost".into()));
     assert_eq!(service.apply(&ghost), missing);
     assert_eq!(reference.apply(&ghost), missing);
+}
+
+/// The service's helper gate (`HELPER_MIN_ITEMS` in `src/shard.rs`): a
+/// routed sub-batch of at least this many items runs on its shard's helper
+/// thread, a smaller one on the caller.
+const GATE: usize = 1024;
+
+/// A scripted trace whose `Ingest` batches hold `GATE − 1`, `GATE` and
+/// `4 × GATE` items per shard at 2 and at 4 shards, so both ingest paths
+/// (and, at `GATE` per shard, one batch split across them) are reached.
+/// Reads, twin merges, epoch advances and set algebra sit between them.
+/// Returned in two halves, for a save/restore cut in between.
+fn straddle_trace(seed: u64) -> [Vec<ServiceCommand>; 2] {
+    let sessions = ["min", "min2", "bkt", "wmin", "wmin2"];
+    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(seed);
+    let mut halves: [Vec<ServiceCommand>; 2] = Default::default();
+    halves[0] = trace_sessions(BITS)
+        .into_iter()
+        .filter(|(name, _)| sessions.contains(&name.as_str()))
+        .map(|(name, spec)| ServiceCommand::Create { name, spec })
+        .collect();
+    let lens = [GATE - 1, GATE, 4 * GATE].map(|per_shard| [2 * per_shard, 4 * per_shard]);
+    for (step, len) in lens.into_iter().flatten().enumerate() {
+        let half = &mut halves[step / 3];
+        for name in sessions {
+            let items = (0..len).map(|_| rng.next_u64() & 0xFFFF).collect();
+            half.push(ServiceCommand::Ingest {
+                name: name.into(),
+                items,
+            });
+        }
+        let epoch = step as u64 + 1;
+        half.extend([
+            ServiceCommand::Estimate { name: "min".into() },
+            ServiceCommand::EstimateWindow {
+                name: "wmin".into(),
+            },
+            ServiceCommand::SpaceBits { name: "bkt".into() },
+            ServiceCommand::Merge {
+                dst: "min".into(),
+                src: "min2".into(),
+            },
+            ServiceCommand::Advance {
+                name: "wmin".into(),
+                epoch,
+            },
+            ServiceCommand::Advance {
+                name: "wmin2".into(),
+                epoch,
+            },
+            ServiceCommand::Merge {
+                dst: "wmin".into(),
+                src: "wmin2".into(),
+            },
+            ServiceCommand::JaccardEstimate {
+                a: "min".into(),
+                b: "min2".into(),
+            },
+            ServiceCommand::Save {
+                name: sessions[step % sessions.len()].into(),
+            },
+        ]);
+    }
+    halves
+}
+
+#[test]
+fn batches_straddling_the_helper_gate_are_bit_identical_to_the_reference() {
+    for seed in [1u64, 2] {
+        let [first, second] = straddle_trace(seed);
+        let (mut reference, mut expected) = run_reference(&first);
+        expected.extend(second.iter().map(|cmd| reference.apply(cmd)));
+        for shards in [1usize, 2, 4] {
+            let (donor, mut replies) = run_service(&first, shards);
+            // Cut: every session saved, restored into a fresh service (state
+            // lands on shard 0), and the second half runs there.
+            let mut service = SketchService::new(shards);
+            for name in donor.list_sessions() {
+                service.restore(&donor.save(&name).unwrap()).unwrap();
+            }
+            replies.extend(second.iter().map(|cmd| service.apply(cmd)));
+            assert_eq!(expected, replies, "seed {seed}, shards = {shards}");
+            for name in reference.list_sessions() {
+                assert_eq!(reference.ledger(&name), service.ledger(&name), "{name}");
+                let save = ServiceCommand::Save { name: name.clone() };
+                assert_eq!(reference.apply(&save), service.apply(&save), "{name}");
+            }
+        }
+    }
 }
 
 /// Paper-scale variant of the differential property: one wide-universe

@@ -1,6 +1,6 @@
 //! Fault-schedule differential harness: the IO-error analogue of the
-//! durability suite's kill-point property, plus shard-worker supervision
-//! and the degradation state machine.
+//! durability suite's kill-point property, plus shard supervision and
+//! the degradation state machine.
 //!
 //! The central property enumerates **every storage operation** of a
 //! reference trace (recorded by [`FaultyStorage`] on a fault-free run) and
@@ -20,9 +20,10 @@
 //!
 //! Around that core: checkpoint-publication faults at every step (tmp
 //! write, tmp fsync, rename, directory fsync, old-log delete) must leave a
-//! recoverable generation behind; shard-worker panics are caught by the
-//! supervisor, reported as [`ServiceError::ShardPanicked`] values and
-//! repaired by the durable layer's automatic rebuild; and the retry
+//! recoverable generation behind; shard panics, on the caller's thread or
+//! on a shard's helper thread, are caught by the supervisor, reported as
+//! [`ServiceError::ShardPanicked`] values and repaired by the durable
+//! layer's automatic rebuild; and the retry
 //! policy's deterministic backoff schedule is pinned by a property test.
 
 // Tests assert on infallible setup with `unwrap`; the production-code ban
@@ -42,6 +43,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const BITS: usize = 16;
+
+/// The service's helper gate (`HELPER_MIN_ITEMS` in `src/shard.rs`): a
+/// routed sub-batch of at least this many items runs on its shard's helper
+/// thread, a smaller one on the caller.
+const GATE: usize = 1024;
+
+/// About `per_shard` items for each shard of a `shards`-shard service (the
+/// routing scramble spreads consecutive items evenly).
+fn batch(shards: usize, per_shard: usize) -> Vec<u64> {
+    (0..(shards * per_shard) as u64).collect()
+}
 
 /// Self-cleaning scratch directory (the container has no tempfile crate;
 /// process id + a counter keep parallel test binaries apart).
@@ -69,17 +81,19 @@ impl Drop for TempDir {
     }
 }
 
-/// The supervision tests make worker threads panic on purpose; silence the
-/// default panic-hook backtrace spam for exactly those threads (the panics
-/// are still observed — as the typed errors the assertions pin).
+/// The supervision tests inject panics on purpose, on whichever thread runs
+/// the shard; silence the default panic-hook output for exactly those
+/// payloads (the panics are still observed — as the typed errors the
+/// assertions pin).
 fn silence_worker_panics() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| {
         let default = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let ours = std::thread::current()
-                .name()
-                .is_some_and(|name| name.starts_with("mcf0-shard-"));
+            let ours = info
+                .payload()
+                .downcast_ref::<&str>()
+                .is_some_and(|message| *message == "injected worker panic");
             if !ours {
                 default(info);
             }
@@ -344,10 +358,11 @@ fn checkpoint_publication_faults_leave_a_recoverable_generation() {
     }
 }
 
-/// Supervision of the bare in-memory service: a worker panic is caught,
+/// Supervision of the bare in-memory service: a shard panic is caught,
 /// surfaces as [`ServiceError::ShardPanicked`] from the operation that
-/// touched the dead shard and from every later one, and neither the panic
-/// nor the teardown ever unwinds into the caller.
+/// touched the retired shard and from every later one — ingests applied on
+/// the caller and on the shard's helper alike — and neither the panic nor
+/// the teardown ever unwinds into the caller.
 #[test]
 fn worker_panics_surface_as_typed_errors_and_never_unwind() {
     silence_worker_panics();
@@ -365,7 +380,9 @@ fn worker_panics_surface_as_typed_errors_and_never_unwind() {
         other => panic!("expected ShardPanicked, got {other}"),
     }
 
-    // Fan-outs touching the dead shard report typed errors...
+    // Operations touching the retired shard report typed errors: reads,
+    // creates, and ingests below the helper gate (applied on the caller) and
+    // at four times it (applied on the shard's helper)...
     assert!(matches!(
         service.estimate("t"),
         Err(ServiceError::ShardPanicked { shard: 1, .. })
@@ -374,6 +391,12 @@ fn worker_panics_surface_as_typed_errors_and_never_unwind() {
         service.create_session("u", default_spec()),
         Err(ServiceError::ShardPanicked { shard: 1, .. })
     ));
+    for per_shard in [16, 4 * GATE] {
+        assert!(matches!(
+            service.ingest("t", &batch(3, per_shard)),
+            Err(ServiceError::ShardPanicked { shard: 1, .. })
+        ));
+    }
     // ...while control-plane validation still answers without the shards.
     assert!(matches!(
         service.ingest("missing", &[1]),
@@ -381,7 +404,7 @@ fn worker_panics_surface_as_typed_errors_and_never_unwind() {
     ));
     assert_eq!(service.list_sessions(), vec!["t".to_string()]);
     let _ = before;
-    // Dropping the service joins the dead worker without re-panicking.
+    // Dropping the service joins the helpers without re-panicking.
     drop(service);
 }
 
@@ -424,6 +447,20 @@ fn durable_service_rebuilds_transparently_after_a_worker_panic() {
     assert_eq!(durable.apply(&create).unwrap(), CommandReply::Done);
     reference.apply(&create).unwrap();
     assert!(!durable.is_degraded());
+    assert_state_matches(&durable, &mut reference);
+
+    // Ingests into a retired shard rebuild the same way, below the helper
+    // gate (applied on the caller) and at four times it (on the helper).
+    for per_shard in [16, 4 * GATE] {
+        durable.service().inject_worker_panic(1).unwrap_err();
+        let ingest = ServiceCommand::Ingest {
+            name: "post-panic".into(),
+            items: batch(2, per_shard),
+        };
+        assert_eq!(durable.apply(&ingest).unwrap(), CommandReply::Done);
+        reference.apply(&ingest).unwrap();
+        assert!(!durable.is_degraded());
+    }
     assert_state_matches(&durable, &mut reference);
 
     // And the rebuilt state is the durable state.
