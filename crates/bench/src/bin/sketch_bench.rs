@@ -13,17 +13,15 @@
 //!
 //! Every workload is seeded, so its estimate and space/communication
 //! accounting are exact constants: a sketch-engine change (word-packing,
-//! batching, parallel repetitions) must leave them untouched — only
-//! wall-clock may move. `--check` exits non-zero if any pinned value drifts.
-//! The `_par` workloads run the same computation through the parallel
-//! repetitions / parallel sites layer and are pinned to the *same* values as
-//! their sequential twins, so the determinism contract is enforced in CI.
+//! batching) must leave them untouched — only wall-clock may move.
+//! `--check` exits non-zero if any pinned value drifts. Every workload runs
+//! on the calling thread, so each row times one core.
 //! `BENCH_streaming.json` records the wall-clock trajectory across PRs (the
 //! `seed_baseline` block holds the pre-word-packing numbers of the
 //! item-at-a-time engine for comparison).
 
 use mcf0::counting::CountingConfig;
-use mcf0::distributed::{distributed_minimum, distributed_minimum_parallel};
+use mcf0::distributed::distributed_minimum;
 use mcf0::formula::generators::{partition_dnf, random_dnf};
 use mcf0::hashing::Xoshiro256StarStar;
 use mcf0::streaming::workloads::{planted_f0_stream, skewed_stream};
@@ -49,21 +47,16 @@ struct InstanceResult {
 /// Pinned per-workload outputs `(name, estimate, space_bits)`, measured at
 /// the revision that introduced the word-packed engine. The estimates and
 /// space accounting are deterministic functions of the seeds; any drift
-/// means an engine change altered sketch *semantics*, not just speed. The
-/// `_par` rows pin the parallel paths to the sequential values.
+/// means an engine change altered sketch *semantics*, not just speed.
 const PINNED: &[(&str, f64, u64)] = &[
     ("bucketing_w32", 20480.0, 29015),
-    ("bucketing_w32_par4", 20480.0, 29015),
     ("minimum_w32", 19632.324160866257, 131607),
-    ("minimum_w32_par4", 19632.324160866257, 131607),
     ("estimation_w32", 3604.454333655757, 220416),
-    ("estimation_w32_par4", 3604.454333655757, 220416),
     ("flajolet_martin_w48", 16384.0, 104),
     ("ams_f2_w24", 9033068.157142857, 313600),
     ("structured_dnf_w16", 53866.590500399325, 14955),
     ("windowed_minimum_w32_k3", 13556.38196392681, 131607),
     ("distributed_minimum_k4", 9774.647276773543, 230292),
-    ("distributed_minimum_k4_par4", 9774.647276773543, 230292),
 ];
 
 /// Per-workload wall-clock at the seed of this PR (the item-at-a-time,
@@ -80,31 +73,31 @@ const SEED_BASELINE: &[(&str, f64)] = &[
     ("distributed_minimum_k4", 2.75),
 ];
 
-fn bucketing(parallel: usize) -> (f64, u64) {
+fn bucketing() -> (f64, u64) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(11);
     let stream = planted_f0_stream(&mut rng, 32, 20_000, 40_000);
-    let config = F0Config::explicit(0.8, 0.2, 150, 9).with_parallel_rows(parallel);
+    let config = F0Config::explicit(0.8, 0.2, 150, 9);
     let mut sketch_rng = Xoshiro256StarStar::seed_from_u64(12);
     let mut sketch = BucketingF0::new(32, &config, &mut sketch_rng);
     sketch.process_stream(&stream);
     (sketch.estimate(), sketch.space_bits() as u64)
 }
 
-fn minimum(parallel: usize) -> (f64, u64) {
+fn minimum() -> (f64, u64) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(21);
     let stream = planted_f0_stream(&mut rng, 32, 20_000, 40_000);
-    let config = F0Config::explicit(0.8, 0.2, 150, 9).with_parallel_rows(parallel);
+    let config = F0Config::explicit(0.8, 0.2, 150, 9);
     let mut sketch_rng = Xoshiro256StarStar::seed_from_u64(22);
     let mut sketch = MinimumF0::new(32, &config, &mut sketch_rng);
     sketch.process_stream(&stream);
     (sketch.estimate(), sketch.space_bits() as u64)
 }
 
-fn estimation(parallel: usize) -> (f64, u64) {
+fn estimation() -> (f64, u64) {
     let truth = 4000usize;
     let mut rng = Xoshiro256StarStar::seed_from_u64(31);
     let stream = planted_f0_stream(&mut rng, 32, truth, 2 * truth);
-    let config = F0Config::explicit(0.5, 0.2, 96, 7).with_parallel_rows(parallel);
+    let config = F0Config::explicit(0.5, 0.2, 96, 7);
     let mut sketch_rng = Xoshiro256StarStar::seed_from_u64(32);
     let mut sketch = EstimationF0::new(32, &config, &mut sketch_rng);
     sketch.process_stream(&stream);
@@ -184,17 +177,13 @@ fn windowed_minimum_k3() -> (f64, u64) {
     (fold.estimate(), fold.space_bits() as u64)
 }
 
-fn distributed_minimum_k4(parallel: usize) -> (f64, u64) {
+fn distributed_minimum_k4() -> (f64, u64) {
     let mut rng = Xoshiro256StarStar::seed_from_u64(71);
     let f = random_dnf(&mut rng, 14, 12, (3, 6));
     let sites = partition_dnf(&mut rng, &f, 4);
     let config = CountingConfig::explicit(0.8, 0.2, 150, 9);
     let mut run_rng = Xoshiro256StarStar::seed_from_u64(72);
-    let out = if parallel <= 1 {
-        distributed_minimum(&sites, &config, &mut run_rng)
-    } else {
-        distributed_minimum_parallel(&sites, &config, parallel, &mut run_rng)
-    };
+    let out = distributed_minimum(&sites, &config, &mut run_rng);
     (out.estimate, out.ledger.total_bits())
 }
 
@@ -211,18 +200,14 @@ fn run_instances() -> Vec<InstanceResult> {
         });
     };
 
-    record("bucketing_w32", &|| bucketing(1));
-    record("bucketing_w32_par4", &|| bucketing(4));
-    record("minimum_w32", &|| minimum(1));
-    record("minimum_w32_par4", &|| minimum(4));
-    record("estimation_w32", &|| estimation(1));
-    record("estimation_w32_par4", &|| estimation(4));
+    record("bucketing_w32", &bucketing);
+    record("minimum_w32", &minimum);
+    record("estimation_w32", &estimation);
     record("flajolet_martin_w48", &flajolet_martin);
     record("ams_f2_w24", &ams_f2);
     record("structured_dnf_w16", &structured_dnf);
     record("windowed_minimum_w32_k3", &windowed_minimum_k3);
-    record("distributed_minimum_k4", &|| distributed_minimum_k4(1));
-    record("distributed_minimum_k4_par4", &|| distributed_minimum_k4(4));
+    record("distributed_minimum_k4", &distributed_minimum_k4);
     out
 }
 

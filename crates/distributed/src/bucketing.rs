@@ -38,20 +38,6 @@ pub fn distributed_bucketing(
     config: &CountingConfig,
     rng: &mut Xoshiro256StarStar,
 ) -> DistributedOutcome {
-    distributed_bucketing_parallel(sites, config, 1, rng)
-}
-
-/// [`distributed_bucketing`] with the per-site level searches and tuple
-/// uploads fanned out across up to `threads` std threads. Hashes are drawn
-/// up front in the sequential order and the coordinator ingests tuples in
-/// site order, so the estimate and the ledger are bit-for-bit identical to
-/// the sequential run.
-pub fn distributed_bucketing_parallel(
-    sites: &[DnfFormula],
-    config: &CountingConfig,
-    threads: usize,
-    rng: &mut Xoshiro256StarStar,
-) -> DistributedOutcome {
     assert!(!sites.is_empty(), "at least one site required");
     let n = sites[0].num_vars();
     assert!(
@@ -78,37 +64,40 @@ pub fn distributed_bucketing_parallel(
 
     // Site side: per row, find the local level and produce one
     // ⟨fingerprint, leading-zeros⟩ tuple per cell member.
-    let locals: Vec<Vec<SiteRowUpload>> = crate::par::map_sites(sites, threads, |site| {
-        hashes
-            .iter()
-            .map(|hash| {
-                let mut level = 0usize;
-                let mut cell = bounded_sat_dnf(site, hash, level, thresh);
-                while cell.count() >= thresh && level < n {
-                    level += 1;
-                    cell = bounded_sat_dnf(site, hash, level, thresh);
-                }
-                let tuples = cell
-                    .solutions
-                    .iter()
-                    .map(|solution| {
-                        (
-                            fingerprint.eval(solution).to_u64(),
-                            leading_zeros(&hash.eval(solution)),
-                        )
-                    })
-                    .collect();
-                (level, tuples)
-            })
-            .collect()
-    });
+    let locals: Vec<Vec<SiteRowUpload>> = sites
+        .iter()
+        .map(|site| {
+            hashes
+                .iter()
+                .map(|hash| {
+                    let mut level = 0usize;
+                    let mut cell = bounded_sat_dnf(site, hash, level, thresh);
+                    while cell.count() >= thresh && level < n {
+                        level += 1;
+                        cell = bounded_sat_dnf(site, hash, level, thresh);
+                    }
+                    let tuples = cell
+                        .solutions
+                        .iter()
+                        .map(|solution| {
+                            (
+                                fingerprint.eval(solution).to_u64(),
+                                leading_zeros(&hash.eval(solution)),
+                            )
+                        })
+                        .collect();
+                    (level, tuples)
+                })
+                .collect()
+        })
+        .collect();
 
     let mut estimates = Vec::with_capacity(config.rows);
     for (row, hash) in hashes.iter().enumerate() {
         ledger.record_downlink((hash.representation_bits() * k) as u64);
 
         // Coordinator: ingest the uploads in site order (so fingerprint
-        // collisions resolve exactly as in the sequential run).
+        // collisions resolve exactly as in the row-by-row protocol).
         let mut tuples: HashMap<u64, usize> = HashMap::new();
         let mut max_site_level = 0usize;
         for site_locals in &locals {

@@ -99,7 +99,7 @@ pub fn dnf_union_f0_upper_bound(sites: &[DnfFormula]) -> u128 {
 /// bug), while an undershooting `r` saturates every repetition at ρ = 1.
 /// Splitting the difference between the two bounds in log space caps the
 /// miss at `log₂ √(ub/lb)` bits on either side, and the estimator itself
-/// clamps saturated repetitions (see [`distributed_estimation_parallel`])
+/// clamps saturated repetitions (see [`distributed_estimation`])
 /// so a residual miss degrades the estimate gracefully instead of
 /// collapsing it to 0.
 pub fn estimation_r_policy(sites: &[DnfFormula]) -> u32 {
@@ -117,21 +117,6 @@ pub fn distributed_estimation(
     sites: &[DnfFormula],
     config: &CountingConfig,
     r: u32,
-    rng: &mut Xoshiro256StarStar,
-) -> DistributedOutcome {
-    distributed_estimation_parallel(sites, config, r, 1, rng)
-}
-
-/// [`distributed_estimation`] with the per-site `FindMaxRange` computations
-/// fanned out across up to `threads` std threads. Hashes are drawn up front
-/// in the sequential order and the coordinator takes maxima in site order,
-/// so the estimate and the ledger are bit-for-bit identical to the
-/// sequential run.
-pub fn distributed_estimation_parallel(
-    sites: &[DnfFormula],
-    config: &CountingConfig,
-    r: u32,
-    threads: usize,
     rng: &mut Xoshiro256StarStar,
 ) -> DistributedOutcome {
     assert!(!sites.is_empty(), "at least one site required");
@@ -154,12 +139,15 @@ pub fn distributed_estimation_parallel(
         .collect();
 
     // Site side: every site uploads its maximum trailing-zero count per hash.
-    let locals: Vec<Vec<Option<usize>>> = crate::par::map_sites(sites, threads, |site| {
-        hashes
-            .iter()
-            .map(|hash| find_max_range_dnf(site, hash))
-            .collect()
-    });
+    let locals: Vec<Vec<Option<usize>>> = sites
+        .iter()
+        .map(|site| {
+            hashes
+                .iter()
+                .map(|hash| find_max_range_dnf(site, hash))
+                .collect()
+        })
+        .collect();
 
     let mut estimates = Vec::with_capacity(config.rows);
     for row in 0..config.rows {

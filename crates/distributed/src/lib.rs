@@ -21,11 +21,10 @@
 //!   trailing-zero counts; the coordinator takes maxima;
 //!   cost Õ(k·(n + 1/ε²)·log(1/δ)).
 //!
-//! Each protocol also has a `*_parallel` variant that fans the per-site
-//! computations out across scoped std threads (no external dependency):
-//! hashes are drawn up front in the sequential order and the coordinator
-//! merges in site order, so estimates and ledgers are bit-for-bit identical
-//! to the sequential runs.
+//! Every protocol runs on the caller's thread in the same shape: the
+//! coordinator draws all hashes up front, each site computes its uploads
+//! (site work never touches the RNG), and the coordinator merges in site
+//! order.
 //!
 //! [`lower_bound`] contains the reduction from distributed F0 estimation to
 //! distributed DNF counting that transfers the Ω(k/ε²) lower bound.
@@ -38,13 +37,11 @@ pub mod comm;
 pub mod estimation;
 pub mod lower_bound;
 pub mod minimum;
-mod par;
 
-pub use bucketing::{distributed_bucketing, distributed_bucketing_parallel};
+pub use bucketing::distributed_bucketing;
 pub use comm::{CommLedger, DistributedOutcome};
 pub use estimation::{
-    distributed_estimation, distributed_estimation_parallel, dnf_union_f0_lower_bound,
-    dnf_union_f0_upper_bound, estimation_r_policy,
+    distributed_estimation, dnf_union_f0_lower_bound, dnf_union_f0_upper_bound, estimation_r_policy,
 };
 pub use lower_bound::{dnf_from_site_items, f0_instance_to_dnf_instance};
-pub use minimum::{distributed_minimum, distributed_minimum_parallel};
+pub use minimum::distributed_minimum;

@@ -20,20 +20,6 @@ pub fn distributed_minimum(
     config: &CountingConfig,
     rng: &mut Xoshiro256StarStar,
 ) -> DistributedOutcome {
-    distributed_minimum_parallel(sites, config, 1, rng)
-}
-
-/// [`distributed_minimum`] with the per-site `FindMin` computations fanned
-/// out across up to `threads` std threads. Hash functions are drawn up front
-/// (in the exact order the sequential protocol draws them) and the
-/// coordinator merges uploads in site order, so the estimate and the ledger
-/// are bit-for-bit identical to the sequential run.
-pub fn distributed_minimum_parallel(
-    sites: &[DnfFormula],
-    config: &CountingConfig,
-    threads: usize,
-    rng: &mut Xoshiro256StarStar,
-) -> DistributedOutcome {
     assert!(!sites.is_empty(), "at least one site required");
     let n = sites[0].num_vars();
     assert!(
@@ -50,13 +36,15 @@ pub fn distributed_minimum_parallel(
         .collect();
 
     // Site side: every site runs FindMin under every hash.
-    let mut locals: Vec<Vec<Vec<mcf0_gf2::BitVec>>> =
-        crate::par::map_sites(sites, threads, |site| {
+    let mut locals: Vec<Vec<Vec<mcf0_gf2::BitVec>>> = sites
+        .iter()
+        .map(|site| {
             hashes
                 .iter()
                 .map(|hash| find_min_dnf(site, hash, thresh))
                 .collect()
-        });
+        })
+        .collect();
 
     // Coordinator: account the broadcasts and uploads and merge per row, in
     // site order.

@@ -7,9 +7,8 @@ use proptest::prelude::*;
 
 use mcf0_counting::CountingConfig;
 use mcf0_distributed::{
-    distributed_bucketing, distributed_bucketing_parallel, distributed_estimation,
-    distributed_estimation_parallel, distributed_minimum, distributed_minimum_parallel,
-    dnf_from_site_items, f0_instance_to_dnf_instance, DistributedOutcome,
+    distributed_bucketing, distributed_estimation, distributed_minimum, dnf_from_site_items,
+    f0_instance_to_dnf_instance,
 };
 use mcf0_formula::exact::count_dnf_exact;
 use mcf0_formula::generators::{partition_dnf, planted_dnf};
@@ -109,55 +108,6 @@ proptest! {
         prop_assert!(few.ledger.total_bits() > 0);
         prop_assert!(many.ledger.total_bits() > few.ledger.total_bits());
         prop_assert!(many.ledger.messages() > few.ledger.messages());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-sites parity: the `*_parallel` variants must reproduce the
-// sequential protocols bit for bit — same estimate, same ledger (totals and
-// message counts) — because hashes are drawn up front in the sequential
-// order and the coordinator merges in site order.
-// ---------------------------------------------------------------------------
-
-fn assert_outcomes_identical(
-    seq: &DistributedOutcome,
-    par: &DistributedOutcome,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(seq.estimate, par.estimate);
-    prop_assert_eq!(seq.sites, par.sites);
-    prop_assert_eq!(seq.ledger.uplink_bits(), par.ledger.uplink_bits());
-    prop_assert_eq!(seq.ledger.downlink_bits(), par.ledger.downlink_bits());
-    prop_assert_eq!(seq.ledger.messages(), par.ledger.messages());
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn parallel_sites_match_sequential_protocols_bit_for_bit(
-        seed in any::<u64>(),
-        n in 8usize..12,
-        count in 16usize..120,
-        k in 2usize..5,
-        threads in 2usize..6,
-    ) {
-        let count = count.min(1 << (n - 3));
-        let (sites, exact) = planted_sites(seed, n, count, k);
-        let config = CountingConfig::explicit(0.5, 0.3, 48, 3);
-
-        let seq = distributed_minimum(&sites, &config, &mut rng_from(seed ^ 0x10));
-        let par = distributed_minimum_parallel(&sites, &config, threads, &mut rng_from(seed ^ 0x10));
-        assert_outcomes_identical(&seq, &par)?;
-
-        let seq = distributed_bucketing(&sites, &config, &mut rng_from(seed ^ 0x20));
-        let par = distributed_bucketing_parallel(&sites, &config, threads, &mut rng_from(seed ^ 0x20));
-        assert_outcomes_identical(&seq, &par)?;
-
-        let r = ((exact.max(1) as f64 * 4.0).log2().round().max(1.0)) as u32;
-        let seq = distributed_estimation(&sites, &config, r, &mut rng_from(seed ^ 0x30));
-        let par = distributed_estimation_parallel(&sites, &config, r, threads, &mut rng_from(seed ^ 0x30));
-        assert_outcomes_identical(&seq, &par)?;
     }
 }
 

@@ -1,7 +1,7 @@
 //! Multi-tenant sharded F0 sketch service.
 //!
-//! The streaming front-end the ROADMAP queued once the word-packed,
-//! deterministically-parallel sketch engine landed: named sessions own one
+//! The streaming front-end the ROADMAP queued once the word-packed sketch
+//! engine landed: named sessions own one
 //! sketch each (Minimum / Bucketing / Estimation / AMS F2 / structured F0),
 //! batched ingestion commands are routed to per-shard partial sketches
 //! (applied on the calling thread, with a helper thread per extra shard

@@ -104,9 +104,7 @@ impl SessionSpec {
         self
     }
 
-    /// The streaming-crate configuration this spec describes (sequential:
-    /// the service's parallelism is the shard layer, not the in-sketch
-    /// row-parallel knob).
+    /// The streaming-crate configuration this spec describes.
     pub fn f0_config(&self) -> mcf0_streaming::F0Config {
         mcf0_streaming::F0Config::explicit(self.epsilon, self.delta, self.thresh, self.rows)
     }

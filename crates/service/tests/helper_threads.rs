@@ -21,7 +21,8 @@ fn shard_threads() -> usize {
 }
 
 /// The count once it reaches `want`, or whatever it is after a second: a
-/// joined thread can linger in `/proc` for a moment after `join` returns.
+/// new helper names itself only once it runs, and a joined thread can
+/// linger in `/proc` for a moment after `join` returns.
 fn settled_shard_threads(want: usize) -> usize {
     let deadline = Instant::now() + Duration::from_secs(1);
     loop {
@@ -44,11 +45,11 @@ fn a_service_keeps_one_helper_thread_per_shard_after_the_first() {
     assert_eq!(shard_threads(), 0);
 
     let mut four = SketchService::new(4);
-    assert_eq!(shard_threads(), 3);
+    assert_eq!(settled_shard_threads(3), 3);
     four.create_session("s", spec).unwrap();
     four.ingest("s", &large).unwrap();
     four.ingest("s", &large[..64]).unwrap();
-    assert_eq!(shard_threads(), 3);
+    assert_eq!(settled_shard_threads(3), 3);
     assert_eq!(four.estimate("s").unwrap(), one.estimate("s").unwrap());
 
     drop(four);

@@ -8,7 +8,6 @@
 //! This is the streaming algorithm whose transformation recipe yields
 //! `ApproxMC` (Section 3.2 of the paper).
 
-use crate::batch::for_each_row_chunk;
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
@@ -45,7 +44,6 @@ impl BucketRow {
 pub struct BucketingF0 {
     universe_bits: usize,
     thresh: usize,
-    parallel_rows: usize,
     rows: Vec<BucketRow>,
 }
 
@@ -63,7 +61,6 @@ impl BucketingF0 {
         BucketingF0 {
             universe_bits,
             thresh: config.thresh,
-            parallel_rows: config.parallel_rows,
             rows,
         }
     }
@@ -91,7 +88,7 @@ impl BucketingF0 {
     }
 
     /// Rebuilds a sketch from exported per-row state (snapshot restore);
-    /// bit-identical to the source sketch, parallel-rows knob reset.
+    /// bit-identical to the source sketch.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
@@ -115,7 +112,6 @@ impl BucketingF0 {
         BucketingF0 {
             universe_bits,
             thresh,
-            parallel_rows: 1,
             rows,
         }
     }
@@ -179,10 +175,10 @@ impl F0Sketch for BucketingF0 {
         }
     }
 
-    /// Batched path: split the `t` rows across `F0Config::parallel_rows`
-    /// threads. Identical to the item-at-a-time path bit for bit. No
-    /// deduplication: a repeated item costs one cell test per row, less
-    /// than the hash-set probe that would drop it (DESIGN.md §6).
+    /// Batched path: each row folds the whole batch in turn. Identical to
+    /// the item-at-a-time path bit for bit. No deduplication: a repeated
+    /// item costs one cell test per row, less than the hash-set probe that
+    /// would drop it (DESIGN.md §6).
     fn process_stream(&mut self, items: &[u64]) {
         let thresh = self.thresh;
         let universe_bits = self.universe_bits;
@@ -190,13 +186,11 @@ impl F0Sketch for BucketingF0 {
             universe_bits == 64 || items.iter().all(|&x| x < (1u64 << universe_bits)),
             "item outside the declared universe"
         );
-        for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
-            for row in chunk.iter_mut() {
-                for &item in items {
-                    row.update(item, thresh, universe_bits);
-                }
+        for row in &mut self.rows {
+            for &item in items {
+                row.update(item, thresh, universe_bits);
             }
-        });
+        }
     }
 
     fn estimate(&self) -> f64 {

@@ -16,13 +16,6 @@ pub struct F0Config {
     pub thresh: usize,
     /// Number of median repetitions (`t`).
     pub rows: usize,
-    /// Worker threads for the parallel-repetitions layer of
-    /// `process_stream` (the `t` rows are split across this many std
-    /// threads). `0` and `1` both mean sequential. The parallel path is
-    /// bit-for-bit identical to the sequential one: rows are independent
-    /// given their hash draws and are updated in place, so no merge
-    /// reordering can occur (DESIGN.md §6).
-    pub parallel_rows: usize,
 }
 
 impl F0Config {
@@ -35,7 +28,6 @@ impl F0Config {
             delta,
             thresh: (96.0 / (epsilon * epsilon)).ceil() as usize,
             rows: (35.0 * (1.0 / delta).log2()).ceil().max(1.0) as usize,
-            parallel_rows: 1,
         }
     }
 
@@ -48,16 +40,7 @@ impl F0Config {
             delta,
             thresh,
             rows,
-            parallel_rows: 1,
         }
-    }
-
-    /// Enables the parallel-repetitions layer: `process_stream` splits the
-    /// `t` rows across `threads` std threads (no external dependency). The
-    /// result is deterministic and identical to the sequential path.
-    pub fn with_parallel_rows(mut self, threads: usize) -> Self {
-        self.parallel_rows = threads;
-        self
     }
 
     /// Independence parameter `s = ⌈10·log₂(1/ε)⌉` used by the Estimation

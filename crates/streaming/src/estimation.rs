@@ -10,7 +10,7 @@
 //! transformation recipe applied to this strategy yields
 //! `ApproxModelCountEst` (Section 3.4 of the paper).
 
-use crate::batch::{dedup_preserving_order, for_each_row_chunk};
+use crate::batch::dedup_preserving_order;
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_hashing::{SWiseHash, SWisePoint, Xoshiro256StarStar};
@@ -43,7 +43,6 @@ impl EstimationRow {
 pub struct EstimationF0 {
     universe_bits: usize,
     thresh: usize,
-    parallel_rows: usize,
     rows: Vec<EstimationRow>,
 }
 
@@ -64,7 +63,6 @@ impl EstimationF0 {
         EstimationF0 {
             universe_bits,
             thresh: config.thresh,
-            parallel_rows: config.parallel_rows,
             rows,
         }
     }
@@ -117,7 +115,7 @@ impl EstimationF0 {
     }
 
     /// Rebuilds a sketch from exported per-row state (snapshot restore);
-    /// bit-identical to the source sketch, parallel-rows knob reset.
+    /// bit-identical to the source sketch.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
@@ -147,7 +145,6 @@ impl EstimationF0 {
         EstimationF0 {
             universe_bits,
             thresh,
-            parallel_rows: 1,
             rows,
         }
     }
@@ -188,29 +185,12 @@ impl F0Sketch for EstimationF0 {
     }
 
     /// Batched path: deduplicate the batch (the cells are functions of the
-    /// distinct-item set), prepare each item exactly once, and split the `t`
-    /// rows across `F0Config::parallel_rows` threads. Identical to the
-    /// item-at-a-time path bit for bit.
-    ///
-    /// Items are prepared in blocks shared by every thread of the fan-out —
-    /// once per item, not once per item per thread — while bounding the
-    /// live window-table memory to one block (~4 KiB per wide-field point).
+    /// distinct-item set), then fold each distinct item as
+    /// [`F0Sketch::process`] does. Identical to the item-at-a-time path bit
+    /// for bit.
     fn process_stream(&mut self, items: &[u64]) {
-        const POINT_BLOCK: usize = 512;
-        let distinct = dedup_preserving_order(items);
-        let width = self.universe_bits as u32;
-        for block in distinct.chunks(POINT_BLOCK) {
-            let points: Vec<SWisePoint> = block
-                .iter()
-                .map(|&item| SWisePoint::prepare(width, item))
-                .collect();
-            for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
-                for point in &points {
-                    for row in chunk.iter_mut() {
-                        row.update_at(point);
-                    }
-                }
-            });
+        for item in dedup_preserving_order(items) {
+            self.process(item);
         }
     }
 

@@ -8,7 +8,6 @@
 //! the median over rows. The transformation recipe applied to this strategy
 //! yields `ApproxModelCountMin` (Section 3.3 of the paper).
 
-use crate::batch::for_each_row_chunk;
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
 use mcf0_gf2::BitVec;
@@ -62,7 +61,6 @@ impl MinimumRow {
 pub struct MinimumF0 {
     universe_bits: usize,
     thresh: usize,
-    parallel_rows: usize,
     rows: Vec<MinimumRow>,
 }
 
@@ -80,7 +78,6 @@ impl MinimumF0 {
         MinimumF0 {
             universe_bits,
             thresh: config.thresh,
-            parallel_rows: config.parallel_rows,
             rows,
         }
     }
@@ -102,8 +99,7 @@ impl MinimumF0 {
     }
 
     /// Rebuilds a sketch from exported per-row state (snapshot restore). The
-    /// result is bit-identical to the sketch the parts were exported from;
-    /// the parallel-rows knob resets to sequential.
+    /// result is bit-identical to the sketch the parts were exported from.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
@@ -127,7 +123,6 @@ impl MinimumF0 {
         MinimumF0 {
             universe_bits,
             thresh,
-            parallel_rows: 1,
             rows,
         }
     }
@@ -210,21 +205,18 @@ impl F0Sketch for MinimumF0 {
         }
     }
 
-    /// Batched path: split the `t` rows across `F0Config::parallel_rows`
-    /// threads. Identical to the item-at-a-time path bit for bit. No
-    /// deduplication: a repeated item costs one `lead_u64` per row, less
-    /// than the hash-set probe that would drop it (DESIGN.md §6).
+    /// Batched path: each row folds the whole batch in turn. Identical to
+    /// the item-at-a-time path bit for bit. No deduplication: a repeated
+    /// item costs one `lead_u64` per row, less than the hash-set probe that
+    /// would drop it (DESIGN.md §6).
     fn process_stream(&mut self, items: &[u64]) {
-        let thresh = self.thresh;
         assert!(
             self.universe_bits == 64 || items.iter().all(|&x| x < (1u64 << self.universe_bits)),
             "item outside the declared universe"
         );
-        for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
-            for row in chunk.iter_mut() {
-                row.update(items, thresh);
-            }
-        });
+        for row in &mut self.rows {
+            row.update(items, self.thresh);
+        }
     }
 
     fn estimate(&self) -> f64 {

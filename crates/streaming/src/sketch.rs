@@ -23,10 +23,9 @@ pub trait F0Sketch {
     /// in order. Implementors override the default loop with batched
     /// engines — deduplicating the batch where an item costs more than the
     /// probe (every F0 sketch is a function of the distinct-item set),
-    /// amortising per-item hash preparation across
-    /// repetition rows, and optionally splitting the rows across std threads
-    /// (`F0Config::parallel_rows`) — but the contract is pinned by parity
-    /// proptests, so callers may mix `process` and `process_stream` freely.
+    /// amortising per-item hash preparation across repetition rows — but
+    /// the contract is pinned by parity proptests, so callers may mix
+    /// `process` and `process_stream` freely.
     fn process_stream(&mut self, items: &[u64]) {
         for &item in items {
             self.process(item);

@@ -162,28 +162,25 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Batched / parallel engine parity: the batched `process_stream` and the
-// row-parallel layer must reproduce the item-at-a-time sequential state bit
-// for bit, for every sketch (the F0Sketch batching contract, DESIGN.md §6).
-// Width 24 exercises the wide-field (`w > 20`) window-table path, width 16
-// the discrete-log-table path.
+// Batched engine parity: the batched `process_stream` must reproduce the
+// item-at-a-time state bit for bit, for every sketch (the F0Sketch batching
+// contract, DESIGN.md §6). Width 24 exercises the wide-field (`w > 20`)
+// window-table path, width 16 the discrete-log-table path.
 // ---------------------------------------------------------------------------
 
 /// Runs `items` through two identically-seeded copies of each sketch — one
-/// item at a time, one batched (with `parallel_rows = threads`) — and
-/// asserts identical estimates, space, and per-cell state.
+/// item at a time, one batched — and asserts identical estimates, space,
+/// and per-cell state.
 fn assert_batched_matches_sequential(
     bits: usize,
     items: &[u64],
     seed: u64,
-    threads: usize,
 ) -> Result<(), TestCaseError> {
     let config = F0Config::explicit(0.5, 0.3, 24, 5);
-    let batched_config = config.with_parallel_rows(threads);
 
     // MinimumF0: estimate + space (space counts the stored minima).
     let mut a = MinimumF0::new(bits, &config, &mut rng_from(seed));
-    let mut b = MinimumF0::new(bits, &batched_config, &mut rng_from(seed));
+    let mut b = MinimumF0::new(bits, &config, &mut rng_from(seed));
     for &x in items {
         a.process(x);
     }
@@ -193,7 +190,7 @@ fn assert_batched_matches_sequential(
 
     // BucketingF0: estimate + space + every row's level.
     let mut a = BucketingF0::new(bits, &config, &mut rng_from(seed));
-    let mut b = BucketingF0::new(bits, &batched_config, &mut rng_from(seed));
+    let mut b = BucketingF0::new(bits, &config, &mut rng_from(seed));
     for &x in items {
         a.process(x);
     }
@@ -206,7 +203,7 @@ fn assert_batched_matches_sequential(
 
     // EstimationF0: every cell.
     let mut a = EstimationF0::new(bits, &config, &mut rng_from(seed));
-    let mut b = EstimationF0::new(bits, &batched_config, &mut rng_from(seed));
+    let mut b = EstimationF0::new(bits, &config, &mut rng_from(seed));
     for &x in items {
         a.process(x);
     }
@@ -256,16 +253,11 @@ proptest! {
 
     #[test]
     fn batched_process_stream_matches_item_at_a_time(items in stream(BITS, 250), seed in any::<u64>()) {
-        // Wide-field path (24 > 20): sequential batched engine.
-        assert_batched_matches_sequential(BITS, &items, seed, 1)?;
+        // Wide-field path (24 > 20).
+        assert_batched_matches_sequential(BITS, &items, seed)?;
         // Discrete-log-table path.
         let narrow: Vec<u64> = items.iter().map(|x| x & 0xffff).collect();
-        assert_batched_matches_sequential(16, &narrow, seed, 1)?;
-    }
-
-    #[test]
-    fn parallel_repetitions_match_sequential_bit_for_bit(items in stream(BITS, 250), seed in any::<u64>(), threads in 2usize..6) {
-        assert_batched_matches_sequential(BITS, &items, seed, threads)?;
+        assert_batched_matches_sequential(16, &narrow, seed)?;
     }
 }
 

@@ -14,7 +14,6 @@ use mcf0_counting::estimate_from_minima;
 use mcf0_formula::Term;
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
-use mcf0_streaming::batch::for_each_row_chunk;
 use std::collections::BTreeSet;
 
 /// A stream item representing a subset of `{0,1}^n` succinctly.
@@ -125,7 +124,6 @@ pub fn cell_members_from_terms<'a>(
 pub struct StructuredMinimumF0 {
     universe_bits: usize,
     thresh: usize,
-    parallel_rows: usize,
     rows: Vec<(ToeplitzHash, Vec<BitVec>)>,
     items_processed: u64,
 }
@@ -149,7 +147,6 @@ impl StructuredMinimumF0 {
         StructuredMinimumF0 {
             universe_bits,
             thresh: config.thresh,
-            parallel_rows: 1,
             rows,
             items_processed: 0,
         }
@@ -163,14 +160,6 @@ impl StructuredMinimumF0 {
     /// Number of items processed so far.
     pub fn items_processed(&self) -> u64 {
         self.items_processed
-    }
-
-    /// Splits the `t` repetition rows of `process_item` across `threads` std
-    /// threads (`≤ 1` = sequential). Rows are independent given their hash
-    /// draws and updated in place, so the result is deterministic and
-    /// identical to the sequential path.
-    pub fn set_parallel_rows(&mut self, threads: usize) {
-        self.parallel_rows = threads.max(1);
     }
 
     /// Reservoir size `Thresh`.
@@ -190,7 +179,7 @@ impl StructuredMinimumF0 {
     }
 
     /// Rebuilds a sketch from exported per-row state (snapshot restore);
-    /// bit-identical to the source sketch, parallel-rows knob reset.
+    /// bit-identical to the source sketch.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
@@ -211,7 +200,6 @@ impl StructuredMinimumF0 {
         StructuredMinimumF0 {
             universe_bits,
             thresh,
-            parallel_rows: 1,
             rows,
             items_processed,
         }
@@ -238,7 +226,7 @@ impl StructuredMinimumF0 {
 
     /// Processes one structured item: per row, merge the item's `Thresh`
     /// smallest hashed values into the running minima.
-    pub fn process_item<S: StructuredSet + Sync + ?Sized>(&mut self, item: &S) {
+    pub fn process_item<S: StructuredSet + ?Sized>(&mut self, item: &S) {
         assert_eq!(
             item.num_vars(),
             self.universe_bits,
@@ -246,15 +234,13 @@ impl StructuredMinimumF0 {
         );
         self.items_processed += 1;
         let thresh = self.thresh;
-        for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
-            for (hash, minima) in chunk.iter_mut() {
-                let local = item.smallest_hashed(hash, thresh);
-                minima.extend(local);
-                minima.sort();
-                minima.dedup();
-                minima.truncate(thresh);
-            }
-        });
+        for (hash, minima) in &mut self.rows {
+            let local = item.smallest_hashed(hash, thresh);
+            minima.extend(local);
+            minima.sort();
+            minima.dedup();
+            minima.truncate(thresh);
+        }
     }
 
     /// Current (ε, δ) estimate of `|⋃_i S_i|`.
@@ -283,7 +269,6 @@ impl StructuredMinimumF0 {
 pub struct StructuredBucketingF0 {
     universe_bits: usize,
     thresh: usize,
-    parallel_rows: usize,
     rows: Vec<(ToeplitzHash, usize, BTreeSet<BitVec>)>,
 }
 
@@ -306,15 +291,8 @@ impl StructuredBucketingF0 {
         StructuredBucketingF0 {
             universe_bits,
             thresh: config.thresh,
-            parallel_rows: 1,
             rows,
         }
-    }
-
-    /// Splits the repetition rows of `process_item` across `threads` std
-    /// threads (`≤ 1` = sequential; deterministic either way).
-    pub fn set_parallel_rows(&mut self, threads: usize) {
-        self.parallel_rows = threads.max(1);
     }
 
     /// Merges another sketch of the same draw into this one, in place:
@@ -354,30 +332,28 @@ impl StructuredBucketingF0 {
 
     /// Processes one structured item: per row, pull the item's members lying
     /// in the current cell, raising the level whenever the bucket overflows.
-    pub fn process_item<S: StructuredSet + Sync + ?Sized>(&mut self, item: &S) {
+    pub fn process_item<S: StructuredSet + ?Sized>(&mut self, item: &S) {
         assert_eq!(item.num_vars(), self.universe_bits);
         let thresh = self.thresh;
         let n = self.universe_bits;
-        for_each_row_chunk(&mut self.rows, self.parallel_rows, |chunk| {
-            for (hash, level, bucket) in chunk.iter_mut() {
-                loop {
-                    let members = item.members_in_cell(hash, *level, thresh + 1);
-                    for member in members {
-                        bucket.insert(member);
-                    }
-                    if bucket.len() <= thresh || *level >= n {
-                        break;
-                    }
-                    // Overflow: raise the level and re-filter the bucket; the
-                    // item is re-queried at the new level on the next loop
-                    // pass (its remaining members are a subset of what it
-                    // already contributed, so correctness is preserved).
-                    *level += 1;
-                    let lvl = *level;
-                    bucket.retain(|x| hash.prefix_is_zero(x, lvl));
+        for (hash, level, bucket) in &mut self.rows {
+            loop {
+                let members = item.members_in_cell(hash, *level, thresh + 1);
+                for member in members {
+                    bucket.insert(member);
                 }
+                if bucket.len() <= thresh || *level >= n {
+                    break;
+                }
+                // Overflow: raise the level and re-filter the bucket; the
+                // item is re-queried at the new level on the next loop
+                // pass (its remaining members are a subset of what it
+                // already contributed, so correctness is preserved).
+                *level += 1;
+                let lvl = *level;
+                bucket.retain(|x| hash.prefix_is_zero(x, lvl));
             }
-        });
+        }
     }
 
     /// Current estimate (`median of |bucket| · 2^level`).
@@ -412,34 +388,6 @@ mod tests {
             let expected = mcf0_sat::bounded_sat_dnf(&f, &hash_nn, 2, 1000);
             assert_eq!(cell, expected.solutions);
         }
-    }
-
-    #[test]
-    fn parallel_rows_match_sequential_bit_for_bit() {
-        let mut rng_seq = Xoshiro256StarStar::seed_from_u64(903);
-        let mut rng_par = Xoshiro256StarStar::seed_from_u64(903);
-        let config = CountingConfig::explicit(0.8, 0.2, 80, 7);
-        let mut seq_min = StructuredMinimumF0::new(11, &config, &mut rng_seq);
-        let mut par_min = StructuredMinimumF0::new(11, &config, &mut rng_par);
-        par_min.set_parallel_rows(3);
-        let mut rng_seq = Xoshiro256StarStar::seed_from_u64(904);
-        let mut rng_par = Xoshiro256StarStar::seed_from_u64(904);
-        let mut seq_bkt = StructuredBucketingF0::new(11, &config, &mut rng_seq);
-        let mut par_bkt = StructuredBucketingF0::new(11, &config, &mut rng_par);
-        par_bkt.set_parallel_rows(4);
-
-        let mut items_rng = Xoshiro256StarStar::seed_from_u64(905);
-        for _ in 0..4 {
-            let f = random_dnf(&mut items_rng, 11, 4, (3, 6));
-            let item = DnfSet::new(f);
-            seq_min.process_item(&item);
-            par_min.process_item(&item);
-            seq_bkt.process_item(&item);
-            par_bkt.process_item(&item);
-        }
-        assert_eq!(seq_min.estimate(), par_min.estimate());
-        assert_eq!(seq_min.space_bits(), par_min.space_bits());
-        assert_eq!(seq_bkt.estimate(), par_bkt.estimate());
     }
 
     #[test]

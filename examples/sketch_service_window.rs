@@ -19,7 +19,7 @@
 //!
 //! The sessions share one spec (same seed), which is what makes the
 //! set-algebra queries well-defined: inclusion–exclusion over a scratch
-//! merge needs identical hash draws (DESIGN.md §12). The epilogue shows
+//! merge needs identical hash draws (DESIGN.md §11). The epilogue shows
 //! the typed failure modes — a regressed epoch and a windowed query on an
 //! unwindowed session are error *lines*, not panics or dropped
 //! connections.
