@@ -10,7 +10,7 @@
 
 use crate::rng::Xoshiro256StarStar;
 use mcf0_gf2::{AffineSubspace, BitMatrix, BitVec};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Common interface of the affine (2-wise independent) hash families.
 pub trait LinearHash {
@@ -120,9 +120,10 @@ pub trait LinearHash {
 /// extraction clone hashes, so a clone copies the randomness and a
 /// pointer): the rows (dot-product evaluation of prefix slices), the
 /// *columns* (`h(x)` is the word-wise XOR of `popcount(x)` columns into `b`,
-/// the full evaluation and `image_of_cube`), and, when `n ≤ 64`, the
+/// the `BitVec` evaluation and `image_of_cube`), and, when `n ≤ 64`, the
 /// byte-indexed tables of [`ToeplitzHash::lead_u64`], the kernel both
-/// streaming hot loops run per item.
+/// streaming hot loops run per item, plus nibble-indexed tables for the
+/// later words of [`ToeplitzHash::eval_u64`].
 #[derive(Clone, Debug)]
 pub struct ToeplitzHash {
     n: usize,
@@ -145,6 +146,13 @@ struct Derived {
     /// `n ≤ 64`, none otherwise; bits of the top byte beyond `n` select
     /// nothing.
     lead: Vec<[u64; 256]>,
+    /// `tail[w − 1]` is the same for output word `w ≥ 1`, indexed by the
+    /// item's nibbles instead of its bytes: the later words of
+    /// [`ToeplitzHash::eval_u64`] at a sixteenth of the memory of byte
+    /// tables. Built by the first `eval_u64`, so the many draws that never
+    /// call it (Bucketing cells, the counters' hashes) allocate nothing;
+    /// empty unless `m > 64`.
+    tail: OnceLock<Vec<Vec<[u64; 16]>>>,
 }
 
 impl ToeplitzHash {
@@ -189,7 +197,7 @@ impl ToeplitzHash {
             })
             .collect();
         let lead = if n <= 64 {
-            lead_tables(&cols, &b)
+            word_tables(&cols, &b, 0)
         } else {
             Vec::new()
         };
@@ -198,7 +206,12 @@ impl ToeplitzHash {
             m,
             diag,
             b,
-            derived: Arc::new(Derived { rows, cols, lead }),
+            derived: Arc::new(Derived {
+                rows,
+                cols,
+                lead,
+                tail: OnceLock::new(),
+            }),
         }
     }
 
@@ -219,23 +232,32 @@ impl ToeplitzHash {
     }
 
     /// Evaluates `h(x)` for an item given as the low-`n`-bit integer `x`
-    /// (the streaming-sketch item encoding; requires `n ≤ 64`). Word-wise:
-    /// the result is `b` XOR the columns selected by the set bits of `x`.
+    /// (the streaming-sketch item encoding; requires `n ≤ 64`), into one
+    /// allocation: the first word is [`ToeplitzHash::lead_u64`], each later
+    /// word one nibble-table lookup per four bits of `x`.
     pub fn eval_u64(&self, x: u64) -> BitVec {
         assert!(
             self.n <= 64,
             "eval_u64 requires an input width of at most 64"
         );
         debug_assert!(self.n == 64 || x < (1u64 << self.n), "item out of range");
-        let mut out = self.b.clone();
-        let mut rest = x;
-        while rest != 0 {
-            let p = rest.trailing_zeros() as usize;
-            // u64 bit p is MSB-first index n − 1 − p (see BitVec::from_u64).
-            out.xor_assign(&self.derived.cols[self.n - 1 - p]);
-            rest &= rest - 1;
-        }
-        out
+        let tail = self.derived.tail.get_or_init(|| {
+            let later = 1..self.b.words().len();
+            later
+                .map(|w| word_tables(&self.derived.cols, &self.b, w))
+                .collect()
+        });
+        let mut w = 0;
+        BitVec::fill_from_words(self.m, || {
+            let word = match w {
+                0 => self.lead_u64(x),
+                _ => tail[w - 1].iter().enumerate().fold(0, |acc, (k, table)| {
+                    acc ^ table[(x >> (4 * k)) as usize & 15]
+                }),
+            };
+            w += 1;
+            word
+        })
     }
 
     /// The first `min(m, 64)` bits of `h(x)`, MSB-aligned in one word — the
@@ -267,18 +289,19 @@ impl ToeplitzHash {
     }
 }
 
-/// Builds the byte-indexed tables of [`ToeplitzHash::lead_u64`] from the
-/// columns of an `n ≤ 64` draw: each entry extends the entry with its lowest
-/// set bit cleared by one column word.
-fn lead_tables(cols: &[BitVec], b: &BitVec) -> Vec<[u64; 256]> {
+/// Builds the tables of output word `w` of an `n ≤ 64` draw, one per
+/// `log2 V`-bit chunk of the item (least significant first): each entry
+/// extends the entry with its lowest set bit cleared by one column word.
+fn word_tables<const V: usize>(cols: &[BitVec], b: &BitVec, w: usize) -> Vec<[u64; V]> {
     let n = cols.len();
-    let mut tables = vec![[0u64; 256]; n.div_ceil(8)];
+    let bits = V.trailing_zeros() as usize;
+    let mut tables = vec![[0u64; V]; n.div_ceil(bits)];
     for (k, table) in tables.iter_mut().enumerate() {
-        table[0] = if k == 0 { b.words()[0] } else { 0 };
-        for v in 1..256usize {
+        table[0] = if k == 0 { b.words()[w] } else { 0 };
+        for v in 1..V {
             // u64 bit p is MSB-first index n − 1 − p (see BitVec::from_u64).
-            let p = 8 * k + v.trailing_zeros() as usize;
-            let col = if p < n { cols[n - 1 - p].words()[0] } else { 0 };
+            let p = bits * k + v.trailing_zeros() as usize;
+            let col = if p < n { cols[n - 1 - p].words()[w] } else { 0 };
             table[v] = table[v & (v - 1)] ^ col;
         }
     }

@@ -282,6 +282,112 @@ impl Deserialize for ServiceCommand {
     }
 }
 
+impl ServiceCommand {
+    /// Decodes one log record payload: the typed [`Scan`] for a canonical
+    /// ingest record, the generic `serde_json` path for everything else.
+    pub(crate) fn from_log_record(payload: &[u8]) -> Result<Self, String> {
+        let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
+        let mut scan = Scan::new(text);
+        if let Some(command) = scan.ingest().filter(|_| scan.finish()) {
+            return Ok(command);
+        }
+        serde_json::from_str(text).map_err(|e| e.to_string())
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Lines [`Scan::finish`] accepted on this thread, so a test fails if
+    /// the hot callers stop reaching the scanner.
+    pub(crate) static SCANNED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// The typed fast path for the one hot shape, the compact canonical ingest
+/// record `{"op":"ingest","name":"…","items":[…]}` that
+/// [`ServiceCommand`]'s `Serialize` writes. It parses `items` straight into
+/// `Vec<u64>`, with no `Value` tree and no `String` per number. It accepts a
+/// strict subset of what `serde_json::from_str` accepts, and decodes it to
+/// the same value: any whitespace, other key order, extra or duplicate
+/// key, `\` escape, non-canonical number (leading zero, `-`, `.`, `e`),
+/// `u64` overflow or trailing byte makes a step return `None`, and the
+/// caller falls back to the generic parser, whose replies and error
+/// messages are the contract.
+pub(crate) struct Scan<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scan<'a> {
+    pub(crate) fn new(text: &'a str) -> Self {
+        Scan { text, pos: 0 }
+    }
+
+    /// Consumes exactly `lit`.
+    pub(crate) fn lit(&mut self, lit: &str) -> Option<()> {
+        let end = self.pos + lit.len();
+        let found = self.text.as_bytes().get(self.pos..end)? == lit.as_bytes();
+        found.then(|| self.pos = end)
+    }
+
+    /// A string literal without escapes. The text is valid UTF-8 and both
+    /// ends are ASCII, so the slice between them is too.
+    pub(crate) fn string(&mut self) -> Option<&'a str> {
+        self.lit("\"")?;
+        let start = self.pos;
+        let rest = &self.text.as_bytes()[start..];
+        self.pos += rest.iter().position(|&b| b == b'"' || b == b'\\')?;
+        let s = &self.text[start..self.pos];
+        self.lit("\"")?;
+        Some(s)
+    }
+
+    /// A canonical `u64`: `0`, or digits without a leading zero, in range.
+    pub(crate) fn u64(&mut self) -> Option<u64> {
+        let rest = &self.text.as_bytes()[self.pos..];
+        let (mut n, mut len) = (0u64, 0);
+        for d in rest
+            .iter()
+            .map(|b| b.wrapping_sub(b'0'))
+            .take_while(|&d| d < 10)
+        {
+            n = n.checked_mul(10)?.checked_add(u64::from(d))?;
+            len += 1;
+        }
+        if len == 0 || (len > 1 && rest[0] == b'0') {
+            return None;
+        }
+        self.pos += len;
+        Some(n)
+    }
+
+    /// The canonical ingest record, up to its closing brace.
+    pub(crate) fn ingest(&mut self) -> Option<ServiceCommand> {
+        self.lit(r#"{"op":"ingest","name":"#)?;
+        let name = self.string()?.to_string();
+        self.lit(r#","items":["#)?;
+        let mut items = Vec::new();
+        if self.lit("]").is_none() {
+            loop {
+                items.push(self.u64()?);
+                if self.lit(",").is_none() {
+                    self.lit("]")?;
+                    break;
+                }
+            }
+        }
+        self.lit("}")?;
+        Some(ServiceCommand::Ingest { name, items })
+    }
+
+    /// Whether the whole text was consumed.
+    pub(crate) fn finish(&self) -> bool {
+        let done = self.pos == self.text.len();
+        #[cfg(test)]
+        SCANNED.with(|n| n.set(n.get() + usize::from(done)));
+        done
+    }
+}
+
 /// A command's successful result. `f64` payloads compare bit-for-bit under
 /// `PartialEq` in the workloads the service runs (no NaNs), which is what
 /// the differential suite relies on.
@@ -297,4 +403,120 @@ pub enum CommandReply {
     SpaceBits(usize),
     /// A snapshot document.
     Snapshot(String),
+}
+
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unit tests may unwrap
+mod tests {
+    use super::*;
+    use crate::net::proto::{decode_request, encode_line, ErrorCode, Request, WireError};
+    use mcf0_hashing::Xoshiro256StarStar;
+    use proptest::prelude::*;
+
+    /// The generic request decoder alone: what `decode_request` was before
+    /// the scanner, and what it must still return for every line.
+    fn generic_request(line: &[u8]) -> Result<Request, WireError> {
+        let text = std::str::from_utf8(line).map_err(|_| {
+            WireError::protocol(ErrorCode::BadFrame, "request line is not valid UTF-8")
+        })?;
+        serde_json::from_str::<Request>(text).map_err(|e| {
+            WireError::protocol(ErrorCode::BadRequest, format!("malformed request: {e}"))
+        })
+    }
+
+    /// The generic log-record decoder alone, as log replay ran it before.
+    fn generic_record(payload: &[u8]) -> Result<ServiceCommand, String> {
+        std::str::from_utf8(payload)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str(text).map_err(|e| e.to_string()))
+    }
+
+    /// `random_trace` as (log payload, request line) pairs. The generator
+    /// lives in `mcf0-bench`, which links its own copy of this crate, so the
+    /// commands cross over as JSON text.
+    fn trace_lines(seed: u64, universe_bits: usize, commands: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        mcf0_bench::service_support::random_trace(seed, universe_bits, commands)
+            .iter()
+            .enumerate()
+            .map(|(i, command)| {
+                let payload = serde_json::to_string(command).unwrap();
+                let request = Request {
+                    id: seed.wrapping_add(i as u64),
+                    token: format!("tok-{i}"),
+                    command: serde_json::from_str(&payload).unwrap(),
+                };
+                let line = encode_line(&request).trim_end().as_bytes().to_vec();
+                (payload.into_bytes(), line)
+            })
+            .collect()
+    }
+
+    /// Single-byte edits of `line` at every offset: truncate there, delete
+    /// the byte, flip one of its bits, insert a byte from a set aimed at
+    /// the scanner's edges.
+    fn mutations(line: &[u8], rng: &mut Xoshiro256StarStar) -> Vec<Vec<u8>> {
+        const INSERTS: &[u8] = b"00019-.eE+ \t\"\\,]}[{:x\xC3\xFF";
+        let mut out = Vec::new();
+        for at in 0..=line.len() {
+            out.push(line[..at].to_vec());
+            let mut inserted = line.to_vec();
+            inserted.insert(at, INSERTS[rng.next_u64() as usize % INSERTS.len()]);
+            out.push(inserted);
+            if at < line.len() {
+                let mut deleted = line.to_vec();
+                deleted.remove(at);
+                out.push(deleted);
+                let mut flipped = line.to_vec();
+                flipped[at] ^= 1 << (rng.next_u64() % 8);
+                out.push(flipped);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Fast path == generic path, value or error message, on every
+        /// trace line and every single-byte edit of it, on the wire and in
+        /// the log. Odd seeds use 64-bit items, so edits reach `u64`
+        /// overflow.
+        #[test]
+        fn the_scanner_agrees_with_the_generic_parser(seed in any::<u64>()) {
+            let bits = if seed.is_multiple_of(2) { 8 } else { 64 };
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+            for (payload, line) in trace_lines(seed, bits, 16) {
+                for record in mutations(&payload, &mut rng) {
+                    prop_assert_eq!(ServiceCommand::from_log_record(&record), generic_record(&record));
+                }
+                for request in mutations(&line, &mut rng) {
+                    prop_assert_eq!(decode_request(&request), generic_request(&request));
+                }
+            }
+        }
+    }
+
+    /// Fails if a hot caller stops reaching the scanner, or the scanner
+    /// stops accepting: every canonical ingest line is scanned on both
+    /// entry points, and no other line is.
+    #[test]
+    fn canonical_ingest_lines_take_the_fast_path() {
+        let scanned = || SCANNED.with(|n| n.get());
+        let mut ingests = 0;
+        for (payload, line) in trace_lines(7, 16, 200) {
+            let ingest = payload.starts_with(br#"{"op":"ingest","#);
+            ingests += usize::from(ingest);
+            let before = scanned();
+            ServiceCommand::from_log_record(&payload).unwrap();
+            decode_request(&line).unwrap();
+            let want = if ingest { 2 } else { 0 };
+            assert_eq!(
+                scanned() - before,
+                want,
+                "{}",
+                String::from_utf8_lossy(&line)
+            );
+        }
+        assert!(ingests > 20, "the trace has only {ingests} ingest lines");
+    }
 }

@@ -270,12 +270,7 @@ impl DurableSketchService {
             let Some(record) = cursor.next_record()? else {
                 break cursor.finish();
             };
-            let decoded = std::str::from_utf8(&record.payload)
-                .map_err(|e| e.to_string())
-                .and_then(|text| {
-                    serde_json::from_str::<ServiceCommand>(text).map_err(|e| e.to_string())
-                });
-            match decoded {
+            match ServiceCommand::from_log_record(&record.payload) {
                 Ok(command) => {
                     // A shard panicking *during replay* makes the reload itself
                     // unreliable, so recovery fails as a value (the

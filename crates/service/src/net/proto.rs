@@ -19,7 +19,9 @@
 //!   [`crate::ReferenceService`] reproduces every reply byte for byte —
 //!   the socket differential harness pins exactly that.
 //! * `cmd` is the ordinary [`ServiceCommand`] serde the write-ahead log
-//!   already uses; the wire adds nothing to the command surface.
+//!   already uses; the wire adds nothing to the command surface. A
+//!   canonical compact ingest line decodes through a typed scanner with no
+//!   `Value` tree; every other line, and every error, is the generic parse.
 //!
 //! Every length on this path is untrusted: lines are read through
 //! [`LineReader`], which enforces [`MAX_FRAME_BYTES`] *while buffering* —
@@ -27,7 +29,7 @@
 //! (and the connection stays usable; the line's remainder is discarded),
 //! never an unbounded allocation.
 
-use crate::command::{CommandReply, ServiceCommand};
+use crate::command::{CommandReply, Scan, ServiceCommand};
 use crate::error::ServiceError;
 use crate::session::member;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -376,8 +378,25 @@ pub fn encode_line<T: Serialize>(value: &T) -> String {
 pub fn decode_request(line: &[u8]) -> Result<Request, WireError> {
     let text = std::str::from_utf8(line)
         .map_err(|_| WireError::protocol(ErrorCode::BadFrame, "request line is not valid UTF-8"))?;
+    if let Some(request) = scan_ingest_request(text) {
+        return Ok(request);
+    }
     serde_json::from_str::<Request>(text)
         .map_err(|e| WireError::protocol(ErrorCode::BadRequest, format!("malformed request: {e}")))
+}
+
+/// The typed fast path: `{"id":N,"token":"…","cmd":<canonical ingest>}`
+/// exactly as [`encode_line`] renders it, or `None` (see [`Scan`]).
+fn scan_ingest_request(text: &str) -> Option<Request> {
+    let mut scan = Scan::new(text);
+    scan.lit(r#"{"id":"#)?;
+    let id = scan.u64()?;
+    scan.lit(r#","token":"#)?;
+    let token = scan.string()?.to_string();
+    scan.lit(r#","cmd":"#)?;
+    let command = scan.ingest()?;
+    scan.lit("}")?;
+    scan.finish().then_some(Request { id, token, command })
 }
 
 /// One item produced by [`LineReader::next_line`].

@@ -337,6 +337,76 @@ fn undecodable_but_checksummed_records_are_truncated_not_panicked() {
     }
 }
 
+/// Replay decodes canonical ingest records with the typed scanner and every
+/// other record with the generic parser. A log holding both kinds, in the
+/// byte format this service has always written, recovers to the state and
+/// the `RecoveryReport` the generic decoder alone gives.
+#[test]
+fn a_log_of_canonical_and_hand_written_records_recovers_as_before() {
+    let create = serde_json::to_string(&ServiceCommand::Create {
+        name: "t".into(),
+        spec: default_spec(),
+    })
+    .unwrap();
+    let canonical = r#"{"op":"ingest","name":"t","items":[1,2,3,65535]}"#;
+    // The writer's bytes are these records, framed.
+    let store = TempDir::new("canonical");
+    let (mut durable, _) =
+        DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
+    for record in [&create, canonical] {
+        durable
+            .apply(&serde_json::from_str(record).unwrap())
+            .unwrap();
+    }
+    let written = fs::read(durable.wal_path()).unwrap();
+    drop(durable);
+    let framed = |records: &[&str]| -> Vec<u8> {
+        records
+            .iter()
+            .flat_map(|r| mcf0_service::wal::frame(r.as_bytes()))
+            .collect()
+    };
+    assert_eq!(written, framed(&[&create, canonical]));
+
+    let decoded = [
+        create.as_str(),
+        canonical,
+        r#"{"op":"ingest","name":"t","items":[]}"#,
+        r#"{ "op": "ingest", "name": "t", "items": [4, 5] }"#,
+        r#"{"items":[6,07],"name":"t","op":"ingest"}"#,
+        r#"{"op":"ingest","name":"t","items":[8],"items":[9]}"#,
+        "{\"op\":\"ingest\",\"name\":\"\\u0074\",\"items\":[10]}", // an escaped `t`
+        r#"{"op":"ingest","name":"té","items":[11]}"#,
+    ];
+    let undecodable = r#"{"op":"ingest","name":"t","items":[1.5]}"#;
+    let behind = r#"{"op":"ingest","name":"t","items":[12]}"#;
+    let mut log = framed(&decoded);
+    let bad_offset = log.len() as u64;
+    log.extend(framed(&[undecodable, behind]));
+
+    let crashed = TempDir::new("handwritten");
+    fs::write(crashed.join("wal-00000000000000000000.log"), &log).unwrap();
+    let (recovered, report) =
+        DurableSketchService::open(crashed.path(), 2, DurableConfig::default()).unwrap();
+    assert_eq!(report.checkpoint_sessions, 0);
+    assert_eq!(report.replayed, decoded.len());
+    match report.truncated {
+        Some(ServiceError::WalRecord { offset, reason }) => {
+            assert_eq!(offset, bad_offset);
+            assert_eq!(
+                reason,
+                "undecodable command record: JSON error: number `1.5` out of range for u64"
+            );
+        }
+        other => panic!("expected WalRecord truncation, got {other:?}"),
+    }
+    let mut reference = ReferenceService::new();
+    for record in decoded {
+        let _ = reference.apply(&serde_json::from_str(record).unwrap());
+    }
+    assert_state_matches(&recovered, &mut reference);
+}
+
 /// Corrupt checkpoint manifests — malformed JSON, wrong format tag,
 /// hostile nesting, duplicate or tampered session documents — are typed
 /// open errors, never panics and never silently-empty stores.

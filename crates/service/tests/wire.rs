@@ -13,7 +13,7 @@
 
 use mcf0_bench::service_support::random_trace;
 use mcf0_service::net::proto::{decode_request, encode_line, Line, LineReader, MAX_FRAME_BYTES};
-use mcf0_service::{CommandReply, ErrorCode, Request, Response, WireError};
+use mcf0_service::{CommandReply, ErrorCode, Request, Response, ServiceCommand, WireError};
 use proptest::prelude::*;
 use std::io::Cursor;
 
@@ -179,6 +179,82 @@ fn junk_decodes_to_typed_protocol_errors() {
     ] {
         let err = decode_request(junk.as_bytes()).unwrap_err();
         assert_eq!(err.code, ErrorCode::BadRequest, "junk = {junk:?}");
+    }
+}
+
+/// Ingest lines at the edges of the typed scanner: the canonical ones it
+/// takes, and the near misses it hands to the generic parser. Every row
+/// pins the decode (value or exact error) the generic parser alone gives.
+#[test]
+fn ingest_lines_at_the_scanner_edges_decode_as_the_generic_parser_does() {
+    let ok = |id: u64, name: &str, items: &[u64]| {
+        Ok(Request {
+            id,
+            token: "t".to_string(),
+            command: ServiceCommand::Ingest {
+                name: name.to_string(),
+                items: items.to_vec(),
+            },
+        })
+    };
+    let bad = |message: &str| {
+        Err(WireError::protocol(
+            ErrorCode::BadRequest,
+            format!("malformed request: JSON error: {message}"),
+        ))
+    };
+    let line = |items: &str| {
+        format!(r#"{{"id":1,"token":"t","cmd":{{"op":"ingest","name":"s","items":{items}}}}}"#)
+    };
+    let rows: Vec<(String, Result<Request, WireError>)> = vec![
+        (line("[01]"), ok(1, "s", &[1])),
+        (line("[1.0]"), bad("number `1.0` out of range for u64")),
+        (line("[1e2]"), bad("number `1e2` out of range for u64")),
+        (line("[-0]"), bad("number `-0` out of range for u64")),
+        (line("[18446744073709551615]"), ok(1, "s", &[u64::MAX])),
+        (
+            line("[18446744073709551616]"),
+            bad("number `18446744073709551616` out of range for u64"),
+        ),
+        (line("[]"), ok(1, "s", &[])),
+        (line("[1,]"), bad("expected a JSON value at byte 63")),
+        (
+            r#"{"id": 1,"token":"t","cmd":{"op":"ingest","name":"s","items":[2]}}"#.to_string(),
+            ok(1, "s", &[2]),
+        ),
+        (
+            r#"{"token":"t","cmd":{"items":[3],"name":"s","op":"ingest"},"id":1}"#.to_string(),
+            ok(1, "s", &[3]),
+        ),
+        (
+            r#"{"id":1,"token":"t","cmd":{"op":"ingest","name":"s","items":[4],"items":[5]}}"#
+                .to_string(),
+            ok(1, "s", &[5]),
+        ),
+        (
+            r#"{"id":1,"token":"t","cmd":{"op":"ingest","name":"s","items":[6],"x":0}}"#
+                .to_string(),
+            ok(1, "s", &[6]),
+        ),
+        (
+            r#"{"id":1,"token":"t","cmd":{"op":"ingest","name":"a\"b","items":[7]}}"#.to_string(),
+            ok(1, "a\"b", &[7]),
+        ),
+        (
+            r#"{"id":1,"token":"t","cmd":{"op":"ingest","name":"é€😀","items":[8]}}"#.to_string(),
+            ok(1, "é€😀", &[8]),
+        ),
+        (
+            r#"{"id":007,"token":"t","cmd":{"op":"ingest","name":"s","items":[9]}}"#.to_string(),
+            ok(7, "s", &[9]),
+        ),
+        (
+            format!("{}x", line("[10]")),
+            bad("trailing characters at byte 66"),
+        ),
+    ];
+    for (line, want) in rows {
+        assert_eq!(decode_request(line.as_bytes()), want, "line = {line}");
     }
 }
 

@@ -28,7 +28,7 @@ impl MinimumRow {
     fn update(&mut self, items: &[u64], thresh: usize) {
         let mut bound = self.lead_bound(thresh);
         for &item in items {
-            if self.hash.lead_u64(item) <= bound && self.offer(&self.hash.eval_u64(item), thresh) {
+            if self.hash.lead_u64(item) <= bound && self.offer(self.hash.eval_u64(item), thresh) {
                 bound = self.lead_bound(thresh);
             }
         }
@@ -37,10 +37,10 @@ impl MinimumRow {
     /// Stores `value` if it is among the `thresh` smallest seen, evicting
     /// the old maximum when the reservoir overfills; false if it cannot
     /// enter (the reservoir is full and `value` is not below its maximum).
-    fn offer(&mut self, value: &BitVec, thresh: usize) -> bool {
+    fn offer(&mut self, value: BitVec, thresh: usize) -> bool {
         let enters =
-            self.smallest.len() < thresh || self.smallest.last().is_some_and(|max| value < max);
-        if enters && self.smallest.insert(value.clone()) && self.smallest.len() > thresh {
+            self.smallest.len() < thresh || self.smallest.last().is_some_and(|max| &value < max);
+        if enters && self.smallest.insert(value) && self.smallest.len() > thresh {
             self.smallest.pop_last();
         }
         enters
@@ -148,7 +148,7 @@ impl MinimumF0 {
             // Ascending iteration: after the first value that cannot enter,
             // no later one can either.
             for value in &theirs.smallest {
-                if !mine.offer(value, thresh) {
+                if !mine.offer(value.clone(), thresh) {
                     break;
                 }
             }
