@@ -15,33 +15,19 @@ use crate::input::{CountOutcome, FormulaInput};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
 use mcf0_sat::{find_min_cnf, find_min_dnf, SatOracle, SolutionOracle};
+use mcf0_streaming::minimum::estimate_from_max_lead;
 
-/// Estimate contributed by one iteration's minima set: the exact size when
-/// the set is not full, otherwise `Thresh / (max as a fraction of the output
-/// space)`. Shared with the distributed and structured-stream variants so all
-/// Minimum-strategy estimators compute identically.
+/// Estimate contributed by one iteration's minima set (ascending): the
+/// exact size when the set is not full, otherwise `Thresh / (max as a
+/// fraction of the output space)`, through the streaming sketch's
+/// [`estimate_from_max_lead`] so every Minimum-strategy estimator computes
+/// identically.
 pub fn estimate_from_minima(minima: &[BitVec], thresh: usize) -> f64 {
-    if minima.len() < thresh {
-        return minima.len() as f64;
-    }
-    let max = minima
+    let max_lead = minima
         .last()
-        .expect("minima are non-empty when len >= thresh");
-    // Interpret the largest retained hash value as a fraction of the output
-    // space; the density of Thresh values below it estimates the total count.
-    let mut frac = 0.0f64;
-    let mut weight = 0.5f64;
-    for i in 0..max.len().min(64) {
-        if max.get(i) {
-            frac += weight;
-        }
-        weight *= 0.5;
-    }
-    if frac == 0.0 {
-        f64::INFINITY
-    } else {
-        thresh as f64 / frac
-    }
+        .and_then(|max| max.words().first().copied())
+        .unwrap_or(0);
+    estimate_from_max_lead(minima.len(), max_lead, thresh)
 }
 
 /// Runs `ApproxModelCountMin` on a CNF or DNF formula.

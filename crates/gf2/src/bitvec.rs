@@ -353,13 +353,20 @@ impl BitVec {
     /// Rebuilds a vector from a [`BitVec::words`] export. Tail bits beyond
     /// `len` in the last word are masked off.
     pub fn from_words(len: usize, words: &[u64]) -> BitVec {
+        BitVec::from_word_vec(len, words.to_vec())
+    }
+
+    /// [`BitVec::from_words`] taking ownership of the words, so building
+    /// the vector copies nothing.
+    pub fn from_word_vec(len: usize, words: Vec<u64>) -> BitVec {
         assert_eq!(
             words.len(),
             len.div_ceil(WORD_BITS),
             "word count does not match the bit length"
         );
-        let mut it = words.iter().copied();
-        BitVec::fill_from_words(len, || it.next().expect("word count checked above"))
+        let mut v = BitVec { len, words };
+        v.mask_tail();
+        v
     }
 }
 

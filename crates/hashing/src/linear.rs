@@ -123,7 +123,7 @@ pub trait LinearHash {
 /// the `BitVec` evaluation and `image_of_cube`), and, when `n ≤ 64`, the
 /// byte-indexed tables of [`ToeplitzHash::lead_u64`], the kernel both
 /// streaming hot loops run per item, plus nibble-indexed tables for the
-/// later words of [`ToeplitzHash::eval_u64`].
+/// later words of [`ToeplitzHash::eval_u64_into`].
 #[derive(Clone, Debug)]
 pub struct ToeplitzHash {
     n: usize,
@@ -148,8 +148,8 @@ struct Derived {
     lead: Vec<[u64; 256]>,
     /// `tail[w − 1]` is the same for output word `w ≥ 1`, indexed by the
     /// item's nibbles instead of its bytes: the later words of
-    /// [`ToeplitzHash::eval_u64`] at a sixteenth of the memory of byte
-    /// tables. Built by the first `eval_u64`, so the many draws that never
+    /// [`ToeplitzHash::eval_u64_into`] at a sixteenth of the memory of byte
+    /// tables. Built by its first call, so the many draws that never
     /// call it (Bucketing cells, the counters' hashes) allocate nothing;
     /// empty unless `m > 64`.
     tail: OnceLock<Vec<Vec<[u64; 16]>>>,
@@ -232,32 +232,39 @@ impl ToeplitzHash {
     }
 
     /// Evaluates `h(x)` for an item given as the low-`n`-bit integer `x`
-    /// (the streaming-sketch item encoding; requires `n ≤ 64`), into one
-    /// allocation: the first word is [`ToeplitzHash::lead_u64`], each later
-    /// word one nibble-table lookup per four bits of `x`.
+    /// (the streaming-sketch item encoding; requires `n ≤ 64`): the words of
+    /// [`ToeplitzHash::eval_u64_into`] as a bit vector.
     pub fn eval_u64(&self, x: u64) -> BitVec {
-        assert!(
-            self.n <= 64,
-            "eval_u64 requires an input width of at most 64"
-        );
-        debug_assert!(self.n == 64 || x < (1u64 << self.n), "item out of range");
+        let mut words = vec![0; self.m.div_ceil(64)];
+        self.eval_u64_into(x, &mut words);
+        BitVec::from_word_vec(self.m, words)
+    }
+
+    /// Writes the `⌈m/64⌉` words of `h(x)` into `out` in the
+    /// [`BitVec::words`] layout (MSB-first, tail bits zero), allocating
+    /// nothing: the first word is [`ToeplitzHash::lead_u64`], each later
+    /// word one nibble-table lookup per four bits of `x` (requires `n ≤ 64`
+    /// and `out.len() = ⌈m/64⌉`).
+    pub fn eval_u64_into(&self, x: u64, out: &mut [u64]) {
+        assert_eq!(out.len(), self.b.words().len(), "output word count");
+        let (lead, later) = out.split_first_mut().expect("m > 0");
+        *lead = self.lead_u64(x);
+        if later.is_empty() {
+            return;
+        }
         let tail = self.derived.tail.get_or_init(|| {
             let later = 1..self.b.words().len();
             later
                 .map(|w| word_tables(&self.derived.cols, &self.b, w))
                 .collect()
         });
-        let mut w = 0;
-        BitVec::fill_from_words(self.m, || {
-            let word = match w {
-                0 => self.lead_u64(x),
-                _ => tail[w - 1].iter().enumerate().fold(0, |acc, (k, table)| {
-                    acc ^ table[(x >> (4 * k)) as usize & 15]
-                }),
-            };
-            w += 1;
-            word
-        })
+        // The tables are XORs of column and offset words, whose tails are
+        // zero, so the output's tail is too.
+        for (word, tables) in later.iter_mut().zip(tail) {
+            *word = tables.iter().enumerate().fold(0, |acc, (k, table)| {
+                acc ^ table[(x >> (4 * k)) as usize & 15]
+            });
+        }
     }
 
     /// The first `min(m, 64)` bits of `h(x)`, MSB-aligned in one word — the
@@ -536,6 +543,25 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_word_kernel_writes_the_bitvec_words() {
+        // Over the grid above, including the widths where the output gains
+        // a word and the tail mask matters: every word is written (the
+        // buffer starts as all ones) and the tail bits come out zero.
+        let mut rng = rng();
+        for n in [1usize, 7, 8, 9, 12, 33, 63, 64] {
+            for m in [1usize, 63, 64, 65, 96, 192] {
+                let h = ToeplitzHash::sample(&mut rng, n, m);
+                for x in [0, u64::MAX >> (64 - n), rng.next_u64() >> (64 - n)] {
+                    let mut words = vec![u64::MAX; m.div_ceil(64)];
+                    h.eval_u64_into(x, &mut words);
+                    assert_eq!(words, h.eval_u64(x).words(), "n={n} m={m}");
+                    assert_eq!(words, h.eval(&BitVec::from_u64(x, n)).words());
                 }
             }
         }

@@ -22,6 +22,7 @@ use crate::session::{SessionLedger, SessionSpec, SketchKind};
 use crate::sketch::{SessionSketch, TenantSketch};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, SWiseHash, ToeplitzHash};
+use mcf0_streaming::minimum::Key;
 use mcf0_streaming::{AmsF2, BucketingF0, EpochRing, EstimationF0, MinimumF0};
 use mcf0_structured::StructuredMinimumF0;
 use serde::{Deserialize, Serialize};
@@ -232,9 +233,16 @@ fn snap_sketch(sketch: &TenantSketch) -> SketchSnap {
                 (0..s.num_rows())
                     .map(|i| {
                         let (hash, smallest) = s.row_parts(i);
+                        let len = hash.output_bits();
                         MinimumRowSnap {
                             hash: ToeplitzSnap::of(hash),
-                            smallest: smallest.iter().map(BitVecSnap::of).collect(),
+                            smallest: smallest
+                                .iter()
+                                .map(|key| BitVecSnap {
+                                    len,
+                                    words: key[..len.div_ceil(64)].to_vec(),
+                                })
+                                .collect(),
                         }
                     })
                     .collect(),
@@ -371,14 +379,20 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
             for row in rows {
                 let hash = row.hash.build()?;
                 check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
-                let mut smallest = BTreeSet::new();
+                let mut smallest = Vec::with_capacity(row.smallest.len());
                 for v in &row.smallest {
                     if v.len != 3 * spec.universe_bits {
                         return Err(ServiceError::Snapshot("reservoir value width".into()));
                     }
-                    smallest.insert(v.build()?);
+                    let value = v.build()?;
+                    let mut key = Key::default();
+                    key[..value.words().len()].copy_from_slice(value.words());
+                    smallest.push(key);
                 }
-                if smallest.len() != row.smallest.len() || smallest.len() > spec.thresh {
+                // Canonical documents list each reservoir strictly ascending,
+                // as the sketch holds it; anything else would restore but
+                // not save back byte-identically.
+                if smallest.len() > spec.thresh || !smallest.windows(2).all(|w| w[0] < w[1]) {
                     return Err(ServiceError::Snapshot("malformed reservoir".into()));
                 }
                 parts.push((hash, smallest));

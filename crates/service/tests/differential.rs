@@ -119,13 +119,39 @@ fn corrupt_snapshots_are_rejected_not_trusted() {
     let mut service = SketchService::new(2);
     let spec = SessionSpec::new(SketchKind::Minimum, 12, 8, 3, 1);
     service.create_session("s", spec).unwrap();
-    service.ingest("s", &[1, 2, 3]).unwrap();
+    service
+        .ingest("s", &(1..=40).collect::<Vec<u64>>())
+        .unwrap();
     let doc = service.save("s").unwrap();
     // Free the name so every rejection below is about the document itself,
     // not DuplicateSession.
     service.drop_session("s").unwrap();
 
+    // The first row's full reservoir of 8 values, entry by entry, and the
+    // document with a rewritten list in its place.
+    let (head, rest) = doc.split_once("\"smallest\":[").unwrap();
+    let (list, tail) = rest.split_at(rest.find("}]").unwrap() + 1);
+    let entries: Vec<String> = list
+        .split("},{")
+        .map(|e| format!("{{{}}}", e.trim_matches(['{', '}'])))
+        .collect();
+    let with = |entries: &[String]| format!("{head}\"smallest\":[{}{tail}", entries.join(","));
+    assert_eq!((entries.len(), with(&entries)), (8, doc.clone()));
+    let mut permuted = entries.clone();
+    permuted.swap(0, 1);
+    let mut duplicated = entries.clone();
+    duplicated[1] = entries[0].clone();
+    // A ninth value above the rest: the largest 36-bit one, MSB-aligned.
+    let mut overfull = entries.clone();
+    overfull.push(format!("{{\"len\":36,\"words\":[{}]}}", !0u64 << 28));
+
     for corrupt in [
+        // Reservoirs must list strictly ascending values, at most Thresh
+        // of them: a permuted list would restore but not save back
+        // byte-identically.
+        with(&permuted),
+        with(&duplicated),
+        with(&overfull),
         "not json".to_string(),
         "{}".to_string(),
         doc.replace("mcf0-sketch-service/v1", "someone-else/v9"),
@@ -141,6 +167,68 @@ fn corrupt_snapshots_are_rejected_not_trusted() {
             matches!(service.restore(&corrupt), Err(ServiceError::Snapshot(_))),
             "accepted corrupt snapshot: {corrupt:.60}"
         );
+    }
+}
+
+/// FNV-1a-64 over a document's bytes.
+fn fnv1a64(doc: &str) -> u64 {
+    doc.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Digests of canonical Minimum Save documents, per universe width: a plain
+/// session and a 3-epoch windowed one. Every other suite compares the
+/// service against `ReferenceService`, which shares `MinimumF0`, so a
+/// reservoir layout change that altered documents would pass them all;
+/// these fixed digests would not.
+const SAVE_DIGESTS: [(usize, u64, u64); 4] = [
+    (8, 0xb6edcb48f11a079f, 0x6575684869f70782),
+    (22, 0x32628a7aeefef5c2, 0x1c50e55270f2115a),
+    (43, 0x2823f0fda5206a44, 0x7f8916f4e5ef47b8),
+    (64, 0x8876257c79861fdf, 0xc70693d81f5c9d2b),
+];
+/// The same for a plain width-43 session after a twin merge.
+const MERGED_SAVE_DIGEST: u64 = 0x890677218b91d8a4;
+
+/// Drives one session through four batches that fill and churn its
+/// reservoirs (`Thresh` 24, 3 rows), advancing windowed sessions an epoch
+/// per batch so slots also retire.
+fn pinned_minimum_run(service: &mut SketchService, name: &str, spec: SessionSpec, salt: u64) {
+    service.create_session(name, spec).unwrap();
+    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(salt);
+    let shift = 64 - spec.universe_bits;
+    for epoch in 1..=4u64 {
+        let items: Vec<u64> = (0..300).map(|_| rng.next_u64() >> shift).collect();
+        service.ingest(name, &items).unwrap();
+        if spec.window.is_some() {
+            service.advance(name, epoch).unwrap();
+        }
+    }
+}
+
+#[test]
+fn minimum_save_documents_match_their_pinned_digests() {
+    for shards in [1usize, 2, 4] {
+        let mut service = SketchService::new(shards);
+        for (bits, plain, windowed) in SAVE_DIGESTS {
+            let spec = SessionSpec::new(SketchKind::Minimum, bits, 24, 3, 7);
+            pinned_minimum_run(&mut service, "plain", spec, bits as u64);
+            pinned_minimum_run(&mut service, "win", spec.with_window(3), bits as u64);
+            let got = (
+                fnv1a64(&service.save("plain").unwrap()),
+                fnv1a64(&service.save("win").unwrap()),
+            );
+            assert_eq!(got, (plain, windowed), "bits = {bits}, shards = {shards}");
+            service.drop_session("plain").unwrap();
+            service.drop_session("win").unwrap();
+        }
+        let spec = SessionSpec::new(SketchKind::Minimum, 43, 24, 3, 7);
+        pinned_minimum_run(&mut service, "a", spec, 1);
+        pinned_minimum_run(&mut service, "b", spec, 2);
+        service.merge_sessions("a", "b").unwrap();
+        let merged = fnv1a64(&service.save("a").unwrap());
+        assert_eq!(merged, MERGED_SAVE_DIGEST, "merged, shards = {shards}");
     }
 }
 

@@ -10,49 +10,125 @@
 
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
-use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+
+/// A packed 3n-bit hash value: the [`mcf0_gf2::BitVec::words`] of the value
+/// (MSB-first, tail bits zero) in the first `⌈3n/64⌉` words, the rest zero.
+/// Array order is therefore the values' lexicographic order, for every
+/// width `n ≤ 64`.
+pub type Key = [u64; 3];
 
 #[derive(Clone)]
 struct MinimumRow {
     hash: ToeplitzHash,
-    smallest: BTreeSet<BitVec>,
+    /// The row's smallest distinct hash values, strictly ascending, at most
+    /// `Thresh` of them.
+    smallest: Vec<Key>,
 }
 
 impl MinimumRow {
     /// Folds a batch into the row's reservoir of smallest hash values. An
     /// item whose leading hash word exceeds the full reservoir's maximum
-    /// cannot enter, and `lead_u64` decides that without materialising the
-    /// value; only admitted and first-word-tied items are evaluated in full.
+    /// cannot enter, and `lead_u64` decides that without computing the later
+    /// words; only admitted and first-word-tied items are hashed into a key.
     fn update(&mut self, items: &[u64], thresh: usize) {
+        let words = self.hash.output_bits().div_ceil(64);
         let mut bound = self.lead_bound(thresh);
         for &item in items {
-            if self.hash.lead_u64(item) <= bound && self.offer(self.hash.eval_u64(item), thresh) {
-                bound = self.lead_bound(thresh);
+            if self.hash.lead_u64(item) <= bound {
+                let mut key = Key::default();
+                self.hash.eval_u64_into(item, &mut key[..words]);
+                if self.offer(key, thresh) {
+                    bound = self.lead_bound(thresh);
+                }
             }
         }
     }
 
-    /// Stores `value` if it is among the `thresh` smallest seen, evicting
-    /// the old maximum when the reservoir overfills; false if it cannot
-    /// enter (the reservoir is full and `value` is not below its maximum).
-    fn offer(&mut self, value: BitVec, thresh: usize) -> bool {
-        let enters =
-            self.smallest.len() < thresh || self.smallest.last().is_some_and(|max| &value < max);
-        if enters && self.smallest.insert(value) && self.smallest.len() > thresh {
-            self.smallest.pop_last();
+    /// Stores `key` if it is among the `thresh` smallest seen, evicting the
+    /// old maximum when the reservoir is full; false if it cannot enter (the
+    /// reservoir is full and `key` is not below its maximum).
+    fn offer(&mut self, key: Key, thresh: usize) -> bool {
+        let full = self.smallest.len() >= thresh;
+        if full && self.smallest.last().is_none_or(|max| key >= *max) {
+            return false;
         }
-        enters
+        if let Err(at) = self.smallest.binary_search(&key) {
+            if full {
+                self.smallest.pop();
+            }
+            self.smallest.insert(at, key);
+        }
+        true
     }
 
     /// The largest leading word a value that may still enter can have: that
     /// of the maximum once the reservoir is full, anything before.
     fn lead_bound(&self, thresh: usize) -> u64 {
         match self.smallest.last() {
-            Some(max) if self.smallest.len() >= thresh => max.words()[0],
+            Some(max) if self.smallest.len() >= thresh => max[0],
             _ => u64::MAX,
         }
+    }
+}
+
+/// The `thresh` smallest distinct keys of two strictly ascending arrays, by
+/// one linear merge.
+fn merge_smallest(a: &[Key], b: &[Key], thresh: usize) -> Vec<Key> {
+    let mut out = Vec::with_capacity(thresh.min(a.len() + b.len()));
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    while out.len() < thresh {
+        let next = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => match x.cmp(y) {
+                Ordering::Less => a.next(),
+                Ordering::Greater => b.next(),
+                Ordering::Equal => {
+                    b.next();
+                    a.next()
+                }
+            },
+            _ => a.next().or_else(|| b.next()),
+        };
+        match next {
+            Some(&key) => out.push(key),
+            None => break,
+        }
+    }
+    out
+}
+
+/// Whether `key` holds a `bits`-bit value: nothing set past bit `bits`.
+fn key_fits(key: &Key, bits: usize) -> bool {
+    key.iter().enumerate().all(|(w, &word)| {
+        let used = bits.saturating_sub(64 * w).min(64);
+        used == 64 || word << used == 0
+    })
+}
+
+/// Estimate contributed by a set of `count` smallest hash values whose
+/// maximum has the leading word `max_lead` (MSB-first; ignored unless the
+/// set is full): `thresh / (max as a fraction of the output space)`, or the
+/// set size when it holds fewer than `thresh` values. The one Minimum
+/// estimator: the streaming sketch and the counting, distributed and
+/// structured variants all compute through it. The 64 leading bits are
+/// ample precision for the ratio; bits past the value's width are zero.
+pub fn estimate_from_max_lead(count: usize, max_lead: u64, thresh: usize) -> f64 {
+    if count < thresh {
+        return count as f64;
+    }
+    let mut frac = 0.0f64;
+    let mut weight = 0.5f64;
+    for i in 0..64 {
+        if max_lead >> (63 - i) & 1 == 1 {
+            frac += weight;
+        }
+        weight *= 0.5;
+    }
+    if frac == 0.0 {
+        f64::INFINITY
+    } else {
+        thresh as f64 / frac
     }
 }
 
@@ -72,7 +148,7 @@ impl MinimumF0 {
         let rows = (0..config.rows)
             .map(|_| MinimumRow {
                 hash: ToeplitzHash::sample(rng, universe_bits, 3 * universe_bits),
-                smallest: BTreeSet::new(),
+                smallest: Vec::new(),
             })
             .collect();
         MinimumF0 {
@@ -92,18 +168,21 @@ impl MinimumF0 {
         self.rows.len()
     }
 
-    /// Row `i`'s hash draw and current reservoir of smallest hash values —
-    /// the complete per-row state, exported for snapshots.
-    pub fn row_parts(&self, i: usize) -> (&ToeplitzHash, &BTreeSet<BitVec>) {
+    /// Row `i`'s hash draw and current reservoir of smallest hash values
+    /// (strictly ascending keys) — the complete per-row state, exported for
+    /// snapshots.
+    pub fn row_parts(&self, i: usize) -> (&ToeplitzHash, &[Key]) {
         (&self.rows[i].hash, &self.rows[i].smallest)
     }
 
     /// Rebuilds a sketch from exported per-row state (snapshot restore). The
     /// result is bit-identical to the sketch the parts were exported from.
+    /// Each reservoir must be strictly ascending, hold at most `thresh`
+    /// keys and only `3 · universe_bits`-bit values.
     pub fn from_parts(
         universe_bits: usize,
         thresh: usize,
-        rows: Vec<(ToeplitzHash, BTreeSet<BitVec>)>,
+        rows: Vec<(ToeplitzHash, Vec<Key>)>,
     ) -> Self {
         assert!((1..=64).contains(&universe_bits));
         assert!(thresh >= 1);
@@ -114,7 +193,11 @@ impl MinimumF0 {
                 assert_eq!(hash.output_bits(), 3 * universe_bits, "hash output width");
                 assert!(smallest.len() <= thresh, "reservoir larger than Thresh");
                 assert!(
-                    smallest.iter().all(|v| v.len() == 3 * universe_bits),
+                    smallest.windows(2).all(|w| w[0] < w[1]),
+                    "reservoir not strictly ascending"
+                );
+                assert!(
+                    smallest.iter().all(|k| key_fits(k, 3 * universe_bits)),
                     "reservoir value width"
                 );
                 MinimumRow { hash, smallest }
@@ -139,53 +222,16 @@ impl MinimumF0 {
         assert_eq!(self.universe_bits, other.universe_bits, "universe width");
         assert_eq!(self.thresh, other.thresh, "Thresh mismatch");
         assert_eq!(self.rows.len(), other.rows.len(), "row count mismatch");
-        let thresh = self.thresh;
         for (mine, theirs) in self.rows.iter_mut().zip(&other.rows) {
             assert!(
                 mine.hash == theirs.hash,
                 "merge requires identical hash draws"
             );
-            // Ascending iteration: after the first value that cannot enter,
-            // no later one can either.
-            for value in &theirs.smallest {
-                if !mine.offer(value.clone(), thresh) {
-                    break;
-                }
+            if !theirs.smallest.is_empty() {
+                mine.smallest = merge_smallest(&mine.smallest, &theirs.smallest, self.thresh);
             }
         }
     }
-
-    /// Estimate contributed by a set of `p` smallest hash values of width
-    /// `3n`: `p / (max value as a fraction of 2^{3n})`, or the set size when
-    /// it is not full. Shared with the counting and structured crates so the
-    /// streaming and counting sides compute the estimate identically.
-    pub fn estimate_from_minima(smallest: &BTreeSet<BitVec>, thresh: usize) -> f64 {
-        if smallest.len() < thresh {
-            return smallest.len() as f64;
-        }
-        let max = smallest.iter().next_back().expect("non-empty set");
-        let frac = bitvec_to_unit_fraction(max);
-        if frac == 0.0 {
-            f64::INFINITY
-        } else {
-            thresh as f64 / frac
-        }
-    }
-}
-
-/// Interprets a bit vector as a binary fraction in `[0, 1)` (most significant
-/// bit = 1/2).
-pub fn bitvec_to_unit_fraction(v: &BitVec) -> f64 {
-    let mut value = 0.0f64;
-    let mut weight = 0.5f64;
-    // 64 leading bits are ample precision for the ratio estimate.
-    for i in 0..v.len().min(64) {
-        if v.get(i) {
-            value += weight;
-        }
-        weight *= 0.5;
-    }
-    value
 }
 
 impl F0Sketch for MinimumF0 {
@@ -223,7 +269,10 @@ impl F0Sketch for MinimumF0 {
         let estimates: Vec<f64> = self
             .rows
             .iter()
-            .map(|row| Self::estimate_from_minima(&row.smallest, self.thresh))
+            .map(|row| {
+                let max_lead = row.smallest.last().map_or(0, |max| max[0]);
+                estimate_from_max_lead(row.smallest.len(), max_lead, self.thresh)
+            })
             .collect();
         median(&estimates)
     }
@@ -243,12 +292,28 @@ mod tests {
 
     #[test]
     fn unit_fraction_conversion() {
-        assert_eq!(bitvec_to_unit_fraction(&BitVec::from_u64(0, 4)), 0.0);
-        assert_eq!(bitvec_to_unit_fraction(&BitVec::from_u64(0b1000, 4)), 0.5);
-        assert_eq!(bitvec_to_unit_fraction(&BitVec::from_u64(0b1100, 4)), 0.75);
-        assert!(
-            (bitvec_to_unit_fraction(&BitVec::ones(10)) - (1.0 - 2f64.powi(-10))).abs() < 1e-12
-        );
+        // Full sets: Thresh over the maximum read as a binary fraction.
+        assert_eq!(estimate_from_max_lead(4, 0, 4), f64::INFINITY);
+        assert_eq!(estimate_from_max_lead(4, 1 << 63, 4), 8.0);
+        assert_eq!(estimate_from_max_lead(3, 0b11 << 62, 3), 4.0);
+        let ten_ones = !0u64 << 54;
+        let frac = 1.0 - 2f64.powi(-10);
+        assert!((estimate_from_max_lead(5, ten_ones, 5) - 5.0 / frac).abs() < 1e-12);
+        // Sets short of Thresh count exactly, whatever the maximum.
+        assert_eq!(estimate_from_max_lead(2, 1 << 63, 4), 2.0);
+    }
+
+    #[test]
+    fn merges_keep_the_smallest_distinct_keys() {
+        let keys = |v: &[u64]| -> Vec<Key> { v.iter().map(|&x| [x, 0, 0]).collect() };
+        let (a, b) = (keys(&[1, 4, 6, 9]), keys(&[2, 4, 5]));
+        assert_eq!(merge_smallest(&a, &b, 10), keys(&[1, 2, 4, 5, 6, 9]));
+        assert_eq!(merge_smallest(&a, &b, 4), keys(&[1, 2, 4, 5]));
+        assert_eq!(merge_smallest(&b, &a, 4), keys(&[1, 2, 4, 5]));
+        assert_eq!(merge_smallest(&[], &b, 2), keys(&[2, 4]));
+        assert!(key_fits(&[u64::MAX, 1 << 63, 0], 65));
+        assert!(!key_fits(&[u64::MAX, 1 << 62, 0], 65));
+        assert!(!key_fits(&[0, 0, 1], 128));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, Xoshiro256StarStar};
+use mcf0_streaming::minimum::Key;
 use mcf0_streaming::{
     compute_f0, AmsF2, BucketingF0, EstimationF0, ExactDistinct, F0Config, F0Sketch,
     FlajoletMartinF0, MinimumF0, SketchStrategy,
@@ -266,7 +267,8 @@ proptest! {
 // the bit-vector evaluation, keep the `Thresh` smallest values. The sketch
 // itself rejects almost every item on the leading hash word alone, so the
 // reservoirs are compared exactly, at widths whose hash values fill one word
-// (8), two (24, 33) and three (64).
+// (8, 21), two (22, 24, 33, 42) and three (43, 64) — 21/22 and 42/43 are
+// where a key gains a word (3n = 63, 66, 126, 129) and the tail mask matters.
 // ---------------------------------------------------------------------------
 
 fn assert_minimum_matches_naive(
@@ -284,15 +286,22 @@ fn assert_minimum_matches_naive(
     }
     for i in 0..batched.num_rows() {
         let (hash, reservoir) = batched.row_parts(i);
-        let mut naive: BTreeSet<BitVec> = items
+        let naive: BTreeSet<BitVec> = items
             .iter()
             .map(|&x| hash.eval(&BitVec::from_u64(x, bits)))
             .collect();
-        while naive.len() > thresh {
-            naive.pop_last();
-        }
-        prop_assert_eq!(reservoir, &naive, "bits={} thresh={}", bits, thresh);
-        prop_assert_eq!(single.row_parts(i).1, &naive);
+        // The reservoir's keys are the values' words, zero-padded to three.
+        let naive: Vec<Key> = naive
+            .iter()
+            .take(thresh)
+            .map(|v| {
+                let mut key = Key::default();
+                key[..v.words().len()].copy_from_slice(v.words());
+                key
+            })
+            .collect();
+        prop_assert_eq!(reservoir, &naive[..], "bits={} thresh={}", bits, thresh);
+        prop_assert_eq!(single.row_parts(i).1, &naive[..]);
     }
     Ok(())
 }
@@ -302,7 +311,7 @@ proptest! {
 
     #[test]
     fn minimum_reservoirs_match_the_naive_reference(raw in stream(64, 400), seed in any::<u64>()) {
-        for bits in [8usize, 24, 33, 64] {
+        for bits in [8usize, 21, 22, 24, 33, 42, 43, 64] {
             // Up to 400 items: shorter than Thresh = 150 and longer, and at
             // width 8 mostly duplicates.
             let items: Vec<u64> = raw.iter().map(|x| x >> (64 - bits)).collect();
@@ -379,20 +388,20 @@ fn bucketing_process_stream_rejects_an_item_outside_the_universe() {
 // merge-compatibility precondition.
 // ---------------------------------------------------------------------------
 
-/// Builds sketch(A), sketch(B) and sketch(A ++ B) from one seed, merges the
-/// first pair both ways, and asserts full-state agreement with the third.
-fn assert_merge_matches_union(
+/// The Minimum half of [`assert_merge_matches_union`]: estimate, space and
+/// every reservoir, merged both ways.
+fn assert_minimum_merge_matches_union(
+    bits: usize,
+    thresh: usize,
     a_items: &[u64],
     b_items: &[u64],
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let config = F0Config::explicit(0.5, 0.3, 16, 3);
+    let config = F0Config::explicit(0.5, 0.3, thresh, 3);
     let union: Vec<u64> = a_items.iter().chain(b_items).copied().collect();
-
-    // MinimumF0: estimate + space (space covers the merged reservoirs).
-    let mut a = MinimumF0::new(BITS, &config, &mut rng_from(seed));
-    let mut b = MinimumF0::new(BITS, &config, &mut rng_from(seed));
-    let mut u = MinimumF0::new(BITS, &config, &mut rng_from(seed));
+    let mut a = MinimumF0::new(bits, &config, &mut rng_from(seed));
+    let mut b = MinimumF0::new(bits, &config, &mut rng_from(seed));
+    let mut u = MinimumF0::new(bits, &config, &mut rng_from(seed));
     a.process_stream(a_items);
     b.process_stream(b_items);
     u.process_stream(&union);
@@ -405,8 +414,55 @@ fn assert_merge_matches_union(
     prop_assert_eq!(ba.estimate(), u.estimate());
     prop_assert_eq!(ba.space_bits(), u.space_bits());
     for i in 0..u.num_rows() {
-        prop_assert_eq!(a.row_parts(i).1, u.row_parts(i).1);
-        prop_assert_eq!(ba.row_parts(i).1, u.row_parts(i).1);
+        let union_row = u.row_parts(i).1;
+        prop_assert_eq!(
+            a.row_parts(i).1,
+            union_row,
+            "bits={} thresh={}",
+            bits,
+            thresh
+        );
+        prop_assert_eq!(
+            ba.row_parts(i).1,
+            union_row,
+            "bits={} thresh={}",
+            bits,
+            thresh
+        );
+    }
+    Ok(())
+}
+
+/// Builds sketch(A), sketch(B) and sketch(A ++ B) from one seed, merges the
+/// first pair both ways, and asserts full-state agreement with the third.
+fn assert_merge_matches_union(
+    a_items: &[u64],
+    b_items: &[u64],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let config = F0Config::explicit(0.5, 0.3, 16, 3);
+    let union: Vec<u64> = a_items.iter().chain(b_items).copied().collect();
+
+    // MinimumF0, whose merge is a linear merge of sorted key arrays: at
+    // reservoirs of one, two and three words, short of Thresh and past it.
+    // Items are spread over each width by a fixed map, so A and B still
+    // share exactly the items they shared before.
+    for bits in [8usize, 22, 43, 64] {
+        let spread = |items: &[u64]| -> Vec<u64> {
+            items
+                .iter()
+                .map(|x| x.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits))
+                .collect()
+        };
+        for thresh in [1usize, 3, 150] {
+            assert_minimum_merge_matches_union(
+                bits,
+                thresh,
+                &spread(a_items),
+                &spread(b_items),
+                seed,
+            )?;
+        }
     }
 
     // BucketingF0: estimate + space + levels.
