@@ -21,11 +21,11 @@
 //! engine unlocked — `timed_out: true` rows record the cap at which the
 //! chronological run was abandoned, so the wall column is a floor).
 //!
-//! The large-`n` workloads (`--heavy`, run in the release heavy-tests CI
-//! step) are sized so the CDCL engine finishes in seconds-to-a-minute while
+//! The large-`n` workloads (`--heavy`, part of the CI `--check --heavy`
+//! step) are sized so the CDCL engine finishes in well under a second while
 //! the chronological engine needs minutes to forever; `findmin_cnf_n40`
 //! stays in the default set as the always-on evidence of the CDCL win
-//! (0.3 s vs 20 s).
+//! (0.03 s vs 20 s).
 
 use mcf0::counting::est_based::EstBackend;
 use mcf0::counting::{

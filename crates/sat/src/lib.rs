@@ -7,9 +7,10 @@
 //! hash constraint `h(x) = c`):
 //!
 //! * [`solver::CnfXorSolver`] — an incremental CNF-XOR **CDCL** engine:
-//!   two-watched-literal unit propagation, counter-based parity propagation
-//!   over per-variable occurrence lists, incremental Gaussian elimination,
-//!   first-UIP conflict analysis with XOR reason extraction, VSIDS-style
+//!   two-watched-literal unit propagation, complete parity propagation by
+//!   Gauss–Jordan elimination over the unassigned variables, incremental
+//!   Gaussian elimination of pushed rows, first-UIP conflict analysis with
+//!   combined XOR rows as reasons, VSIDS-style
 //!   decisions with phase saving, Luby restarts, LBD-based learned-clause
 //!   database reduction, and assumption-based XOR push/pop so hash
 //!   constraints come and go without rebuilding the solver (learned clauses

@@ -8,21 +8,22 @@
 //! from the textbook CNF version:
 //!
 //! * **XOR reasons.** When the resolved variable (or the conflict itself)
-//!   was forced by a parity row, the implied clause is extracted on the fly:
-//!   for a row `⊕ vars = parity` that forced `f`, the clause is
-//!   `lit(f) ∨ ⋁_{v ≠ f} (v ≠ value_v)` — every other variable of the row is
-//!   still assigned (it was assigned when the row fired and nothing between
-//!   then and the conflict unassigns it), so the reason literals are exactly
-//!   the negations of their current values. A fully falsified row yields the
-//!   conflict clause `⋁_v (v ≠ value_v)` the same way. Hash rows thereby
-//!   participate in clause learning like ordinary clauses.
+//!   came from Gauss–Jordan propagation, the implied clause is read off the
+//!   combined row the reason arena recorded: for a row `⊕ vars = parity`
+//!   that forced `f`, the clause is `lit(f) ∨ ⋁_{v ≠ f} (v ≠ value_v)` —
+//!   every other variable of the row is still assigned (it was assigned
+//!   when the row fired and nothing between then and the conflict unassigns
+//!   it), so the reason literals are exactly the negations of their current
+//!   values. A `0 = 1` row yields the conflict clause `⋁_v (v ≠ value_v)`
+//!   the same way. Hash rows thereby participate in clause learning like
+//!   ordinary clauses.
 //! * **Dependency folding.** Every constraint resolved on contributes its
-//!   poppable-store dependency (original clause index, unit index, XOR row
-//!   index, or — for learned clauses — their recorded deps), and skipped
-//!   level-0 literals contribute the transitive deps of their level-0
-//!   derivation (`var_deps`, computed at enqueue time). The join is stored
-//!   with the learned clause so assumption/clause pops can purge exactly the
-//!   clauses whose derivations they invalidate.
+//!   poppable-store dependency (original clause index, unit index, the
+//!   deepest XOR row of a combined row, or — for learned clauses — their
+//!   recorded deps), and skipped level-0 literals contribute the transitive
+//!   deps of their level-0 derivation (`var_deps`, computed at enqueue
+//!   time). The join is stored with the learned clause so assumption/clause
+//!   pops can purge exactly the clauses whose derivations they invalidate.
 
 use super::clausedb::Deps;
 use super::engine::{Conflict, Reason};
@@ -158,8 +159,9 @@ impl CnfXorSolver {
                     }
                 }
             }
-            Conflict::Xor(r) => {
-                for &v in &self.xors.rows[r as usize].vars {
+            Conflict::Xor(k) => {
+                for &v in self.xors.reason_vars(k) {
+                    let v = v as usize;
                     if v == resolve_var {
                         continue;
                     }

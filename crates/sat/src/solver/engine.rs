@@ -16,7 +16,8 @@ pub(super) enum Reason {
     Decision,
     /// Propagated by a clause (original or learned).
     Clause(ClauseRef),
-    /// Forced by an XOR row.
+    /// Forced by a combined XOR row (an index into the parity store's
+    /// reason arena).
     Xor(u32),
     /// Seeded from an original unit clause.
     Unit(u32),
@@ -165,6 +166,7 @@ impl CnfXorSolver {
                         .expect("an unassigned variable exists");
                     let phase = self.order.phase[var];
                     self.trail_lim.push(self.trail.len());
+                    self.xors.new_level();
                     let enqueued = self.enqueue(var, phase, Reason::Decision);
                     debug_assert!(enqueued, "decision variable was unassigned");
                 }
@@ -172,8 +174,8 @@ impl CnfXorSolver {
         }
     }
 
-    /// Seeds the level-0 queue from unit clauses, learned units, and unit
-    /// XOR rows. Returns false on an immediate contradiction.
+    /// Seeds the level-0 queue from unit clauses and learned units. Returns
+    /// false on an immediate contradiction.
     fn seed_level0(&mut self) -> bool {
         for i in 0..self.unit_lits.len() {
             let lit = self.unit_lits[i];
@@ -185,14 +187,6 @@ impl CnfXorSolver {
             let lit = self.learned_units[i].0;
             if !self.enqueue(lit.var(), lit.is_positive(), Reason::LearnedUnit(i as u32)) {
                 return false;
-            }
-        }
-        for r in 0..self.xors.rows.len() {
-            if self.xors.rows[r].vars.len() == 1 {
-                let (v, parity) = (self.xors.rows[r].vars[0], self.xors.rows[r].parity);
-                if !self.enqueue(v, parity, Reason::Xor(r as u32)) {
-                    return false;
-                }
             }
         }
         true
@@ -223,8 +217,8 @@ impl CnfXorSolver {
         }
     }
 
-    /// Assigns `var := value` with the given reason, updating the XOR
-    /// counters (and, at level 0, the variable's derivation deps). Returns
+    /// Assigns `var := value` with the given reason, updating the parity
+    /// store's masks (and, at level 0, the variable's derivation deps). Returns
     /// false if the variable already holds the opposite value.
     #[inline]
     pub(super) fn enqueue(&mut self, var: usize, value: bool, reason: Reason) -> bool {
@@ -238,12 +232,7 @@ impl CnfXorSolver {
                 self.var_level[var] = self.trail_lim.len() as u32;
                 self.reason[var] = reason;
                 self.trail.push(var);
-                for i in 0..self.xors.occ[var].len() {
-                    let r = self.xors.occ[var][i] as usize;
-                    let row = &mut self.xors.rows[r];
-                    row.unassigned -= 1;
-                    row.acc ^= value;
-                }
+                self.xors.assign(var, value);
                 true
             }
         }
@@ -262,10 +251,10 @@ impl CnfXorSolver {
                     }
                 }
             }
-            Reason::Xor(r) => {
-                for &u in &self.xors.rows[r as usize].vars {
-                    if u != var {
-                        deps.join(self.var_deps[u]);
+            Reason::Xor(k) => {
+                for &u in self.xors.reason_vars(k) {
+                    if u as usize != var {
+                        deps.join(self.var_deps[u as usize]);
                     }
                 }
             }
@@ -293,25 +282,21 @@ impl CnfXorSolver {
                     }
                 }
             }
-            Reason::Xor(r) => Deps {
-                xor: r + 1,
+            Reason::Xor(k) => Deps {
+                xor: self.xors.reason_dep(k),
                 ..Deps::default()
             },
         }
     }
 
-    /// Unassigns trail entries down to `target`, restoring XOR counters,
-    /// saving phases, and re-inserting variables into the decision heap.
+    /// Unassigns trail entries down to `target`, clearing them from the
+    /// parity masks, saving phases, and re-inserting variables into the
+    /// decision heap.
     fn cancel_to(&mut self, target: usize) {
         while self.trail.len() > target {
             let var = self.trail.pop().expect("trail is non-empty");
             let value = self.assigns[var].expect("trail variables are assigned");
-            for i in 0..self.xors.occ[var].len() {
-                let r = self.xors.occ[var][i] as usize;
-                let row = &mut self.xors.rows[r];
-                row.unassigned += 1;
-                row.acc ^= value;
-            }
+            self.xors.unassign(var);
             self.assigns[var] = None;
             self.order.phase[var] = value;
             self.order.insert(var);
@@ -325,6 +310,7 @@ impl CnfXorSolver {
         let target = self.trail_lim[level];
         self.cancel_to(target);
         self.trail_lim.truncate(level);
+        self.xors.backtrack(level);
         // Everything still on the trail was fully propagated before the
         // removed levels existed.
         self.qhead = self.trail.len();
@@ -334,43 +320,44 @@ impl CnfXorSolver {
     fn cancel_all(&mut self) {
         self.cancel_to(0);
         self.trail_lim.clear();
+        self.xors.clear_reasons();
         self.qhead = 0;
     }
 
     /// Propagates queued assignments to fixpoint over both constraint
-    /// stores, returning the first falsified constraint.
+    /// stores, returning the first falsified constraint. Clause propagation
+    /// runs to its own fixpoint first; then Gauss–Jordan elimination over
+    /// the unassigned columns finds every literal the XOR rows imply, and
+    /// anything it forces goes back through the clauses.
     pub(super) fn propagate(&mut self) -> Option<Conflict> {
+        loop {
+            if let Some(conflict) = self.propagate_clauses() {
+                return Some(conflict);
+            }
+            if let Some(k) = self.xors.propagate() {
+                return Some(Conflict::Xor(k));
+            }
+            if self.xors.forced.is_empty() {
+                return None;
+            }
+            for i in 0..self.xors.forced.len() {
+                let (var, value, k) = self.xors.forced[i];
+                self.stats.propagations += 1;
+                let enqueued = self.enqueue(var, value, Reason::Xor(k));
+                debug_assert!(enqueued, "the forced variable was unassigned");
+            }
+        }
+    }
+
+    /// Two-watched-literal unit propagation of the queued assignments,
+    /// returning the first falsified clause.
+    fn propagate_clauses(&mut self) -> Option<Conflict> {
         while self.qhead < self.trail.len() {
             let var = self.trail[self.qhead];
             self.qhead += 1;
             let value = self.assigns[var].expect("queued variables are assigned");
 
-            // Parity propagation: counters were updated at enqueue time; a
-            // row fires when this assignment left it unit or fully assigned.
-            for i in 0..self.xors.occ[var].len() {
-                let r = self.xors.occ[var][i] as usize;
-                let (unassigned, acc, parity) = {
-                    let row = &self.xors.rows[r];
-                    (row.unassigned, row.acc, row.parity)
-                };
-                if unassigned == 0 {
-                    if acc != parity {
-                        return Some(Conflict::Xor(r as u32));
-                    }
-                } else if unassigned == 1 {
-                    let forced_var = *self.xors.rows[r]
-                        .vars
-                        .iter()
-                        .find(|&&v| self.assigns[v].is_none())
-                        .expect("exactly one variable is unassigned");
-                    self.stats.propagations += 1;
-                    let enqueued = self.enqueue(forced_var, acc ^ parity, Reason::Xor(r as u32));
-                    debug_assert!(enqueued, "the forced variable was unassigned");
-                }
-            }
-
-            // Clause propagation: visit only clauses watching the literal
-            // that just became false.
+            // Visit only clauses watching the literal that just became false.
             let false_lit = if value {
                 Literal::negative(var)
             } else {
@@ -539,7 +526,7 @@ impl CnfXorSolver {
         debug_assert!(self.trail.is_empty(), "purges happen between solves");
         let orig_len = self.db.orig.len() as u32;
         let unit_len = self.unit_lits.len() as u32;
-        let row_len = self.xors.rows.len() as u32;
+        let row_len = self.xors.len() as u32;
 
         if !self.learned_units.is_empty() && !self.units_agg.valid(orig_len, unit_len, row_len) {
             let before = self.learned_units.len();
@@ -602,9 +589,8 @@ impl CnfXorSolver {
             .all(|clause| clause.iter().any(|l| l.eval(model.get(l.var()))));
         let xors_ok = self
             .xors
-            .rows
-            .iter()
-            .all(|row| row.vars.iter().fold(false, |p, &v| p ^ model.get(v)) == row.parity);
+            .rows()
+            .all(|(vars, parity)| vars.fold(false, |p, v| p ^ model.get(v)) == parity);
         units_ok && clauses_ok && xors_ok
     }
 }

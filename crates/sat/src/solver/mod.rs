@@ -9,18 +9,21 @@
 //! The engine is split across focused modules:
 //!
 //! * [`engine`](self) — the search loop: two-watched-literal clause
-//!   propagation, counter-based XOR propagation, decision/backjump/restart
-//!   driver, learned-clause installation and database reduction;
+//!   propagation to a fixpoint, then XOR propagation, decision/backjump/
+//!   restart loop, learned-clause installation and database reduction;
 //! * `analyze` — first-UIP conflict analysis. Clause *and* XOR reasons
-//!   participate: when a parity row forces a literal (or goes inconsistent),
-//!   the implied clause over the row's variables is extracted on the fly, so
-//!   hash rows contribute to clause learning like ordinary clauses;
+//!   participate: when a combination of parity rows forces a literal (or
+//!   goes inconsistent), the implied clause over the combined row's
+//!   variables is read from the reason arena, so hash rows contribute to
+//!   clause learning like ordinary clauses;
 //! * `clausedb` — the clause arena: original (truncatable) clauses plus a
 //!   learned-clause database with LBD and activity scores;
 //! * `decide` — EVSIDS-style activity heap with phase saving;
 //! * `restart` — the Luby restart sequence;
-//! * `xor` — the parity store: incremental Gaussian elimination, propagation
-//!   rows with cached counters, per-variable occurrence lists;
+//! * `xor` — the parity store: packed rows kept in echelon form as they are
+//!   pushed, and complete propagation by Gauss–Jordan elimination over the
+//!   unassigned columns at every clause fixpoint, with a per-solve arena of
+//!   combined-row reasons;
 //! * `chrono` — the previous chronological-backtracking engine, kept intact
 //!   as [`ChronoSolver`]: the differential-testing reference the parity
 //!   proptests pin the CDCL engine against.
@@ -197,7 +200,7 @@ pub struct CnfXorSolver {
     learned_units: Vec<(Literal, Deps)>,
     units_agg: Deps,
 
-    // Parity store: Gaussian rows, propagation counters, occurrence lists.
+    // Parity store: reduced rows, trail masks, reason arena.
     xors: XorStore,
 
     // Search state. The trail is empty between `solve` calls.
@@ -539,6 +542,38 @@ mod tests {
         let stats = s.stats();
         assert!(stats.decisions > 0);
         assert!(stats.propagations > 0);
+    }
+
+    #[test]
+    fn a_row_combination_refutes_without_a_decision() {
+        // Neither row is unit once x0 is false, but their sum x0 = 1 is.
+        let mut s = CnfXorSolver::new(3);
+        s.add_clause(vec![Literal::negative(0)]);
+        s.add_xor(XorConstraint::new(vec![0, 1, 2], true));
+        s.add_xor(XorConstraint::new(vec![1, 2], false));
+        assert_eq!(s.solve(), SolveOutcome::Unsat);
+        assert_eq!(s.stats().decisions, 0);
+    }
+
+    #[test]
+    fn a_row_combination_forces_a_level0_literal() {
+        // With x0 false the rows' sum x0 ⊕ x3 = 1 forces x3; the clause then
+        // forces x1 and the first row x2, so the model needs no decision.
+        let mut s = CnfXorSolver::new(4);
+        s.add_clause(vec![Literal::negative(0)]);
+        s.add_clause(vec![Literal::negative(3), Literal::positive(1)]);
+        s.add_xor(XorConstraint::new(vec![0, 1, 2], true));
+        s.add_xor(XorConstraint::new(vec![1, 2, 3], false));
+        match s.solve() {
+            SolveOutcome::Sat(m) => {
+                assert_eq!(
+                    (0..4).map(|v| m.get(v)).collect::<Vec<_>>(),
+                    [false, true, false, true]
+                );
+            }
+            SolveOutcome::Unsat => panic!("satisfiable"),
+        }
+        assert_eq!(s.stats().decisions, 0);
     }
 
     #[test]

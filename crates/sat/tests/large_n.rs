@@ -2,10 +2,10 @@
 //!
 //! These instances were infeasible (or minutes-slow) for the chronological
 //! engine — `BENCH_solver.json`'s `chrono_baseline` block records the
-//! measured walls/timeouts — and complete in seconds under CDCL. They are
-//! `#[ignore]`d out of the default debug `cargo test` and run in the release
-//! heavy-tests CI step (`cargo test --release -- --ignored`), pinning both
-//! the results and the oracle-call accounting at scale.
+//! measured walls/timeouts. Under CDCL with Gauss–Jordan XOR propagation
+//! they take about two seconds together in a debug build, so they run in
+//! the default `cargo test` and pin both the results and the oracle-call
+//! accounting at scale.
 //!
 //! The canonical workload constructors live in `mcf0_bench::large_n` (shared
 //! by `solver_bench --heavy` and the E17 experiment); this crate cannot
@@ -19,9 +19,9 @@ use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
 use mcf0_sat::{find_max_range_cnf, find_min_cnf, SatOracle, SolutionOracle};
 
 #[test]
-#[ignore = "large-n workload; run via `cargo test --release -- --ignored` (CI heavy-tests step)"]
 fn find_min_at_n40_completes_and_pins_its_accounting() {
-    // Chronological engine: 20.4 s release. CDCL: ~0.3 s.
+    // Chronological engine: 20.4 s release. CDCL: ~0.02 s release, ~0.2 s
+    // debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(5656);
     let f = random_k_cnf(&mut rng, 40, 80, 3);
     let h = ToeplitzHash::sample(&mut rng, 40, 120);
@@ -37,9 +37,9 @@ fn find_min_at_n40_completes_and_pins_its_accounting() {
 }
 
 #[test]
-#[ignore = "large-n workload; run via `cargo test --release -- --ignored` (CI heavy-tests step)"]
 fn find_max_range_at_n56_completes_and_pins_its_accounting() {
-    // Chronological engine: did not finish in 5 minutes. CDCL: ~6 s.
+    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.05 s
+    // release, ~0.3 s debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(6464);
     let f = random_k_cnf(&mut rng, 56, 112, 3);
     let h = ToeplitzHash::sample(&mut rng, 56, 56);
@@ -50,9 +50,9 @@ fn find_max_range_at_n56_completes_and_pins_its_accounting() {
 }
 
 #[test]
-#[ignore = "large-n workload; run via `cargo test --release -- --ignored` (CI heavy-tests step)"]
 fn find_min_at_n48_completes_and_pins_its_accounting() {
-    // Chronological engine: did not finish in 5 minutes. CDCL: ~18 s.
+    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.2 s
+    // release, ~1.7 s debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(5656);
     let f = random_k_cnf(&mut rng, 48, 96, 3);
     let h = ToeplitzHash::sample(&mut rng, 48, 144);

@@ -586,3 +586,46 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn partial_pops_keep_only_grounded_learned_clauses(
+        seed in any::<u64>(),
+        clauses in 8usize..32,
+        keep in 0usize..6,
+    ) {
+        // Learn under six pushed rows, pop back to the first `keep`: every
+        // clause that survives must still follow from φ ∧ rows[..keep]. XOR
+        // reasons combine several rows, so this pins their dependency
+        // bookkeeping at every prefix, not only the empty one.
+        let n = 10;
+        let mut rng = rng_from(seed);
+        let f = random_k_cnf(&mut rng, n, clauses, 3);
+        let xors: Vec<XorConstraint> = (0..6)
+            .map(|_| XorConstraint::from_row(&rng.random_bitvec(n), rng.next_bool()))
+            .collect();
+        let mut solver = CnfXorSolver::from_cnf(&f);
+        for x in &xors {
+            solver.push_assumption(x);
+        }
+        let _ = solver.enumerate(1 << n);
+        solver.pop_assumptions_to(keep);
+
+        let models: Vec<Assignment> = (0..(1u64 << n))
+            .map(|v| assignment_from_u64(v, n))
+            .filter(|a| f.eval(a) && xors[..keep].iter().all(|x| x.eval(a)))
+            .collect();
+        for clause in solver.learned_clause_lits() {
+            prop_assert!(
+                models.iter().all(|a| clause.iter().any(|l| l.eval(a.get(l.var())))),
+                "clause {:?} after popping to {}", clause, keep
+            );
+        }
+        prop_assert_eq!(
+            sorted_solutions(solver.enumerate(1 << n)),
+            sorted_solutions(models)
+        );
+    }
+}
