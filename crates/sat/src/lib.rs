@@ -8,7 +8,8 @@
 //!
 //! * [`solver::CnfXorSolver`] — an incremental CNF-XOR **CDCL** engine:
 //!   two-watched-literal unit propagation, complete parity propagation by
-//!   Gauss–Jordan elimination over the unassigned variables, incremental
+//!   incremental Gauss–Jordan elimination over the unassigned variables (a
+//!   live reduced matrix pivoted only where the trail changed), incremental
 //!   Gaussian elimination of pushed rows, first-UIP conflict analysis with
 //!   combined XOR rows as reasons, VSIDS-style
 //!   decisions with phase saving, Luby restarts, LBD-based learned-clause

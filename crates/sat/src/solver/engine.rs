@@ -100,7 +100,7 @@ impl CnfXorSolver {
         if self.has_empty || self.xors.inconsistent > 0 {
             return SolveOutcome::Unsat;
         }
-        debug_assert!(self.trail.is_empty() && self.qhead == 0);
+        debug_assert!(self.trail.is_empty() && self.qhead == 0 && self.xhead == 0);
 
         if !self.seed_level0() {
             self.cancel_all();
@@ -174,9 +174,15 @@ impl CnfXorSolver {
         }
     }
 
-    /// Seeds the level-0 queue from unit clauses and learned units. Returns
-    /// false on an immediate contradiction.
+    /// Seeds the level-0 queue from single-column XOR rows, unit clauses
+    /// and learned units. Returns false on an immediate contradiction.
     fn seed_level0(&mut self) -> bool {
+        self.xors.prepare();
+        for i in 0..self.xors.forced.len() {
+            let (var, value, k) = self.xors.forced[i];
+            let enqueued = self.enqueue(var, value, Reason::Xor(k));
+            debug_assert!(enqueued, "single-column rows have distinct columns");
+        }
         for i in 0..self.unit_lits.len() {
             let lit = self.unit_lits[i];
             if !self.enqueue(lit.var(), lit.is_positive(), Reason::Unit(i as u32)) {
@@ -314,6 +320,7 @@ impl CnfXorSolver {
         // Everything still on the trail was fully propagated before the
         // removed levels existed.
         self.qhead = self.trail.len();
+        self.xhead = self.qhead;
     }
 
     /// Unwinds the entire search state (between `solve` calls).
@@ -322,29 +329,34 @@ impl CnfXorSolver {
         self.trail_lim.clear();
         self.xors.clear_reasons();
         self.qhead = 0;
+        self.xhead = 0;
     }
 
     /// Propagates queued assignments to fixpoint over both constraint
     /// stores, returning the first falsified constraint. Clause propagation
-    /// runs to its own fixpoint first; then Gauss–Jordan elimination over
-    /// the unassigned columns finds every literal the XOR rows imply, and
-    /// anything it forces goes back through the clauses.
+    /// runs to its own fixpoint first; then the live XOR rows take in the
+    /// trail entries from `xhead` on and find every literal the rows imply,
+    /// and anything they force goes back through the clauses.
     pub(super) fn propagate(&mut self) -> Option<Conflict> {
         loop {
             if let Some(conflict) = self.propagate_clauses() {
                 return Some(conflict);
             }
-            if let Some(k) = self.xors.propagate() {
-                return Some(Conflict::Xor(k));
-            }
-            if self.xors.forced.is_empty() {
-                return None;
-            }
+            let conflict = self.xors.propagate(&self.trail[self.xhead..]);
+            self.xhead = self.trail.len();
+            // Forced literals are enqueued even before a conflict: the
+            // conflict row may use them.
             for i in 0..self.xors.forced.len() {
                 let (var, value, k) = self.xors.forced[i];
                 self.stats.propagations += 1;
                 let enqueued = self.enqueue(var, value, Reason::Xor(k));
                 debug_assert!(enqueued, "the forced variable was unassigned");
+            }
+            if let Some(k) = conflict {
+                return Some(Conflict::Xor(k));
+            }
+            if self.xors.forced.is_empty() {
+                return None;
             }
         }
     }

@@ -21,9 +21,11 @@
 //! * `decide` — EVSIDS-style activity heap with phase saving;
 //! * `restart` — the Luby restart sequence;
 //! * `xor` — the parity store: packed rows kept in echelon form as they are
-//!   pushed, and complete propagation by Gauss–Jordan elimination over the
-//!   unassigned columns at every clause fixpoint, with a per-solve arena of
-//!   combined-row reasons;
+//!   pushed, and complete propagation over a live fully reduced copy of
+//!   them, in which each row has a basic column of its own and a watched
+//!   column; every clause fixpoint pivots only the rows whose basic or watch
+//!   was just assigned, and a per-solve arena keeps the live rows that
+//!   served as reasons;
 //! * `chrono` — the previous chronological-backtracking engine, kept intact
 //!   as [`ChronoSolver`]: the differential-testing reference the parity
 //!   proptests pin the CDCL engine against.
@@ -211,6 +213,9 @@ pub struct CnfXorSolver {
     trail: Vec<usize>,
     trail_lim: Vec<usize>,
     qhead: usize,
+    /// Trail position up to which the parity store has taken in the
+    /// assignments.
+    xhead: usize,
     order: VarOrder,
 
     // Conflict-analysis scratch buffers.
@@ -239,6 +244,7 @@ impl CnfXorSolver {
             trail: Vec::new(),
             trail_lim: Vec::new(),
             qhead: 0,
+            xhead: 0,
             order: VarOrder::new(num_vars),
             seen: vec![false; num_vars],
             to_clear: Vec::new(),

@@ -1,6 +1,7 @@
 //! The parity store: XOR rows as packed `u64` words, kept in echelon form by
-//! incremental Gaussian elimination, and Gauss–Jordan propagation over the
-//! columns the search has not assigned yet.
+//! incremental Gaussian elimination, and a live fully reduced copy of them
+//! that propagates incrementally over the columns the search has not
+//! assigned yet.
 //!
 //! Identical discipline to the chronological engine at insertion: every
 //! added constraint is forward-reduced against the existing pivot rows once;
@@ -8,19 +9,36 @@
 //! appended, so popping assumptions is a truncation.
 //!
 //! During search the store keeps two bitmasks in step with the trail
-//! (`assigned`, and `truth` for the variables assigned true). At every
-//! clause-propagation fixpoint [`XorStore::propagate`] copies the rows and
-//! eliminates them over the unassigned columns, folding each row's assigned
-//! part into its right-hand side as `popcount(row & truth)`. In the reduced
-//! system a `0 = 1` row is a conflict and a single-column row forces its
-//! variable, and that is *complete*: a literal is implied by the active rows
-//! under the current assignment exactly when some reduced row is that one
-//! column. Each forced literal or conflict records the variables of its
-//! combined row in a reason arena, which conflict analysis reads as an
-//! implied clause; the arena lives for one `solve` and shrinks with
-//! backtracking.
+//! (`assigned`, and `truth` for the variables assigned true) and works on
+//! the *live* rows: the same system in fully reduced form, where each row
+//! has a *basic* column set in that row only and one *watched* non-basic
+//! column. A `solve` that starts after a row was pushed or popped rebuilds
+//! them by back-substitution; otherwise they change only by pivots. At
+//! every clause-propagation fixpoint [`XorStore::propagate`] visits the
+//! variables assigned since the last one:
+//!
+//! * a row whose basic was assigned pivots onto another unassigned column,
+//!   clearing it from every other row; with one unassigned column left it
+//!   forces that column, and with none it is satisfied or `0 = 1`;
+//! * a row whose watch was assigned moves the watch to another unassigned
+//!   non-basic column; with none left it forces its basic, or is satisfied
+//!   or `0 = 1`.
+//!
+//! At the fixpoint every row is fully assigned or has an unassigned basic
+//! and an unassigned watch. A basic column appears in no other row, so a
+//! combination of rows is unit or `0 = 1` only if a single row is: the
+//! propagation is *complete*, and a literal is implied by the active rows
+//! under the current assignment exactly when some live row forces it.
+//! Backtracking undoes nothing in the matrix, since any reduced form of the
+//! same rows is valid; it only moves the watches that are still assigned.
+//! Each forced literal or conflict records the variables of its live row in
+//! a reason arena, which conflict analysis reads as an implied clause; the
+//! arena lives for one `solve` and shrinks with backtracking.
 
 use super::{CnfXorSolver, XorConstraint};
+
+/// "No row" / "no column" in the `u32` index tables.
+const NONE: u32 = u32::MAX;
 
 /// Undo record for one pushed XOR constraint (assumption or permanent).
 #[derive(Clone, Copy, Debug)]
@@ -33,8 +51,8 @@ pub(super) enum XorUndo {
     Redundant,
 }
 
-/// One entry of the reason arena: a combined row that forced a literal or
-/// went `0 = 1`.
+/// One entry of the reason arena: a live row that forced a literal or went
+/// `0 = 1`.
 #[derive(Clone, Copy, Debug)]
 struct XorReason {
     /// End of its variables in `reason_vars` (the start is the previous
@@ -63,6 +81,24 @@ pub(super) struct XorStore {
     /// Undo records for pushed assumptions.
     pub undo: Vec<XorUndo>,
 
+    /// The live rows: the system of `words` in fully reduced form, `width`
+    /// words each.
+    live: Vec<u64>,
+    /// Per live row: right-hand side, `max(contributing row) + 1`, basic
+    /// column, and watched column (`NONE` while the row has no unassigned
+    /// non-basic column).
+    live_parity: Vec<bool>,
+    live_dep: Vec<u32>,
+    basic: Vec<u32>,
+    watch: Vec<u32>,
+    /// Per variable: the live row it is basic in (`NONE` if none), and the
+    /// rows that watch it. An entry whose row has moved its watch elsewhere
+    /// is dropped when the variable is next visited.
+    basic_row: Vec<u32>,
+    watchers: Vec<Vec<u32>>,
+    /// A row was pushed or popped since the live rows were built.
+    stale: bool,
+
     /// The assigned variables, and those assigned true, in step with the
     /// trail (both zero between solves).
     assigned: Vec<u64>,
@@ -72,12 +108,8 @@ pub(super) struct XorStore {
     reason_vars: Vec<u32>,
     reasons: Vec<XorReason>,
     reason_lim: Vec<usize>,
-    /// Elimination workspace: a copy of the rows, with each row's right-hand
-    /// side and `max(contributing row) + 1`.
-    work: Vec<u64>,
-    work_rhs: Vec<(bool, u32)>,
     /// `(variable, value, reason)` for each literal the last
-    /// [`XorStore::propagate`] forced.
+    /// [`XorStore::prepare`] or [`XorStore::propagate`] forced, in order.
     pub forced: Vec<(usize, bool, u32)>,
 }
 
@@ -91,13 +123,19 @@ impl XorStore {
             pivot: Vec::new(),
             inconsistent: 0,
             undo: Vec::new(),
+            live: Vec::new(),
+            live_parity: Vec::new(),
+            live_dep: Vec::new(),
+            basic: Vec::new(),
+            watch: Vec::new(),
+            basic_row: vec![NONE; num_vars],
+            watchers: vec![Vec::new(); num_vars],
+            stale: false,
             assigned: vec![0; width],
             truth: vec![0; width],
             reason_vars: Vec::new(),
             reasons: Vec::new(),
             reason_lim: Vec::new(),
-            work: Vec::new(),
-            work_rhs: Vec::new(),
             forced: Vec::new(),
         }
     }
@@ -131,7 +169,7 @@ impl XorStore {
         // earlier rows, so one pass in insertion order fully clears the new
         // row's bits at every existing pivot.
         for (i, &p) in self.pivot.iter().enumerate() {
-            if row[p / 64] >> (p % 64) & 1 == 1 {
+            if bit(&row, p) {
                 for (a, b) in row.iter_mut().zip(&self.words[i * w..(i + 1) * w]) {
                     *a ^= b;
                 }
@@ -148,6 +186,7 @@ impl XorStore {
                 self.words.extend_from_slice(&row);
                 self.parity.push(parity);
                 self.pivot.push(pivot);
+                self.stale = true;
                 XorUndo::AddedRow
             }
         }
@@ -163,6 +202,7 @@ impl XorStore {
                     self.parity.pop();
                     self.pivot.pop();
                     self.words.truncate(self.parity.len() * self.width);
+                    self.stale = true;
                 }
             }
         }
@@ -191,13 +231,16 @@ impl XorStore {
         self.reason_lim.push(self.reasons.len());
     }
 
-    /// Drops the reasons recorded above decision level `level`.
+    /// Drops the reasons recorded above decision level `level` and gives
+    /// every row whose watch is still assigned an unassigned one (the trail
+    /// is already cut back).
     pub fn backtrack(&mut self, level: usize) {
         let len = self.reason_lim[level];
         self.reason_lim.truncate(level);
         self.reasons.truncate(len);
         self.reason_vars
             .truncate(self.reasons.last().map_or(0, |r| r.end as usize));
+        self.rewatch();
     }
 
     /// Empties the reason arena (the trail is empty).
@@ -207,7 +250,7 @@ impl XorStore {
         self.reason_vars.clear();
     }
 
-    /// The variables of reason `k`'s combined row.
+    /// The variables of reason `k`'s row.
     pub fn reason_vars(&self, k: u32) -> &[u32] {
         let start = match k {
             0 => 0,
@@ -221,91 +264,284 @@ impl XorStore {
         self.reasons[k as usize].dep
     }
 
-    /// Gauss–Jordan elimination of the rows over the unassigned columns.
-    /// Returns the reason index of a `0 = 1` combined row; otherwise fills
-    /// [`Self::forced`] with every literal the rows imply under the current
-    /// assignment.
-    pub fn propagate(&mut self) -> Option<u32> {
+    /// Readies the live rows for a search (the trail is empty): rebuilds
+    /// them if a row was pushed or popped since the last build, and watches
+    /// a non-basic column in every row. A single-column row has none; it
+    /// forces its variable, which [`Self::forced`] then holds.
+    pub fn prepare(&mut self) {
+        if self.stale {
+            self.rebuild();
+        }
         self.forced.clear();
-        self.work.clear();
-        self.work_rhs.clear();
+        self.rewatch();
+        for r in 0..self.len() {
+            if self.watch[r] == NONE {
+                self.force(r, self.basic[r] as usize);
+            }
+        }
+    }
+
+    /// Copies the echelon rows into the live rows and fully reduces them by
+    /// back-substitution: each row is already zero at the pivots of earlier
+    /// rows, so clearing every pivot from the rows above it, last row first,
+    /// leaves each pivot in its own row only.
+    fn rebuild(&mut self) {
+        let (m, w) = (self.len(), self.width);
+        self.live.clone_from(&self.words);
+        self.live_parity.clone_from(&self.parity);
+        self.live_dep.clear();
+        self.live_dep.extend(1..=m as u32);
+        for i in (0..m).rev() {
+            for j in 0..i {
+                if bit(&self.live[j * w..(j + 1) * w], self.pivot[i]) {
+                    self.add_row(j, i);
+                }
+            }
+        }
+        self.basic.clear();
+        self.basic.extend(self.pivot.iter().map(|&p| p as u32));
+        self.watch.clear();
+        self.watch.resize(m, NONE);
+        self.basic_row.fill(NONE);
+        for (r, &b) in self.basic.iter().enumerate() {
+            self.basic_row[b as usize] = r as u32;
+        }
+        for list in &mut self.watchers {
+            list.clear();
+        }
+        self.stale = false;
+    }
+
+    /// Gives every row with an unassigned basic and no unassigned watch an
+    /// unassigned non-basic column to watch, if it has one. A row with an
+    /// assigned basic is fully assigned here.
+    fn rewatch(&mut self) {
         let w = self.width;
-        // Copy the rows that still have an unassigned column, with the
-        // assigned part folded into the right-hand side. A fully assigned
-        // row cannot take part in elimination: it is satisfied, or `0 = 1`.
-        for r in 0..self.parity.len() {
-            let row = &self.words[r * w..(r + 1) * w];
-            let rhs = self.parity[r] ^ odd_ones(row, &self.truth);
-            self.work.extend_from_slice(row);
-            self.work_rhs.push((rhs, r as u32 + 1));
-            if first_open(row, &self.assigned).is_none() {
-                if rhs {
-                    return Some(self.record(self.work_rhs.len() - 1));
-                }
-                self.work.truncate(self.work.len() - w);
-                self.work_rhs.pop();
-            }
-        }
-
-        // Gauss–Jordan: each row in turn takes its first unassigned column
-        // as pivot and clears it from every other row. A row whose
-        // unassigned part cancelled out on the way is `0 = 0` or `0 = 1`.
-        for r in 0..self.work_rhs.len() {
-            let Some(col) = first_open(&self.work[r * w..(r + 1) * w], &self.assigned) else {
-                if self.work_rhs[r].0 {
-                    return Some(self.record(r));
-                }
+        for r in 0..self.len() {
+            let (b, watch) = (self.basic[r] as usize, self.watch[r]);
+            if bit(&self.assigned, b) || (watch != NONE && !bit(&self.assigned, watch as usize)) {
                 continue;
-            };
-            let (word, bit) = (col / 64, 1u64 << (col % 64));
-            let (head, rest) = self.work.split_at_mut(r * w);
-            let (pivot, tail) = rest.split_at_mut(w);
-            let (rhs_head, rhs_rest) = self.work_rhs.split_at_mut(r);
-            let ((rhs, dep), rhs_tail) = rhs_rest.split_first_mut().expect("row r is live");
-            let others = head
-                .chunks_exact_mut(w)
-                .zip(rhs_head)
-                .chain(tail.chunks_exact_mut(w).zip(rhs_tail));
-            for (row, other) in others {
-                if row[word] & bit != 0 {
-                    for (a, b) in row.iter_mut().zip(&*pivot) {
-                        *a ^= b;
-                    }
-                    *other = (other.0 ^ *rhs, other.1.max(*dep));
-                }
+            }
+            let row = &self.live[r * w..(r + 1) * w];
+            match first_open_except(row, &self.assigned, b) {
+                Some(u) => self.set_watch(r, u),
+                None => self.watch[r] = NONE,
             }
         }
+    }
 
-        // Every pivot column now sits in one row only, so a row whose
-        // unassigned part is a single column forces it.
-        for r in 0..self.work_rhs.len() {
-            let row = &self.work[r * w..(r + 1) * w];
-            let open: u32 = row
-                .iter()
-                .zip(&self.assigned)
-                .map(|(a, b)| (a & !b).count_ones())
-                .sum();
-            if open == 1 {
-                let var = first_open(row, &self.assigned).expect("one column is open");
-                let value = self.work_rhs[r].0;
-                let k = self.record(r);
-                self.forced.push((var, value, k));
+    /// Visits the variables assigned since the last fixpoint (`pending`,
+    /// in trail order) and restores the live rows around them. Returns the
+    /// reason index of a `0 = 1` row. [`Self::forced`] holds every literal
+    /// forced on the way, in order and already in the masks; enqueue them
+    /// even when a conflict is returned, since the conflict row may use
+    /// them.
+    pub fn propagate(&mut self, pending: &[usize]) -> Option<u32> {
+        self.forced.clear();
+        for &var in pending {
+            if let Some(k) = self.visit_basic(var).or_else(|| self.visit_watchers(var)) {
+                return Some(k);
+            }
+        }
+        #[cfg(debug_assertions)]
+        if self.forced.is_empty() {
+            self.assert_fixpoint();
+        }
+        None
+    }
+
+    /// The row whose basic `var` is, now that `var` is assigned: pivot onto
+    /// an unassigned column other than the watch, force the only one, or
+    /// check the row.
+    fn visit_basic(&mut self, var: usize) -> Option<u32> {
+        let r = self.basic_row[var];
+        if r == NONE {
+            return None;
+        }
+        let (r, w) = (r as usize, self.width);
+        let row = &self.live[r * w..(r + 1) * w];
+        match open_count(row, &self.assigned) {
+            0 => self.check(r),
+            1 => {
+                let u = first_open_except(row, &self.assigned, NONE as usize)
+                    .expect("one column is open");
+                self.force(r, u);
+                None
+            }
+            _ => {
+                let c = first_open_except(row, &self.assigned, self.watch[r] as usize)
+                    .expect("two columns are open");
+                self.pivot(r, c)
+            }
+        }
+    }
+
+    /// The rows watching `var`, now that `var` is assigned: move the watch
+    /// to another unassigned non-basic column, or force the basic, or check
+    /// the row.
+    fn visit_watchers(&mut self, var: usize) -> Option<u32> {
+        let w = self.width;
+        let mut i = 0;
+        while i < self.watchers[var].len() {
+            let r = self.watchers[var][i] as usize;
+            if self.watch[r] != var as u32 {
+                self.watchers[var].swap_remove(i);
+                continue;
+            }
+            let b = self.basic[r] as usize;
+            match first_open_except(&self.live[r * w..(r + 1) * w], &self.assigned, b) {
+                Some(u) => {
+                    self.watchers[var].swap_remove(i);
+                    self.set_watch(r, u);
+                }
+                None => {
+                    i += 1;
+                    if !bit(&self.assigned, b) {
+                        self.force(r, b);
+                    } else if let Some(k) = self.check(r) {
+                        return Some(k);
+                    }
+                }
             }
         }
         None
     }
 
-    /// Appends working row `r` to the reason arena.
+    /// Makes the unassigned column `c` the basic of row `r`, whose basic was
+    /// just assigned, and clears `c` from every other row. A row that loses
+    /// its watch on the way watches another unassigned non-basic column or,
+    /// with none left, forces its basic or is checked. Every row is cleared
+    /// before a conflict is returned, so each basic stays in one row.
+    fn pivot(&mut self, r: usize, c: usize) -> Option<u32> {
+        let w = self.width;
+        self.basic_row[self.basic[r] as usize] = NONE;
+        self.basic[r] = c as u32;
+        self.basic_row[c] = r as u32;
+        let mut conflict = None;
+        for s in 0..self.len() {
+            if s == r || !bit(&self.live[s * w..(s + 1) * w], c) {
+                continue;
+            }
+            self.add_row(s, r);
+            let row = &self.live[s * w..(s + 1) * w];
+            let watch = self.watch[s];
+            if watch != NONE && bit(row, watch as usize) {
+                continue;
+            }
+            let b = self.basic[s] as usize;
+            match first_open_except(row, &self.assigned, b) {
+                Some(u) => self.set_watch(s, u),
+                None => {
+                    self.watch[s] = NONE;
+                    if !bit(&self.assigned, b) {
+                        self.force(s, b);
+                    } else if conflict.is_none() {
+                        conflict = self.check(s);
+                    }
+                }
+            }
+        }
+        let watch = self.watch[r];
+        if watch == NONE || bit(&self.assigned, watch as usize) {
+            let row = &self.live[r * w..(r + 1) * w];
+            let u = first_open_except(row, &self.assigned, c).expect("two columns were open");
+            self.set_watch(r, u);
+        }
+        conflict
+    }
+
+    /// Adds live row `src` into live row `dst`.
+    fn add_row(&mut self, dst: usize, src: usize) {
+        let w = self.width;
+        for k in 0..w {
+            self.live[dst * w + k] ^= self.live[src * w + k];
+        }
+        self.live_parity[dst] ^= self.live_parity[src];
+        self.live_dep[dst] = self.live_dep[dst].max(self.live_dep[src]);
+    }
+
+    /// Watches column `u` of row `r`.
+    fn set_watch(&mut self, r: usize, u: usize) {
+        self.watch[r] = u as u32;
+        self.watchers[u].push(r as u32);
+    }
+
+    /// Assigns `var`, the one unassigned column of row `r`, the value the
+    /// row gives it, and queues it in [`Self::forced`].
+    fn force(&mut self, r: usize, var: usize) {
+        let w = self.width;
+        let value = self.live_parity[r] ^ odd_ones(&self.live[r * w..(r + 1) * w], &self.truth);
+        let k = self.record(r);
+        self.assign(var, value);
+        self.forced.push((var, value, k));
+    }
+
+    /// The reason index of row `r` if, with every column assigned, it is
+    /// `0 = 1`.
+    fn check(&mut self, r: usize) -> Option<u32> {
+        let w = self.width;
+        let odd = self.live_parity[r] ^ odd_ones(&self.live[r * w..(r + 1) * w], &self.truth);
+        odd.then(|| self.record(r))
+    }
+
+    /// Appends live row `r` to the reason arena.
     fn record(&mut self, r: usize) -> u32 {
         let w = self.width;
         self.reason_vars
-            .extend(ones(&self.work[r * w..(r + 1) * w]).map(|v| v as u32));
+            .extend(ones(&self.live[r * w..(r + 1) * w]).map(|v| v as u32));
         self.reasons.push(XorReason {
             end: self.reason_vars.len() as u32,
-            dep: self.work_rhs[r].1,
+            dep: self.live_dep[r],
         });
         self.reasons.len() as u32 - 1
     }
+
+    /// The shape propagation keeps at a conflict-free fixpoint: each basic
+    /// column is set in its own row only, no row has exactly one unassigned
+    /// column, a fully assigned row has even parity, and any other row has
+    /// an unassigned basic and watches another unassigned column.
+    #[cfg(debug_assertions)]
+    fn assert_fixpoint(&self) {
+        let w = self.width;
+        let mut basics = vec![0u64; w];
+        for &b in &self.basic {
+            basics[b as usize / 64] |= 1 << (b % 64);
+        }
+        for r in 0..self.len() {
+            let row = &self.live[r * w..(r + 1) * w];
+            let b = self.basic[r] as usize;
+            assert_eq!(self.basic_row[b], r as u32, "basic of row {r}");
+            for (k, (a, m)) in row.iter().zip(&basics).enumerate() {
+                let own = if k == b / 64 { 1 << (b % 64) } else { 0 };
+                assert_eq!(a & m, own, "row {r} holds another row's basic");
+            }
+            match open_count(row, &self.assigned) {
+                0 => assert!(
+                    self.live_parity[r] == odd_ones(row, &self.truth),
+                    "row {r} is 0 = 1 at a fixpoint"
+                ),
+                1 => panic!("row {r} is unit at a fixpoint"),
+                _ => {
+                    let watch = self.watch[r] as usize;
+                    assert!(!bit(&self.assigned, b), "row {r} has an assigned basic");
+                    assert!(
+                        self.watch[r] != NONE
+                            && watch != b
+                            && bit(row, watch)
+                            && !bit(&self.assigned, watch)
+                            && self.watchers[watch].contains(&(r as u32)),
+                        "row {r} has no unassigned watch"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Whether bit `v` of a packed row is set.
+#[inline]
+fn bit(row: &[u64], v: usize) -> bool {
+    row[v / 64] >> (v % 64) & 1 == 1
 }
 
 /// The set bits of a packed row, ascending.
@@ -337,14 +573,27 @@ fn odd_ones(row: &[u64], truth: &[u64]) -> bool {
         == 1
 }
 
-/// The lowest set bit of `row & !assigned`.
+/// Number of set bits of `row & !assigned`.
 #[inline]
-fn first_open(row: &[u64], assigned: &[u64]) -> Option<usize> {
+fn open_count(row: &[u64], assigned: &[u64]) -> u32 {
+    row.iter()
+        .zip(assigned)
+        .map(|(a, b)| (a & !b).count_ones())
+        .sum()
+}
+
+/// The lowest set bit of `row & !assigned` other than `skip` (pass an
+/// out-of-range `skip` to skip nothing).
+#[inline]
+fn first_open_except(row: &[u64], assigned: &[u64], skip: usize) -> Option<usize> {
     row.iter()
         .zip(assigned)
         .enumerate()
         .find_map(|(k, (a, b))| {
-            let open = a & !b;
+            let mut open = a & !b;
+            if k == skip / 64 {
+                open &= !(1 << (skip % 64));
+            }
             (open != 0).then(|| 64 * k + open.trailing_zeros() as usize)
         })
 }

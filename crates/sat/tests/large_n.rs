@@ -2,10 +2,10 @@
 //!
 //! These instances were infeasible (or minutes-slow) for the chronological
 //! engine — `BENCH_solver.json`'s `chrono_baseline` block records the
-//! measured walls/timeouts. Under CDCL with Gauss–Jordan XOR propagation
-//! they take about two seconds together in a debug build, so they run in
-//! the default `cargo test` and pin both the results and the oracle-call
-//! accounting at scale.
+//! measured walls/timeouts. Under CDCL with incremental Gauss–Jordan XOR
+//! propagation they take under a second together in a debug build, so they
+//! run in the default `cargo test` and pin both the results and the
+//! oracle-call accounting at scale.
 //!
 //! The canonical workload constructors live in `mcf0_bench::large_n` (shared
 //! by `solver_bench --heavy` and the E17 experiment); this crate cannot
@@ -20,7 +20,7 @@ use mcf0_sat::{find_max_range_cnf, find_min_cnf, SatOracle, SolutionOracle};
 
 #[test]
 fn find_min_at_n40_completes_and_pins_its_accounting() {
-    // Chronological engine: 20.4 s release. CDCL: ~0.02 s release, ~0.2 s
+    // Chronological engine: 20.4 s release. CDCL: ~0.01 s release, ~0.1 s
     // debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(5656);
     let f = random_k_cnf(&mut rng, 40, 80, 3);
@@ -38,8 +38,8 @@ fn find_min_at_n40_completes_and_pins_its_accounting() {
 
 #[test]
 fn find_max_range_at_n56_completes_and_pins_its_accounting() {
-    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.05 s
-    // release, ~0.3 s debug.
+    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.01 s
+    // release, ~0.07 s debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(6464);
     let f = random_k_cnf(&mut rng, 56, 112, 3);
     let h = ToeplitzHash::sample(&mut rng, 56, 56);
@@ -51,8 +51,8 @@ fn find_max_range_at_n56_completes_and_pins_its_accounting() {
 
 #[test]
 fn find_min_at_n48_completes_and_pins_its_accounting() {
-    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.2 s
-    // release, ~1.7 s debug.
+    // Chronological engine: did not finish in 5 minutes. CDCL: ~0.07 s
+    // release, ~0.7 s debug.
     let mut rng = Xoshiro256StarStar::seed_from_u64(5656);
     let f = random_k_cnf(&mut rng, 48, 96, 3);
     let h = ToeplitzHash::sample(&mut rng, 48, 144);
