@@ -66,6 +66,7 @@ fn main() {
         ("e15", e15_delphic_vs_hashing),
         ("e16", e16_applications),
         ("e17", e17_large_n_cnf),
+        ("e18", e18_approxmc_contract),
     ];
 
     for (id, runner) in experiments {
@@ -967,5 +968,44 @@ fn e16_applications() -> Vec<ExperimentRow> {
         )
         .with_metric("f0_estimate", estimate.f0),
     );
+    rows
+}
+
+/// E18 — the (ε, δ) contract as a statistic, ApproxMC half: the observed
+/// failure rate `|est − C| > ε·C` over seeded trials at the paper's
+/// `Thresh` and `t`, with its one-sided 99 % Clopper–Pearson upper bound
+/// (which `crates/bench/tests/contract.rs` gates at δ) and the worst
+/// relative error seen, which says how conservative `Thresh` and `t` are.
+fn e18_approxmc_contract() -> Vec<ExperimentRow> {
+    use mcf0_bench::contract::{approxmc_trials, cnf_inputs, dnf_inputs, fewest_trials, GRID};
+    type Inputs = fn(usize) -> Vec<(FormulaInput, f64)>;
+
+    let mut rows = Vec::new();
+    for (family, inputs) in [
+        ("DNF n=12", dnf_inputs as Inputs),
+        ("3-CNF n=14", cnf_inputs as Inputs),
+    ] {
+        for (epsilon, delta) in GRID {
+            let config = CountingConfig::paper(epsilon, delta);
+            let trials = fewest_trials(delta);
+            let result = approxmc_trials(&inputs(config.thresh), epsilon, delta, trials);
+            rows.push(
+                ExperimentRow::new(
+                    "E18",
+                    format!(
+                        "{family}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
+                        config.thresh, config.rows
+                    ),
+                    &format!(
+                        "ApproxMC failure rate (99% upper bound {:.3})",
+                        result.upper_bound()
+                    ),
+                    None,
+                    result.rate(),
+                )
+                .with_metric("worst_error_pct", 100.0 * result.worst_error),
+            );
+        }
+    }
     rows
 }

@@ -171,6 +171,160 @@ pub mod large_n {
     }
 }
 
+/// E18: the paper's (ε, δ) contract checked as a statistic. Each trial runs
+/// a counter with `CountingConfig::paper(ε, δ)` on fresh hash draws and
+/// fails when `|est − C| > ε·C` for the exact count `C`. The contract holds
+/// on a grid cell when the one-sided 99 % Clopper–Pearson upper bound on
+/// the failure rate is at most δ. `crates/bench/tests/contract.rs` gates it
+/// and the `experiments` harness prints it.
+pub mod contract {
+    use mcf0::counting::{approx_mc, CountingConfig, FormulaInput, LevelSearch};
+    use mcf0::formula::exact::{count_cnf_dpll, count_dnf_exact};
+    use mcf0::formula::generators::{random_dnf, random_k_cnf};
+    use mcf0::hashing::Xoshiro256StarStar;
+
+    /// The (ε, δ) grid of the ApproxMC half.
+    pub const GRID: [(f64, f64); 4] = [(0.8, 0.2), (0.8, 0.1), (0.5, 0.2), (0.5, 0.1)];
+
+    /// The confidence of the gate's upper bound.
+    pub const CONFIDENCE: f64 = 0.99;
+
+    /// Failures out of trials on one grid cell.
+    #[derive(Clone, Copy, Debug)]
+    pub struct Trials {
+        /// Relative error target ε.
+        pub epsilon: f64,
+        /// Failure probability target δ.
+        pub delta: f64,
+        /// Trials run.
+        pub trials: usize,
+        /// Trials with `|est − C| > ε·C`.
+        pub failures: usize,
+        /// The largest `|est − C| / C` over the trials.
+        pub worst_error: f64,
+    }
+
+    impl Trials {
+        /// The observed failure rate.
+        pub fn rate(&self) -> f64 {
+            self.failures as f64 / self.trials as f64
+        }
+
+        /// The one-sided Clopper–Pearson upper bound on the failure rate at
+        /// [`CONFIDENCE`].
+        pub fn upper_bound(&self) -> f64 {
+            clopper_pearson_upper(self.failures, self.trials, CONFIDENCE)
+        }
+
+        /// Whether the contract holds: the upper bound is at most δ.
+        pub fn holds(&self) -> bool {
+            self.upper_bound() <= self.delta
+        }
+    }
+
+    /// The fewest trials that can pass at this δ: the smallest `N` whose
+    /// zero-failure upper bound is at most δ.
+    pub fn fewest_trials(delta: f64) -> usize {
+        (1..)
+            .find(|&n| clopper_pearson_upper(0, n, CONFIDENCE) <= delta)
+            .expect("some trial count reaches any δ > 0")
+    }
+
+    /// The largest `p` with `P[Bin(trials, p) ≤ failures] ≥ 1 − confidence`,
+    /// found by bisection on the binomial CDF.
+    pub fn clopper_pearson_upper(failures: usize, trials: usize, confidence: f64) -> f64 {
+        assert!(failures <= trials && trials > 0);
+        if failures == trials {
+            return 1.0;
+        }
+        let (mut lo, mut hi) = (failures as f64 / trials as f64, 1.0);
+        for _ in 0..100 {
+            let mid = (lo + hi) / 2.0;
+            if binomial_cdf(failures, trials, mid) > 1.0 - confidence {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        hi
+    }
+
+    /// `P[Bin(n, p) ≤ k]`, summed in log space so no term underflows early.
+    fn binomial_cdf(k: usize, n: usize, p: f64) -> f64 {
+        let (lp, lq) = (p.ln(), (-p).ln_1p());
+        let mut ln_choose = 0.0;
+        let mut total = 0.0;
+        for i in 0..=k {
+            if i > 0 {
+                ln_choose += ((n - i + 1) as f64).ln() - (i as f64).ln();
+            }
+            total += (ln_choose + i as f64 * lp + (n - i) as f64 * lq).exp();
+        }
+        total
+    }
+
+    /// Three random DNFs over 12 variables whose exact counts lie in
+    /// `[Thresh, 2·Thresh)`, so level 0 always overflows and every estimate
+    /// comes from a hashed cell: the first such formulas of a fixed seed.
+    pub fn dnf_inputs(thresh: usize) -> Vec<(FormulaInput, f64)> {
+        inputs_in_range(thresh, |rng| {
+            let terms = 2 + rng.gen_range(6) as usize;
+            let f = random_dnf(rng, 12, terms, (3, 7));
+            let exact = count_dnf_exact(&f) as f64;
+            (FormulaInput::Dnf(f), exact)
+        })
+    }
+
+    /// Three random 3-CNFs over 14 variables whose exact counts lie in
+    /// `[Thresh, 2·Thresh)`, drawn like [`dnf_inputs`].
+    pub fn cnf_inputs(thresh: usize) -> Vec<(FormulaInput, f64)> {
+        inputs_in_range(thresh, |rng| {
+            let clauses = 8 + rng.gen_range(16) as usize;
+            let f = random_k_cnf(rng, 14, clauses, 3);
+            let exact = count_cnf_dpll(&f) as f64;
+            (FormulaInput::Cnf(f), exact)
+        })
+    }
+
+    fn inputs_in_range(
+        thresh: usize,
+        mut draw: impl FnMut(&mut Xoshiro256StarStar) -> (FormulaInput, f64),
+    ) -> Vec<(FormulaInput, f64)> {
+        let range = thresh as f64..2.0 * thresh as f64;
+        let mut rng = Xoshiro256StarStar::seed_from_u64(1800);
+        std::iter::repeat_with(|| draw(&mut rng))
+            .filter(|(_, exact)| range.contains(exact))
+            .take(3)
+            .collect()
+    }
+
+    /// `trials` ApproxMC runs (galloping search) at `CountingConfig::paper(ε, δ)`,
+    /// cycling through `inputs`, each on hash draws of its own seed.
+    pub fn approxmc_trials(
+        inputs: &[(FormulaInput, f64)],
+        epsilon: f64,
+        delta: f64,
+        trials: usize,
+    ) -> Trials {
+        let config = CountingConfig::paper(epsilon, delta);
+        let errors: Vec<f64> = (0..trials)
+            .map(|trial| {
+                let (input, exact) = &inputs[trial % inputs.len()];
+                let mut rng = Xoshiro256StarStar::seed_from_u64(18_000 + trial as u64);
+                let estimate = approx_mc(input, &config, LevelSearch::Galloping, &mut rng).estimate;
+                (estimate - exact).abs() / exact
+            })
+            .collect();
+        Trials {
+            epsilon,
+            delta,
+            trials,
+            failures: errors.iter().filter(|&&e| e > epsilon).count(),
+            worst_error: errors.iter().copied().fold(0.0, f64::max),
+        }
+    }
+}
+
 /// Merges a JSON fragment's top-level keys into the object stored at `path`
 /// (creating the file if absent), preserving every other key — this is how
 /// `sketch_bench --write` and `service_bench --write` share

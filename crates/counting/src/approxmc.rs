@@ -15,12 +15,26 @@
 //!   "Further Optimizations": exponential probing followed by binary search
 //!   over the level (`O(log n · ε⁻²)` oracle calls per iteration), exploiting
 //!   the monotonicity `Sol(φ ∧ h_{m}(x)=0^{m}) ⊇ Sol(φ ∧ h_{m+1}(x)=0^{m+1})`.
+//!
+//! The CNF path also takes ApproxMC2's solution reuse from the same nesting.
+//! A model pool holds what the current and the previous iteration's probes
+//! returned; a model lies in cell(m) iff `h(x)` starts with at least `m` zero
+//! bits. A probe is answered from the pool, with no oracle call, when a level
+//! at or below it was enumerated below `Thresh` in this iteration or when the
+//! pool already holds `Thresh` members of its cell. Otherwise the oracle is
+//! handed the known members and enumerates only the rest. Every probe still
+//! returns `min(|cell|, Thresh)`, so levels and estimates are those of the
+//! plain algorithm; only the oracle calls fall, by an amount that depends on
+//! which models the backend returned (DESIGN.md §4).
+//! [`approx_mc_reference`] is the plain algorithm, kept as the executable
+//! specification the pooled path is tested against.
 
 use crate::config::{median, CountingConfig};
 use crate::input::{CountOutcome, FormulaInput};
+use mcf0_formula::{Assignment, CnfFormula};
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
 use mcf0_sat::bounded::hash_prefix_zero_constraints;
-use mcf0_sat::{bounded_sat_dnf, SatOracle, SolutionOracle, XorPrefixSession};
+use mcf0_sat::{bounded_sat_dnf, SatOracle, SolutionOracle, XorConstraint, XorPrefixSession};
 
 /// How `ApproxMC` searches for the right hash-prefix level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,8 +90,9 @@ pub fn approx_mc_with_sampler<H: LinearHash>(
 /// path (`None` is only valid for DNF inputs). This is the hook the solver
 /// parity tests and benchmarks use to run the same counting logic over the
 /// CDCL and chronological backends — and to read the backend's solver
-/// statistics afterwards. Oracle-call accounting is identical to
-/// [`approx_mc`].
+/// statistics afterwards. Levels and estimates are the same on every
+/// backend; oracle calls are not, because the model pool reuses whichever
+/// models the backend returned.
 pub fn approx_mc_on_oracle<H: LinearHash>(
     input: &FormulaInput,
     config: &CountingConfig,
@@ -90,6 +105,7 @@ pub fn approx_mc_on_oracle<H: LinearHash>(
     let mut per_iteration = Vec::with_capacity(config.rows);
     let mut estimates = Vec::with_capacity(config.rows);
     let mut oracle_calls = 0u64;
+    let mut pool = ModelPool::default();
     assert!(
         cnf_oracle.is_some() || matches!(input, FormulaInput::Dnf(_)),
         "CNF inputs need an oracle"
@@ -115,9 +131,9 @@ pub fn approx_mc_on_oracle<H: LinearHash>(
                 // through one pop-to-common-prefix session.
                 let rows = hash_prefix_zero_constraints(&hash, n);
                 let mut session = XorPrefixSession::new(oracle);
+                pool.next_iteration(&hash);
                 let result = search_level(search, n, thresh, |m| {
-                    session.set_rows(&rows[..m]);
-                    session.enumerate(thresh).len()
+                    pool.probe(&hash, &rows, m, thresh, &mut session)
                 });
                 drop(session);
                 oracle_calls += oracle.stats().sat_calls - calls_before;
@@ -131,6 +147,106 @@ pub fn approx_mc_on_oracle<H: LinearHash>(
         estimates.push(cell as f64 * 2f64.powi(level as i32));
     }
 
+    CountOutcome {
+        estimate: median(&estimates),
+        oracle_calls,
+        per_iteration,
+    }
+}
+
+/// The models the CNF path's probes returned in the current and the
+/// previous iteration, each with its depth under the current hash: the
+/// number of leading zero bits of `h(x)`, so the model is in cell(m) iff its
+/// depth is at least `m`. The bound of two iterations keeps the pool at
+/// `O(probes · Thresh)` models for any number of iterations.
+#[derive(Default)]
+struct ModelPool {
+    /// `(depth, model)`, the previous iteration's first.
+    models: Vec<(usize, Assignment)>,
+    /// Where this iteration's models start in `models`.
+    current: usize,
+    /// The shallowest level enumerated below `Thresh` in this iteration;
+    /// every cell at or past it lies wholly in the pool.
+    complete_at: Option<usize>,
+}
+
+impl ModelPool {
+    /// Starts an iteration under `hash`: drops the models older than the
+    /// previous iteration and recomputes the depth of the rest.
+    fn next_iteration<H: LinearHash>(&mut self, hash: &H) {
+        self.models.drain(..self.current);
+        for (depth, model) in &mut self.models {
+            *depth = depth_under(hash, model);
+        }
+        self.current = self.models.len();
+        self.complete_at = None;
+    }
+
+    /// `min(|cell(m)|, thresh)`, asking the oracle only for the members of
+    /// cell(m) that the pool does not hold.
+    fn probe<H: LinearHash>(
+        &mut self,
+        hash: &H,
+        rows: &[XorConstraint],
+        m: usize,
+        thresh: usize,
+        session: &mut XorPrefixSession<'_>,
+    ) -> usize {
+        let members = self.models.iter().filter(|&&(depth, _)| depth >= m);
+        if self.complete_at.is_some_and(|level| level <= m) {
+            return members.count();
+        }
+        let known: Vec<Assignment> = members.take(thresh).map(|(_, x)| x.clone()).collect();
+        if known.len() == thresh {
+            return thresh;
+        }
+        session.set_rows(&rows[..m]);
+        let fresh = session.enumerate_excluding(&known, thresh - known.len());
+        let count = known.len() + fresh.len();
+        if count < thresh {
+            // Below any level already complete, or it would have answered.
+            self.complete_at = Some(m);
+        }
+        let fresh = fresh.into_iter().map(|x| (depth_under(hash, &x), x));
+        self.models.extend(fresh);
+        count
+    }
+}
+
+/// The number of leading zero bits of `h(x)`.
+fn depth_under<H: LinearHash>(hash: &H, x: &Assignment) -> usize {
+    let image = hash.eval(x);
+    image.leading_one().unwrap_or(image.len())
+}
+
+/// The plain CNF path, kept as the executable specification of the pooled
+/// one: the same hash draws and level search, with every probe enumerating
+/// its cell from scratch on a fresh [`SatOracle`]. Its `oracle_calls` is
+/// therefore the count without model reuse, the sum over probes of
+/// `min(|cell|, Thresh) + 1`.
+pub fn approx_mc_reference<H: LinearHash>(
+    formula: &CnfFormula,
+    config: &CountingConfig,
+    search: LevelSearch,
+    rng: &mut Xoshiro256StarStar,
+    mut sample_hash: impl FnMut(&mut Xoshiro256StarStar) -> H,
+) -> CountOutcome {
+    let mut per_iteration = Vec::with_capacity(config.rows);
+    let mut estimates = Vec::with_capacity(config.rows);
+    let mut oracle_calls = 0u64;
+    for _ in 0..config.rows {
+        let hash = sample_hash(rng);
+        let n = hash.output_bits();
+        let rows = hash_prefix_zero_constraints(&hash, n);
+        let (level, cell) = search_level(search, n, config.thresh, |m| {
+            let mut oracle = SatOracle::new(formula.clone());
+            let count = oracle.enumerate_with_xors(&rows[..m], config.thresh).len();
+            oracle_calls += oracle.stats().sat_calls;
+            count
+        });
+        per_iteration.push((level, cell));
+        estimates.push(cell as f64 * 2f64.powi(level as i32));
+    }
     CountOutcome {
         estimate: median(&estimates),
         oracle_calls,
@@ -312,6 +428,39 @@ mod tests {
         assert_eq!(a.per_iteration, b.per_iteration);
         assert_eq!(a.estimate, b.estimate);
         assert!(a.oracle_calls > 0 && b.oracle_calls > 0);
+    }
+
+    #[test]
+    fn pooled_probes_replay_the_reference_enumeration() {
+        // Every probe of the pooled path must count what a fresh
+        // enumeration of its cell counts, under the same hash draws. Clause
+        // densities from loose to tight and small thresholds put cells on
+        // both sides of Thresh, so pool answers, partial enumerations and
+        // completed levels all occur.
+        use mcf0_hashing::ToeplitzHash;
+        for seed in 0..24u64 {
+            let mut rng = Xoshiro256StarStar::seed_from_u64(300 + seed);
+            let n = 6 + (seed % 9) as usize;
+            let f = random_k_cnf(&mut rng, n, n / 2 + (seed % 4) as usize * n / 2, 3);
+            let config = CountingConfig::explicit(0.8, 0.3, 6 + (seed % 5) as usize * 5, 4);
+            let sample = |rng: &mut Xoshiro256StarStar| ToeplitzHash::sample(rng, n, n);
+            for search in [LevelSearch::Linear, LevelSearch::Galloping] {
+                let mut rng_a = Xoshiro256StarStar::seed_from_u64(seed ^ 0xD1FF);
+                let mut rng_b = rng_a.clone();
+                let pooled = approx_mc_with_sampler(
+                    &FormulaInput::Cnf(f.clone()),
+                    &config,
+                    search,
+                    &mut rng_a,
+                    sample,
+                );
+                let reference = approx_mc_reference(&f, &config, search, &mut rng_b, sample);
+                let case = format!("seed {seed}, n {n}, {search:?}");
+                assert_eq!(pooled.per_iteration, reference.per_iteration, "{case}");
+                assert_eq!(pooled.estimate, reference.estimate, "{case}");
+                assert!(pooled.oracle_calls <= reference.oracle_calls, "{case}");
+            }
+        }
     }
 
     #[test]

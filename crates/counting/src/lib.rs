@@ -27,7 +27,9 @@ pub mod input;
 pub mod min_based;
 pub mod sampler;
 
-pub use approxmc::{approx_mc, approx_mc_on_oracle, approx_mc_with_sampler, LevelSearch};
+pub use approxmc::{
+    approx_mc, approx_mc_on_oracle, approx_mc_reference, approx_mc_with_sampler, LevelSearch,
+};
 pub use config::CountingConfig;
 pub use est_based::{approx_model_count_est, rough_log2_estimate};
 pub use input::{CountOutcome, FormulaInput};

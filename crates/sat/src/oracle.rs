@@ -18,6 +18,14 @@
 //! [`SolutionOracle::exists_with_xors`] / [`SolutionOracle::enumerate_with_xors`]
 //! are provided on top and issue exactly the same number of counted calls.
 //!
+//! [`SolutionOracle::enumerate_excluding`] hands the oracle models the caller
+//! already holds, so only the rest are searched for. How many models it
+//! returns is fixed by the solution set; how many calls it is charged is
+//! not. A backend that blocks the known models pays only for the fresh ones,
+//! so a caller that picks `known` from earlier answers (ApproxMC's model
+//! pool) sees call counts that depend on which models the backend returned
+//! before. Everything else counts the same on every backend.
+//!
 //! Two backends implement [`SolutionOracle`]:
 //!
 //! * [`SatOracle`] — the incremental CNF-XOR engine of [`crate::solver`];
@@ -61,9 +69,28 @@ pub trait SolutionOracle {
     fn exists(&mut self) -> bool;
 
     /// Up to `limit` distinct solutions satisfying the pushed constraints.
-    /// Counts one oracle call per solution plus one for the final failure
+    /// Counts one oracle call per solution plus one for the final query,
+    /// which is counted even when the limit stops the enumeration first
     /// (matching Proposition 1's `O(p)` accounting).
     fn enumerate(&mut self, limit: usize) -> Vec<Assignment>;
+
+    /// Up to `limit` distinct solutions satisfying the pushed constraints
+    /// that are not in `known`, where `known` holds distinct solutions the
+    /// caller already has. The result has `min(|Sol| − |known|, limit)`
+    /// models whichever backend answers; which models those are is the
+    /// backend's choice.
+    ///
+    /// This default is the executable specification: it enumerates
+    /// `limit + known.len()` solutions, drops the known ones and truncates,
+    /// so it counts like [`Self::enumerate`] over the whole cell. The solver
+    /// and brute-force backends override it to skip the known models
+    /// instead, so the calls counted are the fresh models plus one.
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
+        let mut fresh = self.enumerate(limit + known.len());
+        fresh.retain(|model| !known.contains(model));
+        fresh.truncate(limit);
+        fresh
+    }
 
     /// Work counters.
     fn stats(&self) -> OracleStats;
@@ -139,9 +166,10 @@ impl<'a> XorPrefixSession<'a> {
         self.oracle.exists()
     }
 
-    /// Bounded enumeration under the currently installed rows.
-    pub fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
-        self.oracle.enumerate(limit)
+    /// Bounded enumeration outside `known` under the currently installed
+    /// rows (see [`SolutionOracle::enumerate_excluding`]).
+    pub fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
+        self.oracle.enumerate_excluding(known, limit)
     }
 }
 
@@ -218,9 +246,13 @@ impl<S: SolverCore> SolutionOracle for SatOracleOn<S> {
     }
 
     fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
-        let sols = self.solver.enumerate(limit);
-        // Each enumeration step (including the final failing one) is a
-        // satisfiability decision.
+        self.enumerate_excluding(&[], limit)
+    }
+
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
+        let sols = self.solver.enumerate_excluding(known, limit);
+        // Each enumeration step (including the final one) is a
+        // satisfiability decision; the known models cost none.
         self.stats.sat_calls += sols.len() as u64 + 1;
         self.stats.solutions_enumerated += sols.len() as u64;
         sols
@@ -341,17 +373,21 @@ impl SolutionOracle for BruteForceOracle {
     }
 
     fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
+        self.enumerate_excluding(&[], limit)
+    }
+
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
         let mut out = Vec::new();
         for a in self.assignments() {
             if out.len() >= limit {
                 break;
             }
-            if self.admits(&a) {
+            if self.admits(&a) && !known.contains(&a) {
                 out.push(a);
             }
         }
         // Match the trait's accounting (and the SAT backend): one decision
-        // per solution plus the final failing one, even though the scan is a
+        // per fresh solution plus the final one, even though the scan is a
         // single pass here.
         self.stats.sat_calls += out.len() as u64 + 1;
         self.stats.solutions_enumerated += out.len() as u64;
@@ -462,7 +498,7 @@ mod tests {
             for m in [0usize, 1, 2, 4, 3, 1, 4, 0, 2] {
                 session.set_rows(&rows[..m]);
                 assert_eq!(
-                    session.enumerate(1 << 8).len(),
+                    session.enumerate_excluding(&[], 1 << 8).len(),
                     brute.enumerate_with_xors(&rows[..m], 1 << 8).len(),
                     "m={m}"
                 );

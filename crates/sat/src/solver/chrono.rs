@@ -513,7 +513,16 @@ impl ChronoSolver {
     /// added behind a clause mark and removed afterwards, leaving `self`
     /// unchanged apart from the call counter.
     pub fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
+        self.enumerate_excluding(&[], limit)
+    }
+
+    /// Enumerates up to `limit` distinct solutions outside `known`, which
+    /// are blocked behind the same clause mark as the solutions found.
+    pub fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
         let mark = self.clause_mark();
+        for model in known {
+            self.block_assignment(model);
+        }
         let mut out = Vec::new();
         while out.len() < limit {
             match self.solve() {
@@ -562,8 +571,8 @@ impl SolverCore for ChronoSolver {
     fn solve(&mut self) -> SolveOutcome {
         ChronoSolver::solve(self)
     }
-    fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
-        ChronoSolver::enumerate(self, limit)
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
+        ChronoSolver::enumerate_excluding(self, known, limit)
     }
     fn solve_calls(&self) -> u64 {
         ChronoSolver::solve_calls(self)

@@ -1,7 +1,7 @@
 //! The CDCL search loop: propagation over both constraint stores, decisions,
 //! non-chronological backjumping, restarts, learned-clause installation and
 //! database maintenance, plus the incremental clause-store API
-//! (`add_clause`, `clause_mark` / `pop_clauses_to`, `enumerate`).
+//! (`add_clause`, `clause_mark` / `pop_clauses_to`, `enumerate_excluding`).
 
 use super::clausedb::{ClauseRef, Deps};
 use super::restart::restart_budget;
@@ -572,7 +572,17 @@ impl CnfXorSolver {
     /// logically unchanged apart from the call counters (and any learned
     /// clauses that do not depend on the blocking clauses).
     pub fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
+        self.enumerate_excluding(&[], limit)
+    }
+
+    /// Enumerates up to `limit` distinct solutions outside `known`: every
+    /// known assignment is blocked behind the same clause mark as the
+    /// solutions found, so the search starts past them.
+    pub fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
         let mark = self.clause_mark();
+        for model in known {
+            self.block_assignment(model);
+        }
         let mut out = Vec::new();
         while out.len() < limit {
             match self.solve() {

@@ -33,8 +33,8 @@
 //! **Incrementality.** The engine is assumption-based: XOR rows are pushed
 //! and popped ([`CnfXorSolver::push_assumption`] /
 //! [`CnfXorSolver::pop_assumptions_to`]) and scratch clauses (the blocking
-//! clauses of [`CnfXorSolver::enumerate`]) are removed by clause-store
-//! truncation ([`CnfXorSolver::clause_mark`] /
+//! clauses of [`CnfXorSolver::enumerate_excluding`]) are removed by
+//! clause-store truncation ([`CnfXorSolver::clause_mark`] /
 //! [`CnfXorSolver::pop_clauses_to`]). Learned clauses survive across those
 //! pops **soundly** because every learned clause records the derivation
 //! dependencies it was resolved from (deepest original clause, unit literal
@@ -169,8 +169,9 @@ pub trait SolverCore: Clone + std::fmt::Debug {
     fn pop_assumptions_to(&mut self, len: usize);
     /// Decides satisfiability under permanent constraints plus assumptions.
     fn solve(&mut self) -> SolveOutcome;
-    /// Enumerates up to `limit` distinct solutions (state-restoring).
-    fn enumerate(&mut self, limit: usize) -> Vec<Assignment>;
+    /// Enumerates up to `limit` distinct solutions outside `known`
+    /// (state-restoring).
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment>;
     /// Number of `solve` invocations so far (the oracle-call metric).
     fn solve_calls(&self) -> u64;
     /// Search-work counters.
@@ -304,8 +305,8 @@ impl SolverCore for CnfXorSolver {
     fn solve(&mut self) -> SolveOutcome {
         CnfXorSolver::solve(self)
     }
-    fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
-        CnfXorSolver::enumerate(self, limit)
+    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
+        CnfXorSolver::enumerate_excluding(self, known, limit)
     }
     fn solve_calls(&self) -> u64 {
         CnfXorSolver::solve_calls(self)

@@ -30,6 +30,34 @@ fn assignment_from_u64(value: u64, num_vars: usize) -> Assignment {
     a
 }
 
+/// Forwards every required method to a `SatOracle` and keeps the provided
+/// `enumerate_excluding`, so the trait's default answers.
+struct DefaultExcluding(SatOracle);
+
+impl SolutionOracle for DefaultExcluding {
+    fn num_vars(&self) -> usize {
+        self.0.num_vars()
+    }
+    fn assumption_len(&self) -> usize {
+        self.0.assumption_len()
+    }
+    fn push_assumption(&mut self, xor: &XorConstraint) {
+        self.0.push_assumption(xor);
+    }
+    fn pop_assumptions_to(&mut self, len: usize) {
+        self.0.pop_assumptions_to(len);
+    }
+    fn exists(&mut self) -> bool {
+        self.0.exists()
+    }
+    fn enumerate(&mut self, limit: usize) -> Vec<Assignment> {
+        self.0.enumerate(limit)
+    }
+    fn stats(&self) -> mcf0_sat::OracleStats {
+        self.0.stats()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The CNF-XOR solver against brute force
 // ---------------------------------------------------------------------------
@@ -117,6 +145,51 @@ proptest! {
         let x = BitVec::from_u64(x_raw & if n >= 64 { u64::MAX } else { (1 << n) - 1 }, n);
         // The constraint holds iff <row, x> equals the target parity.
         prop_assert_eq!(constraint.eval(&x), row.dot(&x) == target);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn enumerate_excluding_agrees_with_its_default(
+        seed in any::<u64>(),
+        n in 3usize..11,
+        clauses in 1usize..20,
+        xor_rows in 0usize..4,
+        limit in 1usize..40,
+    ) {
+        // The solver override, the brute-force override and the trait's
+        // default (through a forwarding decorator) return the same number
+        // of fresh models: min(|cell| − |known|, limit).
+        let mut rng = rng_from(seed);
+        let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
+        let xors: Vec<XorConstraint> = (0..xor_rows)
+            .map(|_| XorConstraint::from_row(&rng.random_bitvec(n), rng.next_bool()))
+            .collect();
+        let cell = BruteForceOracle::from_cnf(f.clone()).enumerate_with_xors(&xors, 1 << n);
+        let known: Vec<Assignment> = cell.iter().filter(|_| rng.next_bool()).cloned().collect();
+        let expected = (cell.len() - known.len()).min(limit);
+        for oracle in [
+            &mut SatOracle::new(f.clone()) as &mut dyn SolutionOracle,
+            &mut BruteForceOracle::from_cnf(f.clone()),
+            &mut DefaultExcluding(SatOracle::new(f.clone())),
+        ] {
+            for x in &xors {
+                oracle.push_assumption(x);
+            }
+            let fresh = oracle.enumerate_excluding(&known, limit);
+            oracle.pop_assumptions_to(0);
+            prop_assert_eq!(fresh.len(), expected);
+            let mut distinct = fresh.clone();
+            distinct.sort();
+            distinct.dedup();
+            prop_assert_eq!(distinct.len(), expected);
+            for model in &fresh {
+                prop_assert!(f.eval(model) && xors.iter().all(|x| x.eval(model)));
+                prop_assert!(!known.contains(model));
+            }
+        }
     }
 }
 
