@@ -66,7 +66,7 @@ fn main() {
         ("e15", e15_delphic_vs_hashing),
         ("e16", e16_applications),
         ("e17", e17_large_n_cnf),
-        ("e18", e18_approxmc_contract),
+        ("e18", e18_contract),
     ];
 
     for (id, runner) in experiments {
@@ -971,14 +971,32 @@ fn e16_applications() -> Vec<ExperimentRow> {
     rows
 }
 
-/// E18 — the (ε, δ) contract as a statistic, ApproxMC half: the observed
-/// failure rate `|est − C| > ε·C` over seeded trials at the paper's
-/// `Thresh` and `t`, with its one-sided 99 % Clopper–Pearson upper bound
-/// (which `crates/bench/tests/contract.rs` gates at δ) and the worst
-/// relative error seen, which says how conservative `Thresh` and `t` are.
-fn e18_approxmc_contract() -> Vec<ExperimentRow> {
-    use mcf0_bench::contract::{approxmc_trials, cnf_inputs, dnf_inputs, fewest_trials, GRID};
+/// E18 — the (ε, δ) contract as a statistic: the observed failure rate
+/// `|est − C| > ε·C` over seeded trials at the paper's `Thresh` and `t`, for
+/// ApproxMC and for the Minimum and Bucketing sketches, with its one-sided
+/// 99 % Clopper–Pearson upper bound (which `crates/bench/tests/contract.rs`
+/// gates at δ) and the worst relative error seen, which says how
+/// conservative `Thresh` and `t` are.
+fn e18_contract() -> Vec<ExperimentRow> {
+    use mcf0::streaming::{BucketingF0, MinimumF0};
+    use mcf0_bench::contract::{
+        approxmc_trials, cnf_inputs, dnf_inputs, fewest_trials, sketch_trials, Trials, GRID,
+        STREAM_BITS,
+    };
     type Inputs = fn(usize) -> Vec<(FormulaInput, f64)>;
+    let row = |parameters: String, algorithm: &str, result: Trials| {
+        ExperimentRow::new(
+            "E18",
+            parameters,
+            &format!(
+                "{algorithm} failure rate (99% upper bound {:.3})",
+                result.upper_bound()
+            ),
+            None,
+            result.rate(),
+        )
+        .with_metric("worst_error_pct", 100.0 * result.worst_error)
+    };
 
     let mut rows = Vec::new();
     for (family, inputs) in [
@@ -989,23 +1007,29 @@ fn e18_approxmc_contract() -> Vec<ExperimentRow> {
             let config = CountingConfig::paper(epsilon, delta);
             let trials = fewest_trials(delta);
             let result = approxmc_trials(&inputs(config.thresh), epsilon, delta, trials);
-            rows.push(
-                ExperimentRow::new(
-                    "E18",
-                    format!(
-                        "{family}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
-                        config.thresh, config.rows
-                    ),
-                    &format!(
-                        "ApproxMC failure rate (99% upper bound {:.3})",
-                        result.upper_bound()
-                    ),
-                    None,
-                    result.rate(),
-                )
-                .with_metric("worst_error_pct", 100.0 * result.worst_error),
-            );
+            rows.push(row(
+                format!(
+                    "{family}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
+                    config.thresh, config.rows
+                ),
+                "ApproxMC",
+                result,
+            ));
         }
+    }
+    // The streaming half: the tier-1 cell at F0 = 600, then the whole grid.
+    let cells = std::iter::once((600, GRID[0])).chain(GRID.iter().map(|&cell| (2000, cell)));
+    for (distinct, (epsilon, delta)) in cells {
+        let config = F0Config::paper(epsilon, delta);
+        let trials = fewest_trials(delta);
+        let parameters = format!(
+            "stream w={STREAM_BITS} F0={distinct}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
+            config.thresh, config.rows
+        );
+        let minimum = sketch_trials(MinimumF0::new, distinct, epsilon, delta, trials);
+        rows.push(row(parameters.clone(), "Minimum", minimum));
+        let bucketing = sketch_trials(BucketingF0::new, distinct, epsilon, delta, trials);
+        rows.push(row(parameters, "Bucketing", bucketing));
     }
     rows
 }

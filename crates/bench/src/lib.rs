@@ -1,17 +1,15 @@
-//! Shared workload builders and result-row types for the benchmark suite and
-//! the `experiments` harness.
+//! Shared workload builders and result-row types for the pin table
+//! (`tests/pins.rs`), the E18 contract gate and the `experiments` harness.
 //!
 //! Every experiment in EXPERIMENTS.md is regenerated by `cargo run --release
-//! -p mcf0-bench --bin experiments -- <id>`; the criterion benches under
-//! `benches/` measure the wall-clock side of the same workloads.
+//! -p mcf0-bench --bin experiments -- <id>`; `cargo test -p mcf0-bench --test
+//! pins` checks every pinned value. Time is measured by perfbench alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mcf0::counting::CountingConfig;
 use mcf0::formula::DnfFormula;
 use mcf0::hashing::Xoshiro256StarStar;
-use mcf0::streaming::F0Config;
 use serde::Serialize;
 
 /// One row of an experiment table (serialised to JSON by the harness so the
@@ -94,37 +92,20 @@ pub fn print_markdown_table(rows: &[ExperimentRow]) {
     }
 }
 
-/// Standard benchmark counting configuration: the paper's Thresh for ε = 0.8
-/// with a reduced repetition count so benches stay fast (always reported).
-pub fn bench_counting_config() -> CountingConfig {
-    CountingConfig::explicit(0.8, 0.2, 150, 9)
-}
-
-/// Standard benchmark streaming configuration.
-pub fn bench_f0_config() -> F0Config {
-    F0Config::explicit(0.8, 0.2, 150, 9)
-}
-
-/// A deterministic medium-size DNF workload shared by several benches.
+/// A deterministic medium-size DNF workload shared by the pins and tests.
 pub fn bench_dnf(num_vars: usize, num_terms: usize, seed: u64) -> DnfFormula {
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     mcf0::formula::generators::random_dnf(&mut rng, num_vars, num_terms, (3, 7))
 }
 
-/// A deterministic planted stream shared by the streaming benches.
-pub fn bench_stream(universe_bits: usize, distinct: usize, length: usize, seed: u64) -> Vec<u64> {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-    mcf0::streaming::workloads::planted_f0_stream(&mut rng, universe_bits, distinct, length)
-}
-
 /// The seeded large-`n` CNF-XOR workloads the CDCL engine unlocked
 /// (BENCH_solver.json `chrono_baseline`): one canonical constructor per
-/// instance, shared by `solver_bench` and the E17 experiment.
+/// instance, shared by the pin table and the E17 experiment.
 ///
 /// `crates/sat/tests/large_n.rs` re-derives the same instances from the same
 /// seeds (it cannot depend on this crate without a dev-dependency cycle
 /// through `mcf0`) and pins the same oracle-call counts — keep the
-/// parameters here, there, and in `solver_bench`'s pinned tables in sync.
+/// parameters here, there, and in `tests/pins.rs` in sync.
 pub mod large_n {
     use mcf0::formula::generators::random_k_cnf;
     use mcf0::formula::CnfFormula;
@@ -158,7 +139,7 @@ pub mod large_n {
 
     /// The ApproxMC formula family (m = 2n random 3-CNF, seed 4848); the
     /// hash draws come from a separate seed-11 RNG so every `n` sees the
-    /// same sequence. `solver_bench` pins n = 44 (chrono: 436 s); E17 also
+    /// same sequence. The pin table pins n = 44 (chrono: 436 s); E17 also
     /// reports n = 36 and 40.
     pub fn approxmc_formula(n: usize) -> CnfFormula {
         let mut rng = Xoshiro256StarStar::seed_from_u64(4848);
@@ -172,8 +153,9 @@ pub mod large_n {
 }
 
 /// E18: the paper's (ε, δ) contract checked as a statistic. Each trial runs
-/// a counter with `CountingConfig::paper(ε, δ)` on fresh hash draws and
-/// fails when `|est − C| > ε·C` for the exact count `C`. The contract holds
+/// a counter with `CountingConfig::paper(ε, δ)`, or an F0 sketch with
+/// `F0Config::paper(ε, δ)`, on fresh hash draws and fails when
+/// `|est − C| > ε·C` for the exact count or F0 `C`. The contract holds
 /// on a grid cell when the one-sided 99 % Clopper–Pearson upper bound on
 /// the failure rate is at most δ. `crates/bench/tests/contract.rs` gates it
 /// and the `experiments` harness prints it.
@@ -182,8 +164,10 @@ pub mod contract {
     use mcf0::formula::exact::{count_cnf_dpll, count_dnf_exact};
     use mcf0::formula::generators::{random_dnf, random_k_cnf};
     use mcf0::hashing::Xoshiro256StarStar;
+    use mcf0::streaming::workloads::planted_f0_stream;
+    use mcf0::streaming::{F0Config, F0Sketch};
 
-    /// The (ε, δ) grid of the ApproxMC half.
+    /// The (ε, δ) grid, shared by both halves.
     pub const GRID: [(f64, f64); 4] = [(0.8, 0.2), (0.8, 0.1), (0.5, 0.2), (0.5, 0.1)];
 
     /// The confidence of the gate's upper bound.
@@ -205,6 +189,18 @@ pub mod contract {
     }
 
     impl Trials {
+        /// Folds one grid cell's per-trial relative errors
+        /// `|est − truth| / truth` into its failure count and worst error.
+        pub fn from_errors(epsilon: f64, delta: f64, errors: &[f64]) -> Self {
+            Trials {
+                epsilon,
+                delta,
+                trials: errors.len(),
+                failures: errors.iter().filter(|&&e| e > epsilon).count(),
+                worst_error: errors.iter().copied().fold(0.0, f64::max),
+            }
+        }
+
         /// The observed failure rate.
         pub fn rate(&self) -> f64 {
             self.failures as f64 / self.trials as f64
@@ -315,44 +311,42 @@ pub mod contract {
                 (estimate - exact).abs() / exact
             })
             .collect();
-        Trials {
-            epsilon,
-            delta,
-            trials,
-            failures: errors.iter().filter(|&&e| e > epsilon).count(),
-            worst_error: errors.iter().copied().fold(0.0, f64::max),
-        }
+        Trials::from_errors(epsilon, delta, &errors)
+    }
+
+    /// The universe width of the streaming half's planted streams.
+    pub const STREAM_BITS: usize = 24;
+
+    /// `trials` runs of the sketch `new` builds at `F0Config::paper(ε, δ)`.
+    /// Each trial draws a planted stream of exactly `distinct` distinct items
+    /// (each seen twice on average) and a fresh hash seed, and fails when
+    /// `|est − F0| > ε·F0`.
+    pub fn sketch_trials<S: F0Sketch>(
+        new: fn(usize, &F0Config, &mut Xoshiro256StarStar) -> S,
+        distinct: usize,
+        epsilon: f64,
+        delta: f64,
+        trials: usize,
+    ) -> Trials {
+        let config = F0Config::paper(epsilon, delta);
+        let errors: Vec<f64> = (0..trials)
+            .map(|trial| {
+                let mut rng = Xoshiro256StarStar::seed_from_u64(18_000 + trial as u64);
+                let stream = planted_f0_stream(&mut rng, STREAM_BITS, distinct, 2 * distinct);
+                let mut sketch = new(STREAM_BITS, &config, &mut rng);
+                sketch.process_stream(&stream);
+                (sketch.estimate() - distinct as f64).abs() / distinct as f64
+            })
+            .collect();
+        Trials::from_errors(epsilon, delta, &errors)
     }
 }
 
-/// Merges a JSON fragment's top-level keys into the object stored at `path`
-/// (creating the file if absent), preserving every other key — this is how
-/// `sketch_bench --write` and `service_bench --write` share
-/// BENCH_streaming.json without clobbering each other's sections.
-pub fn merge_bench_json(path: &str, fragment_json: &str) -> std::io::Result<()> {
-    use serde::Value;
-    let fragment = serde_json::parse(fragment_json).expect("fragment is valid JSON");
-    let mut root = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::parse(&text).ok())
-        .filter(|v| matches!(v, Value::Object(_)))
-        .unwrap_or(Value::Object(Vec::new()));
-    let Value::Object(entries) = fragment else {
-        panic!("bench fragments are JSON objects");
-    };
-    for (key, value) in entries {
-        root.set(&key, value);
-    }
-    let json = serde_json::to_string(&root).expect("serialization is infallible");
-    std::fs::write(path, json + "\n")
-}
-
-/// Shared workload builders for the sketch-service differential harness and
-/// `service_bench`.
+/// Shared workload builders for the sketch-service differential harness.
 ///
 /// Everything here is a pure function of its seed, so the differential
-/// proptests (`crates/service/tests/differential.rs`) and the pinned bench
-/// gates replay identical traces.
+/// proptests (`crates/service/tests/differential.rs`) and the wire,
+/// durability and fault-injection suites replay identical traces.
 pub mod service_support {
     use mcf0::formula::generators::random_dnf;
     use mcf0::hashing::Xoshiro256StarStar;
@@ -656,9 +650,6 @@ mod tests {
     #[test]
     fn workload_builders_are_deterministic() {
         assert_eq!(bench_dnf(12, 6, 1).to_text(), bench_dnf(12, 6, 1).to_text());
-        assert_eq!(bench_stream(32, 100, 200, 2), bench_stream(32, 100, 200, 2));
-        assert_eq!(bench_counting_config().thresh, 150);
-        assert_eq!(bench_f0_config().rows, 9);
     }
 
     #[test]

@@ -1,22 +1,38 @@
-//! E18, ApproxMC half: the paper's (ε, δ) contract checked as a statistic
+//! E18: the paper's (ε, δ) contract checked as a statistic
 //! (`mcf0_bench::contract`). Each grid cell runs the fewest trials that can
-//! pass at its δ, so a single failure fails the gate. The DNF grid runs in
-//! the default suite; the CNF grid goes through the SAT oracle and its model
-//! pool and runs with `--ignored` in release.
+//! pass at its δ, so a single failure fails the gate.
+//!
+//! ApproxMC half: the DNF grid runs in the default suite; the CNF grid goes
+//! through the SAT oracle and its model pool and runs with `--ignored` in
+//! release. Streaming half: `MinimumF0` and `BucketingF0` on planted
+//! streams, one cell at F0 = 600 in the default suite and the whole grid at
+//! F0 = 2000 with `--ignored`.
 
 use mcf0::counting::{CountingConfig, FormulaInput};
+use mcf0::streaming::{BucketingF0, MinimumF0};
 use mcf0_bench::contract::{
-    approxmc_trials, clopper_pearson_upper, cnf_inputs, dnf_inputs, fewest_trials, CONFIDENCE, GRID,
+    approxmc_trials, clopper_pearson_upper, cnf_inputs, dnf_inputs, fewest_trials, sketch_trials,
+    Trials, CONFIDENCE, GRID,
 };
 
-fn gate(inputs: fn(usize) -> Vec<(FormulaInput, f64)>, epsilon: f64, delta: f64) {
-    let thresh = CountingConfig::paper(epsilon, delta).thresh;
-    let trials = approxmc_trials(&inputs(thresh), epsilon, delta, fewest_trials(delta));
+fn assert_holds(trials: Trials) {
     assert!(
         trials.holds(),
         "{trials:?}: upper bound {:.3} > δ",
         trials.upper_bound()
     );
+}
+
+fn gate(inputs: fn(usize) -> Vec<(FormulaInput, f64)>, epsilon: f64, delta: f64) {
+    let thresh = CountingConfig::paper(epsilon, delta).thresh;
+    let trials = approxmc_trials(&inputs(thresh), epsilon, delta, fewest_trials(delta));
+    assert_holds(trials);
+}
+
+fn sketch_gate(distinct: usize, epsilon: f64, delta: f64) {
+    let n = fewest_trials(delta);
+    assert_holds(sketch_trials(MinimumF0::new, distinct, epsilon, delta, n));
+    assert_holds(sketch_trials(BucketingF0::new, distinct, epsilon, delta, n));
 }
 
 #[test]
@@ -44,6 +60,19 @@ fn approxmc_dnf_meets_the_contract_at_eps_05_delta_01() {
 fn approxmc_cnf_meets_the_contract_on_the_grid() {
     for (epsilon, delta) in GRID {
         gate(cnf_inputs, epsilon, delta);
+    }
+}
+
+#[test]
+fn sketches_meet_the_contract_at_eps_08_delta_02() {
+    sketch_gate(600, 0.8, 0.2);
+}
+
+#[test]
+#[ignore = "the full sketch grid takes seconds in release"]
+fn sketches_meet_the_contract_on_the_grid() {
+    for (epsilon, delta) in GRID {
+        sketch_gate(2000, epsilon, delta);
     }
 }
 

@@ -8,11 +8,11 @@
 //! oracle-call accounting at scale.
 //!
 //! The canonical workload constructors live in `mcf0_bench::large_n` (shared
-//! by `solver_bench --heavy` and the E17 experiment); this crate cannot
-//! depend on `mcf0-bench` without a dev-dependency cycle through `mcf0`, so
-//! the instances are re-derived here from the same seeds — keep the
-//! parameters and the pinned call counts in sync with that module and with
-//! `solver_bench`'s `CHRONO_BASELINE` table.
+//! by the pin table `crates/bench/tests/pins.rs` and the E17 experiment);
+//! this crate cannot depend on `mcf0-bench` without a dev-dependency cycle
+//! through `mcf0`, so the instances are re-derived here from the same seeds
+//! — keep the parameters and the pinned call counts in sync with that
+//! module and with the pin table.
 
 use mcf0_formula::generators::random_k_cnf;
 use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
