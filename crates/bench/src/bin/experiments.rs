@@ -973,15 +973,15 @@ fn e16_applications() -> Vec<ExperimentRow> {
 
 /// E18 — the (ε, δ) contract as a statistic: the observed failure rate
 /// `|est − C| > ε·C` over seeded trials at the paper's `Thresh` and `t`, for
-/// ApproxMC and for the Minimum and Bucketing sketches, with its one-sided
+/// the ApproxMC, Min and Est counters and the Minimum and Bucketing sketches, with its one-sided
 /// 99 % Clopper–Pearson upper bound (which `crates/bench/tests/contract.rs`
 /// gates at δ) and the worst relative error seen, which says how
 /// conservative `Thresh` and `t` are.
 fn e18_contract() -> Vec<ExperimentRow> {
     use mcf0::streaming::{BucketingF0, MinimumF0};
     use mcf0_bench::contract::{
-        approxmc_trials, cnf_inputs, dnf_inputs, fewest_trials, sketch_trials, Trials, GRID,
-        STREAM_BITS,
+        cnf_inputs, counter_trials, dnf_inputs, fewest_trials, sketch_trials, Counter, Trials,
+        GRID, STREAM_BITS,
     };
     type Inputs = fn(usize) -> Vec<(FormulaInput, f64)>;
     let row = |parameters: String, algorithm: &str, result: Trials| {
@@ -998,24 +998,33 @@ fn e18_contract() -> Vec<ExperimentRow> {
         .with_metric("worst_error_pct", 100.0 * result.worst_error)
     };
 
-    let mut rows = Vec::new();
-    for (family, inputs) in [
-        ("DNF n=12", dnf_inputs as Inputs),
-        ("3-CNF n=14", cnf_inputs as Inputs),
+    let dnf = ("DNF n=12", dnf_inputs as Inputs);
+    let cnf = ("3-CNF n=14", cnf_inputs as Inputs);
+    // Three whole grids, then one cell each for the Est counter on DNF and
+    // the Min counter on CNF.
+    let mut cells = Vec::new();
+    for (counter, family) in [
+        (Counter::ApproxMc, dnf),
+        (Counter::ApproxMc, cnf),
+        (Counter::Min, dnf),
     ] {
-        for (epsilon, delta) in GRID {
-            let config = CountingConfig::paper(epsilon, delta);
-            let trials = fewest_trials(delta);
-            let result = approxmc_trials(&inputs(config.thresh), epsilon, delta, trials);
-            rows.push(row(
-                format!(
-                    "{family}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
-                    config.thresh, config.rows
-                ),
-                "ApproxMC",
-                result,
-            ));
-        }
+        cells.extend(GRID.map(|cell| (counter, family, cell)));
+    }
+    cells.push((Counter::Est, dnf, GRID[0]));
+    cells.push((Counter::Min, cnf, GRID[0]));
+    let mut rows = Vec::new();
+    for (counter, (family, inputs), (epsilon, delta)) in cells {
+        let config = CountingConfig::paper(epsilon, delta);
+        let trials = fewest_trials(delta);
+        let result = counter_trials(counter, &inputs(config.thresh), epsilon, delta, trials);
+        rows.push(row(
+            format!(
+                "{family}, eps={epsilon}, delta={delta}, Thresh={}, t={}, {trials} trials",
+                config.thresh, config.rows
+            ),
+            counter.name(),
+            result,
+        ));
     }
     // The streaming half: the tier-1 cell at F0 = 600, then the whole grid.
     let cells = std::iter::once((600, GRID[0])).chain(GRID.iter().map(|&cell| (2000, cell)));

@@ -99,24 +99,19 @@ pub fn bench_dnf(num_vars: usize, num_terms: usize, seed: u64) -> DnfFormula {
 }
 
 /// The seeded large-`n` CNF-XOR workloads the CDCL engine unlocked
-/// (BENCH_solver.json `chrono_baseline`): one canonical constructor per
-/// instance, shared by the pin table and the E17 experiment.
-///
-/// `crates/sat/tests/large_n.rs` re-derives the same instances from the same
-/// seeds (it cannot depend on this crate without a dev-dependency cycle
-/// through `mcf0`) and pins the same oracle-call counts — keep the
-/// parameters here, there, and in `tests/pins.rs` in sync.
+/// (EXPERIMENTS.md E17): one canonical constructor per instance, shared by
+/// the pin table and the E17 experiment.
 pub mod large_n {
     use mcf0::formula::generators::random_k_cnf;
     use mcf0::formula::CnfFormula;
     use mcf0::hashing::{ToeplitzHash, Xoshiro256StarStar};
 
-    /// FindMin at n = 40 under a 120-bit hash (p = 8); chrono: 20.4 s.
+    /// FindMin at n = 40 under a 120-bit hash (p = 8).
     pub fn findmin_n40() -> (CnfFormula, ToeplitzHash, usize) {
         findmin(40, 5656)
     }
 
-    /// FindMin at n = 48 under a 144-bit hash (p = 8); chrono: killed at 5 min.
+    /// FindMin at n = 48 under a 144-bit hash (p = 8).
     pub fn findmin_n48() -> (CnfFormula, ToeplitzHash, usize) {
         findmin(48, 5656)
     }
@@ -128,7 +123,7 @@ pub mod large_n {
         (f, h, 8)
     }
 
-    /// FindMaxRange at n = 56; chrono: killed at 5 min.
+    /// FindMaxRange at n = 56.
     pub fn findmaxrange_n56() -> (CnfFormula, ToeplitzHash) {
         let n = 56;
         let mut rng = Xoshiro256StarStar::seed_from_u64(6464);
@@ -139,8 +134,8 @@ pub mod large_n {
 
     /// The ApproxMC formula family (m = 2n random 3-CNF, seed 4848); the
     /// hash draws come from a separate seed-11 RNG so every `n` sees the
-    /// same sequence. The pin table pins n = 44 (chrono: 436 s); E17 also
-    /// reports n = 36 and 40.
+    /// same sequence. The pin table pins n = 44; E17 also reports n = 36 and
+    /// 40.
     pub fn approxmc_formula(n: usize) -> CnfFormula {
         let mut rng = Xoshiro256StarStar::seed_from_u64(4848);
         random_k_cnf(&mut rng, n, 2 * n, 3)
@@ -160,7 +155,11 @@ pub mod large_n {
 /// the failure rate is at most δ. `crates/bench/tests/contract.rs` gates it
 /// and the `experiments` harness prints it.
 pub mod contract {
-    use mcf0::counting::{approx_mc, CountingConfig, FormulaInput, LevelSearch};
+    use mcf0::counting::est_based::{choose_r, EstBackend};
+    use mcf0::counting::{
+        approx_mc, approx_model_count_est, approx_model_count_min, rough_log2_estimate,
+        CountingConfig, FormulaInput, LevelSearch,
+    };
     use mcf0::formula::exact::{count_cnf_dpll, count_dnf_exact};
     use mcf0::formula::generators::{random_dnf, random_k_cnf};
     use mcf0::hashing::Xoshiro256StarStar;
@@ -294,9 +293,50 @@ pub mod contract {
             .collect()
     }
 
-    /// `trials` ApproxMC runs (galloping search) at `CountingConfig::paper(ε, δ)`,
-    /// cycling through `inputs`, each on hash draws of its own seed.
-    pub fn approxmc_trials(
+    /// A model counter under test.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum Counter {
+        /// ApproxMC (Algorithm 5) with galloping level search.
+        ApproxMc,
+        /// `ApproxModelCountMin` (Algorithm 6).
+        Min,
+        /// `ApproxModelCountEst` (Algorithm 7) on the enumerative backend,
+        /// with `r = choose_r` of a 7-draw rough estimate.
+        Est,
+    }
+
+    impl Counter {
+        /// The counter's name in the E18 table.
+        pub fn name(self) -> &'static str {
+            match self {
+                Counter::ApproxMc => "ApproxMC",
+                Counter::Min => "Min counter",
+                Counter::Est => "Est counter",
+            }
+        }
+
+        fn estimate(
+            self,
+            input: &FormulaInput,
+            config: &CountingConfig,
+            rng: &mut Xoshiro256StarStar,
+        ) -> f64 {
+            match self {
+                Counter::ApproxMc => approx_mc(input, config, LevelSearch::Galloping, rng).estimate,
+                Counter::Min => approx_model_count_min(input, config, rng).estimate,
+                Counter::Est => {
+                    let rough = rough_log2_estimate(input, 7, rng).expect("inputs are satisfiable");
+                    let r = choose_r(rough);
+                    approx_model_count_est(input, config, r, EstBackend::Enumerative, rng).estimate
+                }
+            }
+        }
+    }
+
+    /// `trials` runs of `counter` at `CountingConfig::paper(ε, δ)`, cycling
+    /// through `inputs`, each on hash draws of its own seed.
+    pub fn counter_trials(
+        counter: Counter,
         inputs: &[(FormulaInput, f64)],
         epsilon: f64,
         delta: f64,
@@ -307,7 +347,7 @@ pub mod contract {
             .map(|trial| {
                 let (input, exact) = &inputs[trial % inputs.len()];
                 let mut rng = Xoshiro256StarStar::seed_from_u64(18_000 + trial as u64);
-                let estimate = approx_mc(input, &config, LevelSearch::Galloping, &mut rng).estimate;
+                let estimate = counter.estimate(input, &config, &mut rng);
                 (estimate - exact).abs() / exact
             })
             .collect();

@@ -2,8 +2,9 @@
 //! (`mcf0_bench::contract`). Each grid cell runs the fewest trials that can
 //! pass at its δ, so a single failure fails the gate.
 //!
-//! ApproxMC half: the DNF grid runs in the default suite; the CNF grid goes
-//! through the SAT oracle and its model pool and runs with `--ignored` in
+//! Counting half: the ApproxMC and Min-counter DNF grids run in the default
+//! suite. ApproxMC's CNF grid (through the SAT oracle and its model pool),
+//! the Est counter on DNF and the Min counter on CNF run with `--ignored` in
 //! release. Streaming half: `MinimumF0` and `BucketingF0` on planted
 //! streams, one cell at F0 = 600 in the default suite and the whole grid at
 //! F0 = 2000 with `--ignored`.
@@ -11,8 +12,8 @@
 use mcf0::counting::{CountingConfig, FormulaInput};
 use mcf0::streaming::{BucketingF0, MinimumF0};
 use mcf0_bench::contract::{
-    approxmc_trials, clopper_pearson_upper, cnf_inputs, dnf_inputs, fewest_trials, sketch_trials,
-    Trials, CONFIDENCE, GRID,
+    clopper_pearson_upper, cnf_inputs, counter_trials, dnf_inputs, fewest_trials, sketch_trials,
+    Counter, Trials, CONFIDENCE, GRID,
 };
 
 fn assert_holds(trials: Trials) {
@@ -23,10 +24,10 @@ fn assert_holds(trials: Trials) {
     );
 }
 
-fn gate(inputs: fn(usize) -> Vec<(FormulaInput, f64)>, epsilon: f64, delta: f64) {
+fn gate(counter: Counter, inputs: fn(usize) -> Vec<(FormulaInput, f64)>, epsilon: f64, delta: f64) {
     let thresh = CountingConfig::paper(epsilon, delta).thresh;
-    let trials = approxmc_trials(&inputs(thresh), epsilon, delta, fewest_trials(delta));
-    assert_holds(trials);
+    let n = fewest_trials(delta);
+    assert_holds(counter_trials(counter, &inputs(thresh), epsilon, delta, n));
 }
 
 fn sketch_gate(distinct: usize, epsilon: f64, delta: f64) {
@@ -37,30 +38,62 @@ fn sketch_gate(distinct: usize, epsilon: f64, delta: f64) {
 
 #[test]
 fn approxmc_dnf_meets_the_contract_at_eps_08_delta_02() {
-    gate(dnf_inputs, 0.8, 0.2);
+    gate(Counter::ApproxMc, dnf_inputs, 0.8, 0.2);
 }
 
 #[test]
 fn approxmc_dnf_meets_the_contract_at_eps_08_delta_01() {
-    gate(dnf_inputs, 0.8, 0.1);
+    gate(Counter::ApproxMc, dnf_inputs, 0.8, 0.1);
 }
 
 #[test]
 fn approxmc_dnf_meets_the_contract_at_eps_05_delta_02() {
-    gate(dnf_inputs, 0.5, 0.2);
+    gate(Counter::ApproxMc, dnf_inputs, 0.5, 0.2);
 }
 
 #[test]
 fn approxmc_dnf_meets_the_contract_at_eps_05_delta_01() {
-    gate(dnf_inputs, 0.5, 0.1);
+    gate(Counter::ApproxMc, dnf_inputs, 0.5, 0.1);
 }
 
 #[test]
 #[ignore = "the CNF grid takes seconds in release and minutes in debug"]
 fn approxmc_cnf_meets_the_contract_on_the_grid() {
     for (epsilon, delta) in GRID {
-        gate(cnf_inputs, epsilon, delta);
+        gate(Counter::ApproxMc, cnf_inputs, epsilon, delta);
     }
+}
+
+#[test]
+fn min_counter_dnf_meets_the_contract_at_eps_08_delta_02() {
+    gate(Counter::Min, dnf_inputs, 0.8, 0.2);
+}
+
+#[test]
+fn min_counter_dnf_meets_the_contract_at_eps_08_delta_01() {
+    gate(Counter::Min, dnf_inputs, 0.8, 0.1);
+}
+
+#[test]
+fn min_counter_dnf_meets_the_contract_at_eps_05_delta_02() {
+    gate(Counter::Min, dnf_inputs, 0.5, 0.2);
+}
+
+#[test]
+fn min_counter_dnf_meets_the_contract_at_eps_05_delta_01() {
+    gate(Counter::Min, dnf_inputs, 0.5, 0.1);
+}
+
+#[test]
+#[ignore = "the Est counter's enumerative sketch takes seconds in debug"]
+fn est_counter_dnf_meets_the_contract_at_eps_08_delta_02() {
+    gate(Counter::Est, dnf_inputs, 0.8, 0.2);
+}
+
+#[test]
+#[ignore = "the Min counter's CNF prefix searches take seconds in release"]
+fn min_counter_cnf_meets_the_contract_at_eps_08_delta_02() {
+    gate(Counter::Min, cnf_inputs, 0.8, 0.2);
 }
 
 #[test]

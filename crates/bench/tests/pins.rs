@@ -249,7 +249,7 @@ fn approxmc_pins() {
     check_calls("approxmc_cnf_blocking", got);
 
     // n = 44: level searches reach ~26 XOR rows, cells of up to 40
-    // solutions each; the chronological engine took 436 s.
+    // solutions each.
     let f = mcf0_bench::large_n::approxmc_formula(44);
     let config = CountingConfig::explicit(0.8, 0.2, 40, 3);
     let mut hash_rng = mcf0_bench::large_n::approxmc_hash_rng();
@@ -257,10 +257,14 @@ fn approxmc_pins() {
     check_calls("approxmc_cnf_n44", got);
 }
 
-/// FindMin's minima count and oracle calls (the Minimum counter's pattern).
+/// FindMin's minima count and oracle calls (the Minimum counter's pattern),
+/// after checking that the minima come out strictly increasing (the
+/// lexicographic contract) and that the search learned clauses.
 fn findmin(f: CnfFormula, h: &ToeplitzHash, p: usize) -> (f64, u64) {
     let mut oracle = SatOracle::new(f);
     let minima = find_min_cnf(&mut oracle, h, p);
+    assert!(minima.windows(2).all(|pair| pair[0] < pair[1]));
+    assert!(oracle.solver_stats().learned_clauses > 0);
     (minima.len() as f64, oracle.stats().sat_calls)
 }
 
@@ -271,8 +275,7 @@ fn findmin_pins() {
     let h = ToeplitzHash::sample(&mut rng, 8, 10);
     check_calls("findmin_cnf", findmin(f, &h, 16));
 
-    // n = 40 under a 120-bit hash (chronological engine: 20 s) and n = 48
-    // under a 144-bit hash (chronological engine: killed at 5 minutes).
+    // n = 40 under a 120-bit hash and n = 48 under a 144-bit hash.
     let (f, h, p) = mcf0_bench::large_n::findmin_n40();
     check_calls("findmin_cnf_n40", findmin(f, &h, p));
     let (f, h, p) = mcf0_bench::large_n::findmin_n48();
@@ -294,8 +297,7 @@ fn findmaxrange_pins() {
     let h = ToeplitzHash::sample(&mut rng, 10, 10);
     check_calls("findmaxrange_cnf", findmaxrange(f, &h));
 
-    // n = 56: ~56 rows of Gaussian state under binary search; the
-    // chronological engine did not finish in 5 minutes.
+    // n = 56: ~56 rows of Gaussian state under binary search.
     let (f, h) = mcf0_bench::large_n::findmaxrange_n56();
     check_calls("findmaxrange_cnf_n56", findmaxrange(f, &h));
 }

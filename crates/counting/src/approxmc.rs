@@ -87,9 +87,9 @@ pub fn approx_mc_with_sampler<H: LinearHash>(
 }
 
 /// [`approx_mc_with_sampler`] against a caller-supplied oracle for the CNF
-/// path (`None` is only valid for DNF inputs). This is the hook the solver
-/// parity tests and benchmarks use to run the same counting logic over the
-/// CDCL and chronological backends — and to read the backend's solver
+/// path (`None` is only valid for DNF inputs). This is the hook the parity
+/// tests and benchmarks use to run the same counting logic over the SAT and
+/// brute-force backends, or a timing decorator, and to read the backend's
 /// statistics afterwards. Levels and estimates are the same on every
 /// backend; oracle calls are not, because the model pool reuses whichever
 /// models the backend returned.

@@ -147,11 +147,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// ApproxMC parity across solver engines: with identical hash draws, the CDCL
-// oracle and the chronological reference oracle must produce bit-identical
-// (level, cell) pairs and estimates, equal to the plain algorithm's. Oracle
-// calls may differ by engine, because the model pool reuses whichever models
-// each engine returned; each engine must stay at or under the plain
+// ApproxMC parity across oracle backends: with identical hash draws, the SAT
+// oracle and the brute-force oracle must produce bit-identical (level, cell)
+// pairs and estimates, equal to the plain algorithm's. Oracle calls may
+// differ by backend, because the model pool reuses whichever models each
+// backend returned; each backend must stay at or under the plain
 // algorithm's calls and repeat its own count exactly.
 // ---------------------------------------------------------------------------
 
@@ -159,14 +159,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn approx_mc_is_bit_identical_across_solver_engines(
+    fn approx_mc_is_bit_identical_across_oracle_backends(
         seed in any::<u64>(),
         n in 5usize..10,
         clauses in 4usize..16,
     ) {
         use mcf0_counting::{approx_mc_on_oracle, approx_mc_reference, CountOutcome};
         use mcf0_hashing::ToeplitzHash;
-        use mcf0_sat::{ChronoOracle, SatOracle, SolutionOracle};
+        use mcf0_sat::{BruteForceOracle, SatOracle, SolutionOracle};
 
         let mut rng = rng_from(seed);
         let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
@@ -179,16 +179,16 @@ proptest! {
         };
 
         let a = run(&mut SatOracle::new(f.clone()));
-        let b = run(&mut ChronoOracle::new(f.clone()));
+        let b = run(&mut BruteForceOracle::from_cnf(f.clone()));
         let plain = approx_mc_reference(&f, &config, LevelSearch::Galloping, &mut rng_from(seed ^ 0xABCD), sample);
 
         prop_assert_eq!(&a.per_iteration, &b.per_iteration);
         prop_assert_eq!(&a.per_iteration, &plain.per_iteration);
         prop_assert_eq!(a.estimate, b.estimate);
         prop_assert_eq!(a.estimate, plain.estimate);
-        prop_assert!(a.oracle_calls <= plain.oracle_calls, "cdcl {} > plain {}", a.oracle_calls, plain.oracle_calls);
-        prop_assert!(b.oracle_calls <= plain.oracle_calls, "chrono {} > plain {}", b.oracle_calls, plain.oracle_calls);
+        prop_assert!(a.oracle_calls <= plain.oracle_calls, "sat {} > plain {}", a.oracle_calls, plain.oracle_calls);
+        prop_assert!(b.oracle_calls <= plain.oracle_calls, "brute {} > plain {}", b.oracle_calls, plain.oracle_calls);
         prop_assert_eq!(run(&mut SatOracle::new(f.clone())).oracle_calls, a.oracle_calls);
-        prop_assert_eq!(run(&mut ChronoOracle::new(f)).oracle_calls, b.oracle_calls);
+        prop_assert_eq!(run(&mut BruteForceOracle::from_cnf(f)).oracle_calls, b.oracle_calls);
     }
 }

@@ -18,17 +18,15 @@
 //!   carry derivation dependencies and are purged exactly when a pop
 //!   invalidates them). This substitutes the production CNF-XOR solvers
 //!   (CryptoMiniSat) used by ApproxMC in practice; see DESIGN.md §2 and §5.
-//!   The previous chronological engine survives as
-//!   [`solver::ChronoSolver`], the differential-testing reference.
 //! * [`oracle::SolutionOracle`] — the abstract assumption-based oracle
 //!   interface, with the solver backend ([`oracle::SatOracle`]) and a
 //!   brute-force backend ([`oracle::BruteForceOracle`]) used for ground truth
 //!   and for hash families that cannot be encoded as XOR constraints;
 //!   [`oracle::XorPrefixSession`] batches the level searches so consecutive
 //!   probes reuse the solver state for their shared constraint prefix.
-//! * [`bounded::bounded_sat`] — Proposition 1's `BoundedSAT`: up to `p`
-//!   solutions of `φ ∧ h_m(x) = 0^m`, with the polynomial-time DNF
-//!   specialisation.
+//! * [`bounded::bounded_sat_cnf`] — Proposition 1's `BoundedSAT`: up to `p`
+//!   solutions of `φ ∧ h_m(x) = 0^m`, and [`bounded::bounded_sat_dnf`], its
+//!   polynomial-time DNF specialisation.
 //! * [`findmin`] — Proposition 2's `FindMin`: the `p` lexicographically
 //!   smallest elements of `h(Sol(φ))`, polynomial time for DNF (affine-image
 //!   enumeration per term) and NP-oracle-backed prefix search for CNF.
@@ -54,10 +52,5 @@ pub use affine::{affine_find_min, AffineSystem};
 pub use bounded::{bounded_sat_cnf, bounded_sat_dnf, BoundedSatResult};
 pub use findmaxrange::{find_max_range_cnf, find_max_range_dnf, find_max_range_enumerative};
 pub use findmin::{find_min_cnf, find_min_dnf};
-pub use oracle::{
-    BruteForceOracle, ChronoOracle, OracleStats, SatOracle, SatOracleOn, SolutionOracle,
-    XorPrefixSession,
-};
-pub use solver::{
-    ChronoSolver, ClauseMark, CnfXorSolver, SolveOutcome, SolverCore, SolverStats, XorConstraint,
-};
+pub use oracle::{BruteForceOracle, OracleStats, SatOracle, SolutionOracle, XorPrefixSession};
+pub use solver::{ClauseMark, CnfXorSolver, SolveOutcome, SolverStats, XorConstraint};

@@ -35,9 +35,7 @@
 //!   cannot be encoded as XOR constraints (such as trailing-zero constraints
 //!   on the s-wise polynomial hash used by the Estimation strategy).
 
-use crate::solver::{
-    ChronoSolver, CnfXorSolver, SolveOutcome, SolverCore, SolverStats, XorConstraint,
-};
+use crate::solver::{CnfXorSolver, SolveOutcome, SolverStats, XorConstraint};
 use mcf0_formula::{Assignment, CnfFormula, DnfFormula};
 use mcf0_gf2::BitVec;
 
@@ -179,32 +177,21 @@ impl Drop for XorPrefixSession<'_> {
     }
 }
 
-/// Oracle backed by an incremental CNF-XOR solver. The solver instance is
+/// Oracle backed by the incremental CNF-XOR solver. The solver instance is
 /// built once from the formula and reused across every query; hash
-/// constraints come and go through the assumption stack. The backend is any
-/// [`SolverCore`] — the CDCL engine in production ([`SatOracle`]), the
-/// chronological reference engine in the parity tests and baseline
-/// benchmarks ([`ChronoOracle`]).
+/// constraints come and go through the assumption stack.
 #[derive(Clone, Debug)]
-pub struct SatOracleOn<S: SolverCore> {
+pub struct SatOracle {
     formula: CnfFormula,
-    solver: S,
+    solver: CnfXorSolver,
     stats: OracleStats,
 }
 
-/// The production oracle: the CDCL engine behind the [`SolutionOracle`]
-/// interface.
-pub type SatOracle = SatOracleOn<CnfXorSolver>;
-
-/// The reference oracle: the chronological engine behind the same
-/// interface, for differential tests and baseline benchmarks.
-pub type ChronoOracle = SatOracleOn<ChronoSolver>;
-
-impl<S: SolverCore> SatOracleOn<S> {
+impl SatOracle {
     /// Creates an oracle over the solutions of a CNF formula.
     pub fn new(formula: CnfFormula) -> Self {
-        let solver = S::from_cnf(&formula);
-        SatOracleOn {
+        let solver = CnfXorSolver::from_cnf(&formula);
+        SatOracle {
             formula,
             solver,
             stats: OracleStats::default(),
@@ -216,14 +203,14 @@ impl<S: SolverCore> SatOracleOn<S> {
         &self.formula
     }
 
-    /// The backend solver's search-work counters (decisions, conflicts,
+    /// The solver's search-work counters (decisions, conflicts,
     /// propagations, learned/deleted clauses, restarts).
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
     }
 }
 
-impl<S: SolverCore> SolutionOracle for SatOracleOn<S> {
+impl SolutionOracle for SatOracle {
     fn num_vars(&self) -> usize {
         self.formula.num_vars()
     }

@@ -2,9 +2,8 @@
 //! database with LBD / activity bookkeeping.
 //!
 //! Original clauses are append-only and removed by truncation
-//! (`pop_clauses_to`), exactly like the chronological engine's store, so the
-//! scratch blocking clauses of `enumerate` keep their cheap push/pop
-//! discipline. Learned clauses live in a separate arena addressed through
+//! (`pop_clauses_to`), so the scratch blocking clauses of `enumerate` keep a
+//! cheap push/pop discipline. Learned clauses live in a separate arena addressed through
 //! the high bit of [`ClauseRef`]; they carry an LBD score, an EVSIDS-style
 //! activity, and the derivation [`Deps`] that ground them in the poppable
 //! stores.

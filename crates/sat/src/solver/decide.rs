@@ -6,9 +6,8 @@
 //! decaying all activities), with a rescale when values approach the f64
 //! range. Decisions pop the most active unassigned variable from an indexed
 //! binary max-heap and assign its saved phase (last value it held on the
-//! trail; initially `false`, matching the chronological engine's
-//! false-first order). Everything is deterministic: activities evolve by a
-//! fixed arithmetic schedule and heap ties resolve by structure.
+//! trail; initially `false`). Everything is deterministic: activities evolve
+//! by a fixed arithmetic schedule and heap ties resolve by structure.
 
 #[derive(Clone, Debug)]
 pub(super) struct VarOrder {

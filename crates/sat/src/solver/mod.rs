@@ -25,10 +25,7 @@
 //!   them, in which each row has a basic column of its own and a watched
 //!   column; every clause fixpoint pivots only the rows whose basic or watch
 //!   was just assigned, and a per-solve arena keeps the live rows that
-//!   served as reasons;
-//! * `chrono` — the previous chronological-backtracking engine, kept intact
-//!   as [`ChronoSolver`]: the differential-testing reference the parity
-//!   proptests pin the CDCL engine against.
+//!   served as reasons.
 //!
 //! **Incrementality.** The engine is assumption-based: XOR rows are pushed
 //! and popped ([`CnfXorSolver::push_assumption`] /
@@ -48,14 +45,11 @@
 //! so the solver's speed only scales the time axis of the experiments.
 
 mod analyze;
-mod chrono;
 mod clausedb;
 mod decide;
 mod engine;
 mod restart;
 mod xor;
-
-pub use chrono::ChronoSolver;
 
 use clausedb::{ClauseDb, Deps};
 use decide::VarOrder;
@@ -155,40 +149,14 @@ pub struct SolverStats {
     pub purged_clauses: u64,
 }
 
-/// The common incremental-solver surface shared by the CDCL engine and the
-/// chronological reference engine, so the oracle layer (and the parity
-/// tests) can run either backend through one code path.
-pub trait SolverCore: Clone + std::fmt::Debug {
-    /// Creates a solver loaded with the clauses of a CNF formula.
-    fn from_cnf(formula: &CnfFormula) -> Self;
-    /// Number of XOR assumptions currently pushed.
-    fn assumption_len(&self) -> usize;
-    /// Pushes an XOR constraint as a popable assumption.
-    fn push_assumption(&mut self, xor: &XorConstraint);
-    /// Pops assumptions until only the first `len` remain.
-    fn pop_assumptions_to(&mut self, len: usize);
-    /// Decides satisfiability under permanent constraints plus assumptions.
-    fn solve(&mut self) -> SolveOutcome;
-    /// Enumerates up to `limit` distinct solutions outside `known`
-    /// (state-restoring).
-    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment>;
-    /// Number of `solve` invocations so far (the oracle-call metric).
-    fn solve_calls(&self) -> u64;
-    /// Search-work counters.
-    fn stats(&self) -> SolverStats;
-}
-
 #[inline]
 pub(super) fn lit_code(l: Literal) -> usize {
     2 * l.var() + usize::from(l.is_positive())
 }
 
-/// The incremental CNF-XOR CDCL solver.
-///
-/// Public API surface (construction, clause/XOR loading, assumption
-/// push/pop, `solve` / `enumerate`, clause marks) is identical to the
-/// previous chronological engine — the counting stack above is oblivious to
-/// the rewrite — plus [`CnfXorSolver::stats`] for the new search counters.
+/// The incremental CNF-XOR CDCL solver: clause and XOR loading, assumption
+/// push/pop, `solve` / `enumerate`, clause marks, and
+/// [`CnfXorSolver::stats`] for the search counters.
 #[derive(Clone, Debug)]
 pub struct CnfXorSolver {
     num_vars: usize,
@@ -286,33 +254,6 @@ impl CnfXorSolver {
         let mut out: Vec<Vec<Literal>> = self.learned_units.iter().map(|&(l, _)| vec![l]).collect();
         out.extend(self.db.learned.iter().map(|c| c.lits.clone()));
         out
-    }
-}
-
-impl SolverCore for CnfXorSolver {
-    fn from_cnf(formula: &CnfFormula) -> Self {
-        CnfXorSolver::from_cnf(formula)
-    }
-    fn assumption_len(&self) -> usize {
-        CnfXorSolver::assumption_len(self)
-    }
-    fn push_assumption(&mut self, xor: &XorConstraint) {
-        CnfXorSolver::push_assumption(self, xor);
-    }
-    fn pop_assumptions_to(&mut self, len: usize) {
-        CnfXorSolver::pop_assumptions_to(self, len);
-    }
-    fn solve(&mut self) -> SolveOutcome {
-        CnfXorSolver::solve(self)
-    }
-    fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
-        CnfXorSolver::enumerate_excluding(self, known, limit)
-    }
-    fn solve_calls(&self) -> u64 {
-        CnfXorSolver::solve_calls(self)
-    }
-    fn stats(&self) -> SolverStats {
-        CnfXorSolver::stats(self)
     }
 }
 
@@ -511,24 +452,6 @@ mod tests {
         }
         s.pop_assumptions_to(base);
         assert_eq!(s.enumerate(1 << 3).len(), 8);
-    }
-
-    #[test]
-    fn cdcl_and_chrono_agree_on_random_instances() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(123);
-        for _ in 0..20 {
-            let f = random_k_cnf(&mut rng, 8, 18, 3);
-            let xor = XorConstraint::from_row(&rng.random_bitvec(8), rng.next_bool());
-            let mut cdcl = CnfXorSolver::from_cnf(&f);
-            let mut chrono = ChronoSolver::from_cnf(&f);
-            cdcl.add_xor(xor.clone());
-            chrono.add_xor(xor);
-            let mut a = cdcl.enumerate(1 << 8);
-            let mut b = chrono.enumerate(1 << 8);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! that propagates incrementally over the columns the search has not
 //! assigned yet.
 //!
-//! Identical discipline to the chronological engine at insertion: every
-//! added constraint is forward-reduced against the existing pivot rows once;
-//! an inconsistent system is detected before any search; rows are only ever
-//! appended, so popping assumptions is a truncation.
+//! At insertion every added constraint is forward-reduced against the
+//! existing pivot rows once; an inconsistent system is detected before any
+//! search; rows are only ever appended, so popping assumptions is a
+//! truncation.
 //!
 //! During search the store keeps two bitmasks in step with the trail
 //! (`assigned`, and `truth` for the variables assigned true) and works on

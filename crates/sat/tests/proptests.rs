@@ -99,10 +99,21 @@ proptest! {
     }
 
     #[test]
-    fn solver_enumeration_finds_every_solution(seed in any::<u64>(), n in 3usize..8, clauses in 1usize..12) {
+    fn solver_enumeration_finds_every_solution(
+        seed in any::<u64>(),
+        n in 3usize..8,
+        clauses in 1usize..12,
+        xor_rows in 0usize..5,
+    ) {
         let mut rng = rng_from(seed);
         let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
+        let xors: Vec<XorConstraint> = (0..xor_rows)
+            .map(|_| XorConstraint::from_row(&rng.random_bitvec(n), rng.next_bool()))
+            .collect();
         let mut solver = CnfXorSolver::from_cnf(&f);
+        for x in &xors {
+            solver.add_xor(x.clone());
+        }
         let mut found: Vec<u64> = solver
             .enumerate(1 << n)
             .iter()
@@ -110,7 +121,10 @@ proptest! {
             .collect();
         found.sort_unstable();
         let expected: Vec<u64> = (0..(1u64 << n))
-            .filter(|&v| f.eval(&assignment_from_u64(v, n)))
+            .filter(|&v| {
+                let a = assignment_from_u64(v, n);
+                f.eval(&a) && xors.iter().all(|x| x.eval(&a))
+            })
             .collect();
         prop_assert_eq!(found, expected);
     }
@@ -492,12 +506,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// CDCL vs chronological engine parity (the differential contract of the CDCL
-// rewrite: identical verdicts, identical solution sets, identical subroutine
-// outputs — only the search inside each oracle call may differ)
+// Assumption sessions and subroutines against the brute-force specification
 // ---------------------------------------------------------------------------
-
-use mcf0_sat::{ChronoOracle, ChronoSolver};
 
 fn sorted_solutions(sols: Vec<Assignment>) -> Vec<Assignment> {
     let mut sols = sols;
@@ -509,43 +519,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn cdcl_matches_chrono_on_verdicts_and_solution_sets(
-        seed in any::<u64>(),
-        n in 3usize..9,
-        clauses in 1usize..18,
-        xor_rows in 0usize..5,
-    ) {
-        let mut rng = rng_from(seed);
-        let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
-        let mut cdcl = CnfXorSolver::from_cnf(&f);
-        let mut chrono = ChronoSolver::from_cnf(&f);
-        for _ in 0..xor_rows {
-            let xor = XorConstraint::from_row(&rng.random_bitvec(n), rng.next_bool());
-            cdcl.add_xor(xor.clone());
-            chrono.add_xor(xor);
-        }
-        let a = matches!(cdcl.solve(), SolveOutcome::Sat(_));
-        let b = matches!(chrono.solve(), SolveOutcome::Sat(_));
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(
-            sorted_solutions(cdcl.enumerate(1 << n)),
-            sorted_solutions(chrono.enumerate(1 << n))
-        );
-    }
-
-    #[test]
-    fn cdcl_matches_chrono_on_assumption_session_replay(
+    fn assumption_session_replay_matches_brute_force(
         seed in any::<u64>(),
         n in 3usize..8,
         clauses in 1usize..12,
         ops in proptest::collection::vec((0usize..4, any::<u64>()), 1..12),
     ) {
-        // Replay one interleaved push/pop/solve/enumerate sequence against
-        // both engines; every intermediate answer must be bit-identical.
+        // Replay one interleaved push/pop/solve/enumerate sequence against a
+        // brute-force mirror: the formula's models filtered by the rows
+        // currently pushed. Every intermediate answer must match.
         let mut rng = rng_from(seed);
         let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
-        let mut cdcl = CnfXorSolver::from_cnf(&f);
-        let mut chrono = ChronoSolver::from_cnf(&f);
+        let models: Vec<Assignment> = (0..(1u64 << n))
+            .map(|v| assignment_from_u64(v, n))
+            .filter(|a| f.eval(a))
+            .collect();
+        let mirror = |rows: &[XorConstraint]| -> Vec<Assignment> {
+            let kept = models.iter().filter(|a| rows.iter().all(|x| x.eval(a)));
+            sorted_solutions(kept.cloned().collect())
+        };
+        let mut solver = CnfXorSolver::from_cnf(&f);
+        let mut pushed: Vec<XorConstraint> = Vec::new();
         for (op, op_seed) in ops {
             let mut op_rng = rng_from(op_seed);
             match op {
@@ -554,36 +548,32 @@ proptest! {
                         &op_rng.random_bitvec(n),
                         op_rng.next_bool(),
                     );
-                    cdcl.push_assumption(&xor);
-                    chrono.push_assumption(&xor);
+                    solver.push_assumption(&xor);
+                    pushed.push(xor);
                 }
                 1 => {
-                    let len = cdcl.assumption_len();
+                    let len = pushed.len();
                     let target = if len == 0 { 0 } else { op_seed as usize % (len + 1) };
-                    cdcl.pop_assumptions_to(target);
-                    chrono.pop_assumptions_to(target);
+                    solver.pop_assumptions_to(target);
+                    pushed.truncate(target);
                 }
-                2 => {
-                    prop_assert_eq!(
-                        matches!(cdcl.solve(), SolveOutcome::Sat(_)),
-                        matches!(chrono.solve(), SolveOutcome::Sat(_))
-                    );
-                }
+                2 => match solver.solve() {
+                    SolveOutcome::Sat(model) => {
+                        prop_assert!(mirror(&pushed).contains(&model));
+                    }
+                    SolveOutcome::Unsat => prop_assert!(mirror(&pushed).is_empty()),
+                },
                 _ => {
                     prop_assert_eq!(
-                        sorted_solutions(cdcl.enumerate(1 << n)),
-                        sorted_solutions(chrono.enumerate(1 << n))
+                        sorted_solutions(solver.enumerate(1 << n)),
+                        mirror(&pushed)
                     );
                 }
             }
-            prop_assert_eq!(cdcl.assumption_len(), chrono.assumption_len());
+            prop_assert_eq!(solver.assumption_len(), pushed.len());
         }
-        cdcl.pop_assumptions_to(0);
-        chrono.pop_assumptions_to(0);
-        prop_assert_eq!(
-            sorted_solutions(cdcl.enumerate(1 << n)),
-            sorted_solutions(chrono.enumerate(1 << n))
-        );
+        solver.pop_assumptions_to(0);
+        prop_assert_eq!(sorted_solutions(solver.enumerate(1 << n)), mirror(&[]));
     }
 
     #[test]
@@ -597,18 +587,18 @@ proptest! {
         let f = random_k_cnf(&mut rng, n, clauses, 3.min(n));
         let h = ToeplitzHash::sample(&mut rng, n, 2 * n);
         let mut cdcl = SatOracle::new(f.clone());
-        let mut chrono = ChronoOracle::new(f);
+        let mut brute = BruteForceOracle::from_cnf(f);
         prop_assert_eq!(
             find_min_cnf(&mut cdcl, &h, p),
-            find_min_cnf(&mut chrono, &h, p)
+            find_min_cnf(&mut brute, &h, p)
         );
         prop_assert_eq!(
             find_max_range_cnf(&mut cdcl, &h),
-            find_max_range_cnf(&mut chrono, &h)
+            find_max_range_cnf(&mut brute, &h)
         );
-        // The paper's accounting must be engine-independent: both backends
-        // issue exactly the same number of oracle calls.
-        prop_assert_eq!(cdcl.stats(), chrono.stats());
+        // The paper's accounting must be backend-independent: FindMin and
+        // FindMaxRange issue only `exists()` queries, one call each.
+        prop_assert_eq!(cdcl.stats(), brute.stats());
     }
 }
 

@@ -6,7 +6,7 @@
 //! only `unsafe`).
 //!
 //! The [`Waker`] is a non-blocking self-pipe whose read end is registered
-//! under [`WAKE_TOKEN`]: worker threads finishing a response (and the
+//! under `WAKE_TOKEN`: worker threads finishing a response (and the
 //! server handle requesting shutdown) write one byte, which breaks the
 //! event loop out of its otherwise indefinite wait. [`Poller::wait`]
 //! drains the pipe internally and never surfaces the wake token — an

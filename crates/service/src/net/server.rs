@@ -1,7 +1,7 @@
 //! The TCP accept layer: [`serve`] binds a listener and hands it to the
 //! one accept path, a single readiness-driven event-loop thread over
 //! non-blocking sockets (epoll via [`super::poll`]) that dispatches
-//! decoded frames to a small fixed worker pool; see [`super::evented`].
+//! decoded frames to a small fixed worker pool; see the `evented` module.
 //! Idle connections cost zero CPU and the default ceiling is
 //! [`ServerConfig::max_connections`] = 1024. Linux only: elsewhere
 //! [`serve`] returns the poller's typed `Unsupported` error.
