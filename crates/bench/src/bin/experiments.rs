@@ -973,12 +973,13 @@ fn e16_applications() -> Vec<ExperimentRow> {
 
 /// E18 — the (ε, δ) contract as a statistic: the observed failure rate
 /// `|est − C| > ε·C` over seeded trials at the paper's `Thresh` and `t`, for
-/// the ApproxMC, Min and Est counters and the Minimum and Bucketing sketches, with its one-sided
+/// the ApproxMC, Min and Est counters and the Minimum, Bucketing and
+/// Estimation sketches, with its one-sided
 /// 99 % Clopper–Pearson upper bound (which `crates/bench/tests/contract.rs`
 /// gates at δ) and the worst relative error seen, which says how
 /// conservative `Thresh` and `t` are.
 fn e18_contract() -> Vec<ExperimentRow> {
-    use mcf0::streaming::{BucketingF0, MinimumF0};
+    use mcf0::streaming::{BucketingF0, EstimationF0, MinimumF0};
     use mcf0_bench::contract::{
         cnf_inputs, counter_trials, dnf_inputs, fewest_trials, sketch_trials, Counter, Trials,
         GRID, STREAM_BITS,
@@ -1026,7 +1027,8 @@ fn e18_contract() -> Vec<ExperimentRow> {
             result,
         ));
     }
-    // The streaming half: the tier-1 cell at F0 = 600, then the whole grid.
+    // The streaming half: the tier-1 cell at F0 = 600 (with the Estimation
+    // sketch's one cell), then the whole grid.
     let cells = std::iter::once((600, GRID[0])).chain(GRID.iter().map(|&cell| (2000, cell)));
     for (distinct, (epsilon, delta)) in cells {
         let config = F0Config::paper(epsilon, delta);
@@ -1038,7 +1040,11 @@ fn e18_contract() -> Vec<ExperimentRow> {
         let minimum = sketch_trials(MinimumF0::new, distinct, epsilon, delta, trials);
         rows.push(row(parameters.clone(), "Minimum", minimum));
         let bucketing = sketch_trials(BucketingF0::new, distinct, epsilon, delta, trials);
-        rows.push(row(parameters, "Bucketing", bucketing));
+        rows.push(row(parameters.clone(), "Bucketing", bucketing));
+        if distinct == 600 {
+            let estimation = sketch_trials(EstimationF0::new, distinct, epsilon, delta, trials);
+            rows.push(row(parameters, "Estimation", estimation));
+        }
     }
     rows
 }

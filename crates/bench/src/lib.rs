@@ -518,7 +518,7 @@ pub mod service_support {
                     }]
                 }
                 10 => {
-                    // Drop and immediately recreate: exercises shard-side
+                    // Drop and immediately recreate: exercises partial-side
                     // session teardown mid-trace (and resets a windowed
                     // session's epoch to 0 — the recreate is a fresh ring).
                     epochs.insert(name.clone(), 0);

@@ -7,10 +7,11 @@
 //! the Est counter on DNF and the Min counter on CNF run with `--ignored` in
 //! release. Streaming half: `MinimumF0` and `BucketingF0` on planted
 //! streams, one cell at F0 = 600 in the default suite and the whole grid at
-//! F0 = 2000 with `--ignored`.
+//! F0 = 2000 with `--ignored`; `EstimationF0`, one cell at F0 = 600 with
+//! `--ignored`.
 
 use mcf0::counting::{CountingConfig, FormulaInput};
-use mcf0::streaming::{BucketingF0, MinimumF0};
+use mcf0::streaming::{BucketingF0, EstimationF0, MinimumF0};
 use mcf0_bench::contract::{
     clopper_pearson_upper, cnf_inputs, counter_trials, dnf_inputs, fewest_trials, sketch_trials,
     Counter, Trials, CONFIDENCE, GRID,
@@ -107,6 +108,12 @@ fn sketches_meet_the_contract_on_the_grid() {
     for (epsilon, delta) in GRID {
         sketch_gate(2000, epsilon, delta);
     }
+}
+
+#[test]
+#[ignore = "the Estimation sketch's Horner hashing takes seconds in release"]
+fn estimation_sketch_meets_the_contract_at_eps_08_delta_02() {
+    assert_holds(sketch_trials(EstimationF0::new, 600, 0.8, 0.2, 21));
 }
 
 #[test]

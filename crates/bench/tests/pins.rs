@@ -10,7 +10,7 @@
 //!
 //! Service rows have no numbers of their own (except the two set-algebra
 //! queries): each names the direct-engine row it must reproduce, because
-//! sharding, merging, persistence and the wire are pure routing.
+//! partitioning, merging, persistence and the wire are pure routing.
 //!
 //! ```text
 //! cargo test -p mcf0-bench --test pins
@@ -74,17 +74,12 @@ const PINS: &[(&str, f64, u64, u64)] = &[
     // Inclusion–exclusion over two sessions' shared draws: the only service
     // rows no direct-engine row computes.
     (
-        "service_intersection_minimum_w32_s4",
+        "service_intersection_minimum_w32",
         13410.404783482467,
         131607,
         0,
     ),
-    (
-        "service_jaccard_minimum_w32_s4",
-        0.683077799327186,
-        131607,
-        0,
-    ),
+    ("service_jaccard_minimum_w32", 0.683077799327186, 131607, 0),
 ];
 
 /// ApproxMC's oracle calls without the model pool: the seed revision's
@@ -101,26 +96,20 @@ const APPROXMC_BASELINES: &[(&str, u64)] = &[
 /// reproduce the direct row's value exactly, and its space is `sketches`
 /// times the direct row's (a 3-epoch window holds one sketch per slot).
 const SERVICE_ROWS: &[(&str, &str, u64)] = &[
-    ("service_minimum_w32_s1", "minimum_w32", 1),
-    ("service_minimum_w32_s4", "minimum_w32", 1),
-    ("service_bucketing_w32_s4", "bucketing_w32", 1),
-    ("service_estimation_w32_s4", "estimation_w32", 1),
-    ("service_ams_f2_w24_s4", "ams_f2_w24", 1),
-    ("service_structured_dnf_w16_s4", "structured_dnf_w16", 1),
-    ("service_merge_minimum_w32_s4", "minimum_w32", 1),
-    ("service_restore_minimum_w32_s4", "minimum_w32", 1),
-    ("service_durable_minimum_w32_s2", "minimum_w32", 1),
-    ("service_socket_minimum_w32_s2", "minimum_w32", 1),
-    ("service_socket_minimum_w32_s2_c1", "minimum_w32", 1),
-    ("service_socket_minimum_w32_s2_c8", "minimum_w32", 1),
-    ("service_socket_minimum_w32_s2_c32", "minimum_w32", 1),
+    ("service_minimum_w32", "minimum_w32", 1),
+    ("service_bucketing_w32", "bucketing_w32", 1),
+    ("service_estimation_w32", "estimation_w32", 1),
+    ("service_ams_f2_w24", "ams_f2_w24", 1),
+    ("service_structured_dnf_w16", "structured_dnf_w16", 1),
+    ("service_merge_minimum_w32", "minimum_w32", 1),
+    ("service_restore_minimum_w32", "minimum_w32", 1),
+    ("service_durable_minimum_w32", "minimum_w32", 1),
+    ("service_socket_minimum_w32", "minimum_w32", 1),
+    ("service_socket_minimum_w32_c1", "minimum_w32", 1),
+    ("service_socket_minimum_w32_c8", "minimum_w32", 1),
+    ("service_socket_minimum_w32_c32", "minimum_w32", 1),
     (
-        "service_windowed_minimum_w32_k3_s1",
-        "windowed_minimum_w32_k3",
-        3,
-    ),
-    (
-        "service_windowed_minimum_w32_k3_s4",
+        "service_windowed_minimum_w32_k3",
         "windowed_minimum_w32_k3",
         3,
     ),
@@ -329,7 +318,7 @@ fn counter_pins() {
 
 // ---------------------------------------------------------------------------
 // Sketch rows, and the service rows that replay their seeds through the
-// sharded multi-tenant service.
+// multi-tenant service.
 
 fn minimum_stream() -> Vec<u64> {
     planted_f0_stream(&mut seeded(21), 32, 20_000, 40_000)
@@ -450,7 +439,7 @@ fn structured_and_distributed_pins() {
 /// The `minimum_w32` stream split across 6 caller-supplied epochs through a
 /// 3-epoch ring: the fold must equal a direct sketch (same seed) fed only the
 /// last 3 epochs' items, because ring rotation is pure routing, like
-/// sharding. The fold value is pinned.
+/// the service's partition. The fold value is pinned.
 #[test]
 fn windowed_pins() {
     let stream = minimum_stream();
@@ -472,9 +461,9 @@ fn windowed_pins() {
     check_space("windowed_minimum_w32_k3", readback(&fold));
 }
 
-/// A `shards`-shard service holding session `"t"` of `spec`.
-fn service_with(shards: usize, spec: SessionSpec) -> SketchService {
-    let mut service = SketchService::new(shards);
+/// A service holding session `"t"` of `spec`.
+fn service_with(spec: SessionSpec) -> SketchService {
+    let mut service = SketchService::new(1);
     service.create_session("t", spec).unwrap();
     service
 }
@@ -486,16 +475,16 @@ fn service_readback(service: &SketchService, name: &str) -> (f64, u64) {
     )
 }
 
-/// One session of `spec` fed `stream` through a `shards`-shard service.
-fn service_plain(shards: usize, spec: SessionSpec, stream: &[u64]) -> (f64, u64) {
-    let mut service = service_with(shards, spec);
+/// One session of `spec` fed `stream` through the service.
+fn service_plain(spec: SessionSpec, stream: &[u64]) -> (f64, u64) {
+    let mut service = service_with(spec);
     service.ingest("t", stream).unwrap();
     service_readback(&service, "t")
 }
 
 /// Two same-spec sessions `"a"` and `"b"` fed `a` and `b`.
 fn service_pair(a: &[u64], b: &[u64]) -> SketchService {
-    let mut service = SketchService::new(4);
+    let mut service = SketchService::new(1);
     service.create_session("a", minimum_spec()).unwrap();
     service.create_session("b", minimum_spec()).unwrap();
     service.ingest("a", a).unwrap();
@@ -504,11 +493,11 @@ fn service_pair(a: &[u64], b: &[u64]) -> SketchService {
 }
 
 /// The minimum stream split across 6 caller-supplied epochs into a 3-epoch
-/// windowed session: `estimate_window` must equal the direct ring fold at
-/// every shard count. `space_bits` is the whole ring (one sketch per slot).
-fn service_windowed_minimum(shards: usize) -> (f64, u64) {
+/// windowed session: `estimate_window` must equal the direct ring fold.
+/// `space_bits` is the whole ring (one sketch per slot).
+fn service_windowed_minimum() -> (f64, u64) {
     let stream = minimum_stream();
-    let mut service = service_with(shards, minimum_spec().with_window(3));
+    let mut service = service_with(minimum_spec().with_window(3));
     let chunk = stream.len().div_ceil(6);
     for (e, batch) in stream.chunks(chunk).enumerate() {
         if e > 0 {
@@ -525,31 +514,32 @@ fn service_windowed_minimum(shards: usize) -> (f64, u64) {
 #[test]
 fn service_pins() {
     let minimum = minimum_stream();
-    for (name, shards) in [("service_minimum_w32_s1", 1), ("service_minimum_w32_s4", 4)] {
-        check_service(name, service_plain(shards, minimum_spec(), &minimum));
-    }
     check_service(
-        "service_bucketing_w32_s4",
-        service_plain(4, bucketing_spec(), &bucketing_stream()),
+        "service_minimum_w32",
+        service_plain(minimum_spec(), &minimum),
     );
     check_service(
-        "service_ams_f2_w24_s4",
-        service_plain(4, ams_spec(), &ams_stream()),
+        "service_bucketing_w32",
+        service_plain(bucketing_spec(), &bucketing_stream()),
+    );
+    check_service(
+        "service_ams_f2_w24",
+        service_plain(ams_spec(), &ams_stream()),
     );
 
-    let mut service = service_with(4, estimation_spec());
+    let mut service = service_with(estimation_spec());
     service.ingest("t", &estimation_stream()).unwrap();
     let estimate = service.estimate_with_r("t", ESTIMATION_R).unwrap();
     let got = (
         estimate.expect("valid r"),
         service.space_bits("t").unwrap() as u64,
     );
-    check_service("service_estimation_w32_s4", got);
+    check_service("service_estimation_w32", got);
 
-    let mut service = service_with(4, dnf_spec());
+    let mut service = service_with(dnf_spec());
     service.ingest_structured("t", &dnf_sets()).unwrap();
     check_service(
-        "service_structured_dnf_w16_s4",
+        "service_structured_dnf_w16",
         service_readback(&service, "t"),
     );
 
@@ -559,30 +549,22 @@ fn service_pins() {
         minimum.chunks(2).map(|pair| (pair[0], pair[1])).unzip();
     let mut service = service_pair(&even, &odd);
     service.merge_sessions("a", "b").unwrap();
-    check_service(
-        "service_merge_minimum_w32_s4",
-        service_readback(&service, "a"),
-    );
+    check_service("service_merge_minimum_w32", service_readback(&service, "a"));
 
     // Save → restore into a fresh service: the restored session must carry
     // the exact state (byte-identical re-save).
-    let mut service = service_with(4, minimum_spec());
+    let mut service = service_with(minimum_spec());
     service.ingest("t", &minimum).unwrap();
     let saved = service.save("t").unwrap();
-    let mut fresh = SketchService::new(3);
+    let mut fresh = SketchService::new(1);
     fresh.restore(&saved).unwrap();
     assert_eq!(fresh.save("t").unwrap(), saved, "restore → save round trip");
-    check_service(
-        "service_restore_minimum_w32_s4",
-        service_readback(&fresh, "t"),
-    );
+    check_service("service_restore_minimum_w32", service_readback(&fresh, "t"));
 
-    for (name, shards) in [
-        ("service_windowed_minimum_w32_k3_s1", 1),
-        ("service_windowed_minimum_w32_k3_s4", 4),
-    ] {
-        check_service(name, service_windowed_minimum(shards));
-    }
+    check_service(
+        "service_windowed_minimum_w32_k3",
+        service_windowed_minimum(),
+    );
 
     // Overlapping two-thirds slices: the inclusion–exclusion intersection
     // and Jaccard estimates are deterministic functions of the shared draws.
@@ -591,11 +573,11 @@ fn service_pins() {
     let space_bits = service.space_bits("a").unwrap() as u64;
     let intersection = service.intersection_estimate("a", "b").unwrap();
     check_space(
-        "service_intersection_minimum_w32_s4",
+        "service_intersection_minimum_w32",
         (intersection, space_bits),
     );
     let jaccard = service.jaccard_estimate("a", "b").unwrap();
-    check_space("service_jaccard_minimum_w32_s4", (jaccard, space_bits));
+    check_space("service_jaccard_minimum_w32", (jaccard, space_bits));
 }
 
 fn ingest(items: &[u64]) -> ServiceCommand {
@@ -607,7 +589,7 @@ fn ingest(items: &[u64]) -> ServiceCommand {
 
 /// The minimum stream through a crash-safe durable store: every ingest batch
 /// is framed, checksummed and group-commit-fsynced to the write-ahead log
-/// before it reaches the shards, then the store is closed and recovered from
+/// before it reaches the partials, then the store is closed and recovered from
 /// disk. The checked estimate comes from the *recovered* service.
 #[test]
 fn durable_service_pins() {
@@ -618,7 +600,7 @@ fn durable_service_pins() {
         compact_after_bytes: None,
         ..DurableConfig::default()
     };
-    let (mut durable, _) = DurableSketchService::open(&dir, 2, config).unwrap();
+    let (mut durable, _) = DurableSketchService::open(&dir, 1, config).unwrap();
     let create = ServiceCommand::Create {
         name: "t".into(),
         spec: minimum_spec(),
@@ -630,7 +612,7 @@ fn durable_service_pins() {
     durable.sync().unwrap();
     drop(durable);
 
-    let (recovered, report) = DurableSketchService::open(&dir, 2, config).unwrap();
+    let (recovered, report) = DurableSketchService::open(&dir, 1, config).unwrap();
     assert!(report.truncated.is_none(), "clean log scanned torn");
     let got = (
         recovered.estimate("t").unwrap(),
@@ -638,7 +620,7 @@ fn durable_service_pins() {
     );
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);
-    check_service("service_durable_minimum_w32_s2", got);
+    check_service("service_durable_minimum_w32", got);
 }
 
 /// One loopback connection of the registered tenant; request ids count up
@@ -703,16 +685,16 @@ impl Client {
     }
 }
 
-/// A loopback server over a `shards`-shard service with one registered
-/// tenant, and a client that created the minimum session over the wire.
-fn socket_server(shards: usize) -> (ServerHandle, Client) {
+/// A loopback server with one registered tenant, and a client that created
+/// the minimum session over the wire.
+fn socket_server() -> (ServerHandle, Client) {
     let mut directory = TenantDirectory::new();
     directory
         .register("bench", "tok-bench", TenantQuota::unlimited())
         .expect("register tenant");
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(shards),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )
@@ -728,8 +710,8 @@ fn socket_server(shards: usize) -> (ServerHandle, Client) {
 /// The minimum workload end to end through the TCP front-end, one request
 /// in flight at a time: every command a newline-delimited JSON request,
 /// every reply decoded from the wire.
-fn socket_minimum(shards: usize) -> (f64, u64) {
-    let (handle, mut client) = socket_server(shards);
+fn socket_minimum() -> (f64, u64) {
+    let (handle, mut client) = socket_server();
     for batch in minimum_stream().chunks(500) {
         client.pipeline(vec![ingest(batch)]);
     }
@@ -742,9 +724,9 @@ fn socket_minimum(shards: usize) -> (f64, u64) {
 /// connections, each pipelining its ingest batches into one shared session.
 /// The sketch is a function of the distinct-item set, not of the
 /// interleaving, so six passes over the stream change nothing.
-fn socket_minimum_concurrent(shards: usize, clients: usize) -> (f64, u64) {
+fn socket_minimum_concurrent(clients: usize) -> (f64, u64) {
     let stream = minimum_stream();
-    let (handle, mut client) = socket_server(shards);
+    let (handle, mut client) = socket_server();
     let mut per_client: Vec<Vec<ServiceCommand>> = vec![Vec::new(); clients];
     for pass in 0..6 {
         for (i, batch) in stream.chunks(125).enumerate() {
@@ -768,18 +750,19 @@ fn socket_minimum_concurrent(shards: usize, clients: usize) -> (f64, u64) {
 
 #[test]
 fn socket_service_pins() {
-    check_service("service_socket_minimum_w32_s2", socket_minimum(2));
+    check_service("service_socket_minimum_w32", socket_minimum());
     for (name, clients) in [
-        ("service_socket_minimum_w32_s2_c1", 1),
-        ("service_socket_minimum_w32_s2_c8", 8),
-        ("service_socket_minimum_w32_s2_c32", 32),
+        ("service_socket_minimum_w32_c1", 1),
+        ("service_socket_minimum_w32_c8", 8),
+        ("service_socket_minimum_w32_c32", 32),
     ] {
-        check_service(name, socket_minimum_concurrent(2, clients));
+        check_service(name, socket_minimum_concurrent(clients));
     }
 }
 
-/// Paper-scale self-differential: the 4-shard service against the unsharded
-/// reference interpreter on a wide-universe, paper-Thresh workload
+/// Paper-scale self-differential: the service, whose 20,000-item batches
+/// split across both partials, against the unpartitioned reference
+/// interpreter on a wide-universe, paper-Thresh workload
 /// (w = 48, Thresh = 150, 2·10^5 items), snapshot documents compared byte
 /// for byte. No baked-in constants: the check is the bit-identity contract.
 #[test]
@@ -799,7 +782,7 @@ fn service_heavy_self_differential() {
             spec,
         };
         reference.apply(&create).unwrap();
-        let mut service = service_with(4, spec);
+        let mut service = service_with(spec);
         for batch in stream.chunks(20_000) {
             service.ingest("t", batch).unwrap();
             reference.apply(&ingest(batch)).unwrap();
@@ -810,7 +793,7 @@ fn service_heavy_self_differential() {
         };
         assert!(
             service.save("t").unwrap() == expected,
-            "{}: sharded snapshot diverged from the reference",
+            "{}: service snapshot diverged from the reference",
             kind.name()
         );
     }

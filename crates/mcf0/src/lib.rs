@@ -69,9 +69,9 @@
 //! * [`structured`] — F0 over DNF-set / range / progression / affine
 //!   streams, weighted #DNF, Delphic sets with the APS-Estimator, and the
 //!   distinct-summation / max-dominance / triangle-counting reductions;
-//! * [`service`] — the multi-tenant sharded sketch service: named streaming
-//!   sessions over the sketches above, batched ingestion routed to per-shard
-//!   partial sketches, pairwise distinct-union merge, and serde-based
+//! * [`service`] — the multi-tenant sketch service: named streaming
+//!   sessions over the sketches above, large ingestion batches split across
+//!   two partial sketches, pairwise distinct-union merge, and serde-based
 //!   snapshot save/restore — all bit-identical to driving the sketches
 //!   directly.
 

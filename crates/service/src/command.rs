@@ -1,8 +1,8 @@
 //! The replayable command surface.
 //!
 //! Every public operation of the service has a command form, so whole
-//! workloads can be expressed as traces and replayed — against the sharded
-//! service at any shard count, or against the unsharded
+//! workloads can be expressed as traces and replayed — against the
+//! service, or against the unpartitioned
 //! [`crate::reference::ReferenceService`] — with outputs compared
 //! bit-for-bit (the differential test harness).
 

@@ -176,7 +176,6 @@ pub struct DurableSketchService {
     generation: u64,
     config: DurableConfig,
     health: Health,
-    shards: usize,
 }
 
 impl DurableSketchService {
@@ -184,7 +183,8 @@ impl DurableSketchService {
     /// recovers: latest checkpoint + log replay, torn tail truncated. The
     /// recovered state is bit-identical to the durable prefix of the
     /// pre-crash command history — the invariant the kill-point
-    /// differential suite pins.
+    /// differential suite pins. `shards` is ignored, as in
+    /// [`SketchService::new`]; pass 1.
     pub fn open(
         dir: impl AsRef<Path>,
         shards: usize,
@@ -195,15 +195,15 @@ impl DurableSketchService {
 
     /// [`DurableSketchService::open`] over an explicit [`Storage`] backend —
     /// the entry point the fault-schedule harness uses to run the service
-    /// over [`crate::FaultyStorage`].
+    /// over [`crate::FaultyStorage`]. `shards` is ignored; pass 1.
     pub fn open_with(
         storage: Arc<dyn Storage>,
         dir: impl AsRef<Path>,
-        shards: usize,
+        _shards: usize,
         config: DurableConfig,
     ) -> Result<(Self, RecoveryReport), ServiceError> {
         let dir = dir.as_ref().to_path_buf();
-        let (inner, generation, wal, report) = Self::load(&storage, &dir, shards, &config)?;
+        let (inner, generation, wal, report) = Self::load(&storage, &dir, &config)?;
         Ok((
             DurableSketchService {
                 inner,
@@ -213,7 +213,6 @@ impl DurableSketchService {
                 generation,
                 config,
                 health: Health::Healthy,
-                shards,
             },
             report,
         ))
@@ -227,7 +226,6 @@ impl DurableSketchService {
     fn load(
         storage: &Arc<dyn Storage>,
         dir: &Path,
-        shards: usize,
         config: &DurableConfig,
     ) -> Result<(SketchService, u64, WalWriter, RecoveryReport), ServiceError> {
         let retry = &config.retry;
@@ -235,7 +233,7 @@ impl DurableSketchService {
 
         // 1. Latest checkpoint (absent on first open).
         let manifest_path = dir.join(MANIFEST_FILE);
-        let mut inner = SketchService::new(shards);
+        let mut inner = SketchService::new(1);
         let mut generation = 0u64;
         let mut checkpoint_sessions = 0usize;
         if let Some(bytes) = with_retries(retry, || storage.read(&manifest_path))? {
@@ -410,11 +408,11 @@ impl DurableSketchService {
         reply
     }
 
-    /// The supervision reaction to a retired shard: reload the whole
+    /// The supervision reaction to retired partials: reload the whole
     /// service from checkpoint + log through the normal recovery surface.
     ///
     /// Write-ahead logging makes this sound for the *triggering* command
-    /// too: a mutating command is on disk before it reaches the shards, so
+    /// too: a mutating command is on disk before it reaches the partials, so
     /// the replayed state includes it and the command reports success; a
     /// query is simply re-run against the rebuilt service. If the rebuild
     /// fails (storage died as well, or the log holds a command that
@@ -427,7 +425,7 @@ impl DurableSketchService {
         let rebuilt = self
             .wal
             .sync(&self.config.retry)
-            .and_then(|()| Self::load(&self.storage, &self.dir, self.shards, &self.config));
+            .and_then(|()| Self::load(&self.storage, &self.dir, &self.config));
         match rebuilt {
             Ok((inner, generation, wal, _report)) => {
                 self.inner = inner;
@@ -566,7 +564,7 @@ impl DurableSketchService {
             // reload the durable state through the normal recovery surface
             // before re-publishing it.
             let (inner, generation, wal, _report) =
-                Self::load(&self.storage, &self.dir, self.shards, &self.config)?;
+                Self::load(&self.storage, &self.dir, &self.config)?;
             self.inner = inner;
             self.generation = generation;
             self.wal = wal;

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Why a service command was rejected. Most variants are caller mistakes the
-/// control plane detects *before* any shard's state is touched, so
+/// control plane detects *before* any partial's state is touched, so
 /// a failed command never leaves partial state behind; the fault-model
 /// variants ([`ServiceError::Storage`], [`ServiceError::WalRecord`],
 /// [`ServiceError::ShardPanicked`], [`ServiceError::Degraded`]) report
@@ -118,17 +118,18 @@ pub enum ServiceError {
         /// What was wrong with the frame.
         reason: String,
     },
-    /// An operation on a shard's state panicked (on the caller's thread or
-    /// the shard's helper thread), or found the shard retired by an earlier
-    /// panic. The panic is caught by the shard's supervisor and surfaced
+    /// An operation on a session partial panicked (on the caller's thread
+    /// or the helper thread), or found the partials retired by an earlier
+    /// panic. The panic is caught by the partials' supervisor and surfaced
     /// here as a value — it never re-panics in the caller. The in-memory
     /// service is inconsistent after this; [`crate::DurableSketchService`]
     /// reacts by rebuilding from checkpoint + log, a bare
     /// [`crate::SketchService`] should be dropped.
     ShardPanicked {
-        /// Index of the retired shard.
+        /// The partial that panicked: 0 (home) or 1 (helper).
         shard: usize,
-        /// The panic payload (or a note that the shard was already retired).
+        /// The panic payload (or a note that the partials were already
+        /// retired).
         message: String,
     },
     /// The durable store gave up on its storage after exhausting the retry

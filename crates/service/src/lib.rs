@@ -1,35 +1,35 @@
-//! Multi-tenant sharded F0 sketch service.
+//! Multi-tenant F0 sketch service.
 //!
-//! The streaming front-end the ROADMAP queued once the word-packed sketch
-//! engine landed: named sessions own one
-//! sketch each (Minimum / Bucketing / Estimation / AMS F2 / structured F0),
-//! batched ingestion commands are routed to per-shard partial sketches
-//! (applied on the calling thread, with a helper thread per extra shard
-//! for large batches), and estimates, pairwise merges, snapshots and
-//! serde-based save/restore all operate on the deterministic shard-order
-//! merge of the partials.
+//! Named sessions own one sketch each (Minimum / Bucketing / Estimation /
+//! AMS F2 / structured F0), kept as two partials: home and helper. The
+//! batch picks the partition: a `u64` batch of 2048 items or more is cut
+//! into two halves, and the service's one helper thread applies the second
+//! half while the caller applies the first; anything smaller goes whole to
+//! the home partial on the calling thread. Estimates, pairwise merges,
+//! snapshots and serde-based save/restore all operate on the deterministic
+//! home-then-helper merge of the partials.
 //!
 //! ## The determinism contract
 //!
-//! Sharding and batching are **pure routing, never a semantic change**.
+//! The split and batching are **pure routing, never a semantic change**.
 //! Every F0 sketch here is a function of the distinct item *set*, its
-//! repetition rows are independent given their hash draws, and every shard
-//! of a session re-derives the identical draw from the session seed — so
-//! partitioning a stream across shards and re-merging the partial sketches
+//! repetition rows are independent given their hash draws, and both
+//! partials of a session re-derive the identical draw from the session
+//! seed — so partitioning a stream and re-merging the partial sketches
 //! (distinct-union semantics; multiset-sum for the linear AMS sketch)
-//! reproduces the unsharded sketch bit for bit. The same argument makes the
+//! reproduces the unpartitioned sketch bit for bit. The same argument makes the
 //! cross-*session* [`SketchService::merge_sessions`] sound, mirroring the
 //! mergeable-sketch protocols of the paper's distributed F0 section. The
 //! differential test suite replays every command trace against the
-//! unsharded [`reference::ReferenceService`] and pins estimates, ledgers
-//! and serialized snapshots bit-identical across shard counts and batch
-//! splits.
+//! unpartitioned [`reference::ReferenceService`] and pins estimates,
+//! ledgers and serialized snapshots bit-identical across batch sizes on
+//! both sides of the split.
 //!
 //! ## The fault contract
 //!
-//! Failures are **values, never panics**: a panic inside a shard, on the
-//! caller's thread or a helper's, is caught by the shard's supervisor and
-//! surfaces as [`ServiceError::ShardPanicked`]; storage
+//! Failures are **values, never panics**: a panic inside a partial, on the
+//! caller's thread or the helper's, is caught by the partials' supervisor,
+//! retires both and surfaces as [`ServiceError::ShardPanicked`]; storage
 //! IO goes through the [`storage::Storage`] trait, is retried under a
 //! deterministic [`storage::RetryPolicy`], and an exhausted budget flips
 //! the durable store into degraded read-only mode
@@ -45,7 +45,7 @@
 //! ```
 //! use mcf0_service::{ServiceCommand, SessionSpec, SketchKind, SketchService};
 //!
-//! let mut service = SketchService::new(4); // 4 shards, 3 helper threads
+//! let mut service = SketchService::new(1); // the argument is ignored
 //! let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
 //! service.create_session("tenant-a", spec).unwrap();
 //! service.ingest("tenant-a", &[1, 2, 3, 2, 1]).unwrap();

@@ -17,9 +17,9 @@
 //! the same critical section, which is what lets the differential harness
 //! replay interleaved multi-client traffic in `seq` order against the
 //! reference interpreter and demand byte-identical replies. (Quota
-//! accounting happens on the same lock, *before* shard routing —
+//! accounting happens on the same lock, *before* partial routing —
 //! admission is control-plane work; only admitted commands ever reach the
-//! shards.) The worker pool changes *who* takes that lock, never the
+//! partials.) The worker pool changes *who* takes that lock, never the
 //! contract.
 //!
 //! Shutdown is cooperative: [`ServerHandle::shutdown`] (or drop) raises a

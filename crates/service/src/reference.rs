@@ -1,11 +1,11 @@
-//! The unsharded reference interpreter.
+//! The unpartitioned reference interpreter.
 //!
 //! [`ReferenceService`] applies the same [`ServiceCommand`] trace surface as
 //! [`crate::SketchService`], but holds exactly one direct sketch per session
-//! on the calling thread — no shards, no routing, no worker threads. It is
-//! the semantic ground truth of the differential suite: the sharded service
-//! must reproduce its estimates, ledgers and snapshot documents bit for bit
-//! at every shard count and batch split.
+//! on the calling thread — no partials, no routing, no worker threads. It
+//! is the semantic ground truth of the differential suite: the service must
+//! reproduce its estimates, ledgers and snapshot documents bit for bit at
+//! every batch split.
 
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
@@ -31,7 +31,7 @@ impl ReferenceEntry {
     }
 }
 
-/// Direct (unsharded) execution of service command traces.
+/// Direct (unpartitioned) execution of service command traces.
 #[derive(Default)]
 pub struct ReferenceService {
     sessions: BTreeMap<String, ReferenceEntry>,
@@ -95,14 +95,14 @@ impl ReferenceService {
                 Ok(CommandReply::Done)
             }
             ServiceCommand::Merge { dst, src } => {
-                // Same check order as the sharded service (dst first), so
+                // Same check order as the service (dst first), so
                 // error replies compare equal in the differential suite.
                 let dst_entry = self.entry(dst)?;
                 let src_entry = self.entry(src)?;
                 // Self-merge would double-count AMS sessions (multiset-sum
                 // merge) and bump the merge ledger without effect for the
                 // F0 kinds; rejected after existence, before the (trivially
-                // passing) spec check — mirroring the sharded service.
+                // passing) spec check — mirroring the service.
                 if dst == src {
                     return Err(ServiceError::MergeSelf(dst.clone()));
                 }
@@ -114,7 +114,7 @@ impl ReferenceService {
                 }
                 // Windowed twins must sit at the same epoch (ring slots only
                 // line up when the rings are aligned) — same check position
-                // as the sharded service.
+                // as the service.
                 if dst_entry.spec.window.is_some() && dst_entry.epoch() != src_entry.epoch() {
                     return Err(ServiceError::WindowEpochMismatch {
                         dst: dst.clone(),

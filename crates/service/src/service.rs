@@ -1,10 +1,10 @@
-//! The sharded multi-tenant service front-end: the session registry, and
-//! the routing of every command onto the shards' state (see `shard.rs`).
+//! The multi-tenant service front-end: the session registry, and the
+//! routing of every command onto the two partials (see `shard.rs`).
 
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
-use crate::shard::{self, partial, Partials, Shard};
+use crate::shard::{partial, Partition, HELPER, HOME};
 use crate::sketch::{set_algebra_estimates, SessionSketch};
 use crate::snapshot;
 use mcf0_formula::DnfFormula;
@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// the typed [`ServiceError::InvalidWindow`] *before* any slot is drawn.
 pub const MAX_WINDOW_EPOCHS: usize = 4096;
 
-/// A fully materialized view of one session (the merged cross-shard state).
+/// A fully materialized view of one session (its two partials merged).
 #[derive(Clone)]
 pub struct SessionSnapshot {
     /// Session name.
@@ -27,8 +27,8 @@ pub struct SessionSnapshot {
     /// Control-plane accounting.
     pub ledger: SessionLedger,
     /// The merged session state (plain sketch, or the whole epoch ring for
-    /// windowed sessions) — bit-identical to an unsharded run over the same
-    /// commands.
+    /// windowed sessions) — bit-identical to an unpartitioned run over the
+    /// same commands.
     pub sketch: SessionSketch,
 }
 
@@ -44,49 +44,44 @@ struct SessionEntry {
     ledger: SessionLedger,
     /// The current epoch of a windowed session (0 and never advanced for
     /// unwindowed ones). Mirrored on the control plane so `advance` can
-    /// reject regressions *before* dispatching to the shard rings.
+    /// reject regressions *before* dispatching to the partial rings.
     epoch: u64,
 }
 
-/// A multi-tenant, sharded sketch service.
+/// A multi-tenant sketch service.
 ///
-/// Named sessions own one sketch each; ingestion batches are routed to
-/// shards holding identically-drawn partial sketches, and every read
-/// (estimate, snapshot, save) folds the partials back together in shard
-/// order. Commands run on the calling thread; only large `u64` batches wake
-/// the shards' helper threads (`new(K)` keeps K − 1 of them). Sharding and
-/// batching are **pure routing**: every output is bit-identical to driving
-/// the underlying sketch directly with the same command trace, for every
-/// shard count and batch split — the invariant the differential test suite
-/// pins against [`crate::reference::ReferenceService`].
+/// Named sessions own one sketch each, kept as two identically-drawn
+/// partials: home and helper. The batch picks the partition: a `u64` batch
+/// of 2048 items or more is cut into two halves, the second applied on the
+/// service's one helper thread; anything smaller, and every structured
+/// batch, goes whole to the home partial on the calling thread. Every read
+/// (estimate, snapshot, save) folds the helper partial into the home one.
+/// The split and batching are **pure routing**: every output is
+/// bit-identical to driving the underlying sketch directly with the same
+/// command trace, for every batch split — the invariant the differential
+/// test suite pins against [`crate::reference::ReferenceService`].
 ///
-/// **Failure contract.** A panic inside a shard never re-raises in a
+/// **Failure contract.** A panic inside a partial never re-raises in a
 /// caller: it surfaces as [`ServiceError::ShardPanicked`] from the
-/// operation that touched the shard, and from every later operation (the
-/// shard has retired and its partial state is gone). An in-memory
-/// service cannot repair that by itself — its state may be mid-command
-/// inconsistent — so callers should discard it;
+/// operation that touched the partial, and from every later operation
+/// (both partials have retired). An in-memory service cannot repair that
+/// by itself — its state may be mid-command inconsistent — so callers
+/// should discard it;
 /// [`crate::DurableSketchService`] rebuilds automatically from checkpoint +
 /// write-ahead log instead.
 pub struct SketchService {
-    shards: Vec<Shard>,
+    partition: Partition,
     sessions: BTreeMap<String, SessionEntry>,
 }
 
 impl SketchService {
-    /// Starts the service with `shards` shards (at least 1) and one helper
-    /// thread for each shard after the first.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// Starts the service and its one helper thread. `shards` is ignored:
+    /// the batch size, not a count, picks the partition. Pass 1.
+    pub fn new(_shards: usize) -> Self {
         SketchService {
-            shards: (0..shards).map(Shard::new).collect(),
+            partition: Partition::new(),
             sessions: BTreeMap::new(),
         }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Registered session names, sorted.
@@ -100,24 +95,27 @@ impl SketchService {
     }
 
     /// A session's command-accounting ledger (deterministic and
-    /// shard-count-invariant; see [`SessionLedger`]).
+    /// partition-invariant; see [`SessionLedger`]).
     pub fn ledger(&self, name: &str) -> Result<&SessionLedger, ServiceError> {
         self.entry(name).map(|e| &e.ledger)
     }
 
-    /// Chaos hook for the supervision suite: panics inside shard `shard`'s
-    /// supervisor, on the calling thread, and retires the shard. Returns the
-    /// typed error the panic surfaced as (callers assert on it), or `Ok(())`
-    /// for an out-of-range index. Deterministic and safe — but the service
-    /// is state-poisoned afterwards, exactly like a real sketch bug.
+    /// Chaos hook for the supervision suite: panics inside the supervisor of
+    /// partial `shard` (0 home, 1 helper), on the calling thread, and
+    /// retires both partials. Returns the typed error the panic surfaced as
+    /// (callers assert on it), or `Ok(())` for an out-of-range index.
+    /// Deterministic and safe — but the service is state-poisoned
+    /// afterwards, exactly like a real sketch bug.
     pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ServiceError> {
-        match self.shards.get(shard) {
-            Some(shard) => shard.run(|_| panic!("injected worker panic")),
-            None => Ok(()),
+        match shard {
+            HOME | HELPER => self
+                .partition
+                .run(shard, |_| panic!("injected worker panic")),
+            _ => Ok(()),
         }
     }
 
-    /// Registers a session. Every shard draws an identical sketch from the
+    /// Registers a session. Both partials draw an identical sketch from the
     /// spec's seed; the draws never touch shared state.
     pub fn create_session(&mut self, name: &str, spec: SessionSpec) -> Result<(), ServiceError> {
         if self.sessions.contains_key(name) {
@@ -131,7 +129,7 @@ impl SketchService {
                 });
             }
         }
-        self.broadcast(|partials| {
+        self.partition.broadcast(|partials| {
             partials.insert(name.to_string(), SessionSketch::new(&spec));
         })?;
         self.sessions.insert(
@@ -145,23 +143,22 @@ impl SketchService {
         Ok(())
     }
 
-    /// Forgets a session on every shard.
+    /// Forgets a session on both partials.
     pub fn drop_session(&mut self, name: &str) -> Result<(), ServiceError> {
         self.entry(name)?;
-        self.broadcast(|partials| {
+        self.partition.broadcast(|partials| {
             partials.remove(name);
         })?;
         self.sessions.remove(name);
         Ok(())
     }
 
-    /// Feeds a batch of `u64` items: each item is routed to its shard (a
-    /// fixed function of the item value alone) and each shard's batched
-    /// sketch engine applies its sub-batch — on a helper thread when the
-    /// sub-batch is large, on the caller otherwise — and the call returns
-    /// once every shard has applied its share. Routing never changes
-    /// semantics — the sketches are functions of the distinct item set, and
-    /// the shard partials merge back losslessly.
+    /// Feeds a batch of `u64` items: whole to the home partial on the
+    /// caller, or, from 2048 items, in two contiguous halves with the second
+    /// applied on the helper thread; the call returns once both are
+    /// applied. The split never changes semantics — the sketches are
+    /// functions of the distinct item set, and the partials merge back
+    /// losslessly.
     pub fn ingest(&mut self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
         let entry = self.entry(name)?;
         if entry.spec.kind == SketchKind::StructuredMinimum {
@@ -170,38 +167,14 @@ impl SketchService {
                 expected: "structured (DNF) set items",
             });
         }
-        let shards = self.shards.len();
-        if shards == 1 {
-            // The caller's slice passes straight through.
-            if !items.is_empty() {
-                self.shards[0].run(|partials| shard::ingest(partials, name, items))?;
-            }
-        } else {
-            for shard in &mut self.shards {
-                shard.routed.clear();
-            }
-            for &item in items {
-                self.shards[route_item(item, shards)].routed.push(item);
-            }
-            // Large sub-batches leave first, so the helpers run while the
-            // caller applies shard 0; then every shard is finished in shard
-            // order (each reply must be collected) and the first error wins.
-            for shard in &mut self.shards[1..] {
-                shard.hand_off(name);
-            }
-            self.shards
-                .iter_mut()
-                .map(|shard| shard.finish_ingest(name))
-                .fold(Ok(()), Result::and)?;
-        }
+        self.partition.ingest(name, items)?;
         let ledger = &mut self.entry_mut(name)?.ledger;
         ledger.batches += 1;
         ledger.items += items.len() as u64;
         Ok(())
     }
 
-    /// Feeds a batch of structured set items, routed round-robin by the
-    /// session's running structured-item counter (again: pure routing).
+    /// Feeds a batch of structured set items, whole to the home partial.
     pub fn ingest_structured(
         &mut self,
         name: &str,
@@ -214,24 +187,11 @@ impl SketchService {
                 expected: "u64 stream items",
             });
         }
-        let shards = self.shards.len();
-        let offset = entry.ledger.structured_items;
-        let mut routed: Vec<Vec<DnfFormula>> = vec![Vec::new(); shards];
-        for (i, set) in sets.iter().enumerate() {
-            routed[(offset as usize + i) % shards].push(set.clone());
-        }
-        self.shards
-            .iter()
-            .zip(&routed)
-            .filter(|(_, sub)| !sub.is_empty())
-            .map(|(shard, sub)| {
-                shard.run(|partials| {
-                    if let Err(e) = partial(partials, name).ingest_structured(name, sub) {
-                        panic!("shard invariant: item kind mismatch ({e})");
-                    }
-                })
-            })
-            .fold(Ok(()), Result::and)?;
+        self.partition.run(HOME, |partials| {
+            if let Err(e) = partial(partials, name).ingest_structured(name, sets) {
+                panic!("shard invariant: item kind mismatch ({e})");
+            }
+        })?;
         let ledger = &mut self.entry_mut(name)?.ledger;
         ledger.batches += 1;
         ledger.structured_items += sets.len() as u64;
@@ -274,11 +234,13 @@ impl SketchService {
                 });
             }
         }
-        let merged_src = self.merged_sketch(src)?;
-        // All cross-shard state lands on shard 0; the per-sketch merges are
-        // associative and commute with the shard partition, so estimates and
-        // snapshots after this are exactly the direct-run values.
-        self.shards[0].run(|partials| partial(partials, dst).absorb(&merged_src))?;
+        let merged_src = self.partition.merged(src)?;
+        // The whole of `src` lands on `dst`'s home partial; the per-sketch
+        // merges are associative and commute with the partition, so
+        // estimates and snapshots after this are exactly the direct-run
+        // values.
+        self.partition
+            .run(HOME, |partials| partial(partials, dst).absorb(&merged_src))?;
         self.entry_mut(dst)?.ledger.merges += 1;
         Ok(())
     }
@@ -288,16 +250,16 @@ impl SketchService {
     /// only holds the last `K` epochs, so there is no everything-ever
     /// estimate to report.
     ///
-    /// Read-only operations take `&self`: they only fold the shard
-    /// partials, never mutate them, so the durable wrapper can
+    /// Read-only operations take `&self`: they only fold the partials,
+    /// never mutate them, so the durable wrapper can
     /// checkpoint (save every session) without exclusive access.
     pub fn estimate(&self, name: &str) -> Result<f64, ServiceError> {
         self.entry(name)?;
-        Ok(self.merged_sketch(name)?.into_folded().estimate())
+        Ok(self.partition.merged(name)?.into_folded().estimate())
     }
 
     /// Moves a windowed session to a strictly larger epoch, retiring the
-    /// ring slots that rotate out of the window, on every shard. Epochs are
+    /// ring slots that rotate out of the window, on both partials. Epochs are
     /// caller-supplied (the service never reads a clock) and must move
     /// strictly forward; violations are typed rejections that leave every
     /// ring untouched.
@@ -314,7 +276,8 @@ impl SketchService {
                 requested: epoch,
             });
         }
-        self.broadcast(|partials| partial(partials, name).advance(name, epoch))?;
+        self.partition
+            .broadcast(|partials| partial(partials, name).advance(name, epoch))?;
         let entry = self.entry_mut(name)?;
         entry.epoch = epoch;
         entry.ledger.advances += 1;
@@ -338,7 +301,7 @@ impl SketchService {
         if entry.spec.window.is_none() {
             return Err(ServiceError::NotWindowed(name.to_string()));
         }
-        Ok(self.merged_sketch(name)?.into_folded().estimate())
+        Ok(self.partition.merged(name)?.into_folded().estimate())
     }
 
     /// The inclusion–exclusion intersection-size estimate of two same-spec
@@ -377,11 +340,11 @@ impl SketchService {
         // `a == b` is allowed (the answer degenerates to est(A) and
         // similarity 1) — unlike merge, nothing is mutated, so self-pairing
         // is harmless.
-        let view_a = self.merged_sketch(a)?.into_folded();
+        let view_a = self.partition.merged(a)?.into_folded();
         let view_b = if a == b {
             view_a.clone()
         } else {
-            self.merged_sketch(b)?.into_folded()
+            self.partition.merged(b)?.into_folded()
         };
         Ok(set_algebra_estimates(&view_a, &view_b))
     }
@@ -390,14 +353,18 @@ impl SketchService {
     /// for other session kinds or a degenerate `r`).
     pub fn estimate_with_r(&self, name: &str, r: u32) -> Result<Option<f64>, ServiceError> {
         self.entry(name)?;
-        Ok(self.merged_sketch(name)?.into_folded().estimate_with_r(r))
+        Ok(self
+            .partition
+            .merged(name)?
+            .into_folded()
+            .estimate_with_r(r))
     }
 
     /// The merged session state's size in bits (windowed sessions: summed
     /// over every ring slot).
     pub fn space_bits(&self, name: &str) -> Result<usize, ServiceError> {
         self.entry(name)?;
-        Ok(self.merged_sketch(name)?.space_bits())
+        Ok(self.partition.merged(name)?.space_bits())
     }
 
     /// A fully materialized snapshot of the session (merged sketch + spec +
@@ -409,7 +376,7 @@ impl SketchService {
             name: name.to_string(),
             spec,
             ledger,
-            sketch: self.merged_sketch(name)?,
+            sketch: self.partition.merged(name)?,
         })
     }
 
@@ -419,8 +386,8 @@ impl SketchService {
     }
 
     /// Restores a session from a [`SketchService::save`] document, under its
-    /// saved name. The shards re-draw their empty partials from the saved
-    /// spec and the saved state lands on shard 0, so subsequent ingestion
+    /// saved name. Both partials are re-drawn empty from the saved spec and
+    /// the saved state lands on the home partial, so subsequent ingestion
     /// continues exactly where the saved session left off (restore → save
     /// round trips are byte-identical).
     pub fn restore(&mut self, json: &str) -> Result<String, ServiceError> {
@@ -430,9 +397,9 @@ impl SketchService {
         }
         // Shape validation happened in decode; now pin the *draw*: the
         // document's hashes must be exactly what the spec's seed produces,
-        // or the shard partials (redrawn from that seed) could never merge
-        // with the restored state. A tampered seed or hash word is rejected
-        // here instead of detonating a shard-side assert later.
+        // or the partials (redrawn from that seed) could never merge with
+        // the restored state. A tampered seed or hash word is rejected here
+        // instead of detonating a partial-side assert later.
         if !SessionSketch::new(&spec).same_draw(&sketch) {
             return Err(ServiceError::Snapshot(
                 "hash draws do not match the specification's seed".into(),
@@ -442,17 +409,19 @@ impl SketchService {
             Some(ring) => ring.epoch(),
             None => 0,
         };
-        self.broadcast(|partials| {
+        self.partition.broadcast(|partials| {
             partials.insert(name.clone(), SessionSketch::new(&spec));
         })?;
-        // Freshly created ring partials sit at epoch 0; catch every shard up
-        // to the saved epoch (their slots are still empty, so the catch-up
-        // retires nothing) before the saved state lands on shard 0 — rings
-        // must be epoch-aligned across shards for every later fold.
+        // Freshly created ring partials sit at epoch 0; catch both up to the
+        // saved epoch (their slots are still empty, so the catch-up retires
+        // nothing) before the saved state lands on the home partial — the
+        // two rings must be epoch-aligned for every later fold.
         if epoch > 0 {
-            self.broadcast(|partials| partial(partials, &name).advance(&name, epoch))?;
+            self.partition
+                .broadcast(|partials| partial(partials, &name).advance(&name, epoch))?;
         }
-        self.shards[0].run(|partials| partial(partials, &name).absorb(&sketch))?;
+        self.partition
+            .run(HOME, |partials| partial(partials, &name).absorb(&sketch))?;
         self.sessions.insert(
             name.clone(),
             SessionEntry {
@@ -515,41 +484,4 @@ impl SketchService {
             .get_mut(name)
             .ok_or_else(|| ServiceError::UnknownSession(name.to_string()))
     }
-
-    /// Folds the shard partials **in shard order** into the session's full
-    /// state, by reference: shard 0's partial is cloned, every other one is
-    /// absorbed in place (for rings: a slot-wise union — the shards' rings
-    /// stay epoch-aligned, so `absorb` degenerates to the plain slot-wise
-    /// merge).
-    fn merged_sketch(&self, name: &str) -> Result<SessionSketch, ServiceError> {
-        let mut merged = self.shards[0].run(|partials| partial(partials, name).clone())?;
-        for shard in &self.shards[1..] {
-            shard.run(|partials| merged.absorb(partial(partials, name)))?;
-        }
-        Ok(merged)
-    }
-
-    /// Runs `op` on every shard in shard order; every shard runs even after
-    /// a failure, and the first typed error wins.
-    fn broadcast(&self, op: impl Fn(&mut Partials)) -> Result<(), ServiceError> {
-        self.shards
-            .iter()
-            .map(|shard| shard.run(&op))
-            .fold(Ok(()), Result::and)
-    }
-}
-
-/// The item → shard routing function: a fixed splitmix-style scramble so
-/// consecutive items spread across shards. Any deterministic function of the
-/// item alone is semantically equivalent (the sketches depend only on the
-/// distinct item *set*); this one is pinned so ledger-free shard-level
-/// accounting stays reproducible run to run.
-fn route_item(item: u64, shards: usize) -> usize {
-    if shards == 1 {
-        return 0;
-    }
-    let mut z = item.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((z >> 32) as usize) % shards
 }

@@ -45,8 +45,8 @@ impl SketchKind {
 
 /// Everything that determines a session's sketch *draw*: two sessions with
 /// equal specifications hold identical hash functions, which is exactly the
-/// precondition for the service's pairwise merge (and for the sharding layer
-/// itself — every shard of a session rederives the same draw from `seed`).
+/// precondition for the service's pairwise merge (and for its partition
+/// itself — both partials of a session rederive the same draw from `seed`).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionSpec {
     /// Sketch strategy.
@@ -177,7 +177,7 @@ impl Deserialize for SessionSpec {
 }
 
 /// Deterministic per-session accounting, maintained on the control plane —
-/// never in the shards' state — so it is identical for every shard count and
+/// never in the partials' state — so it is identical for every batch split and
 /// equal to the reference interpreter's ledger on the same command trace
 /// (the differential suite pins this).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]

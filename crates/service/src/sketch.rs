@@ -10,10 +10,10 @@ use mcf0_streaming::{
 };
 use mcf0_structured::{DnfSet, StructuredMinimumF0};
 
-/// A session's sketch state. Each shard of a session holds one of these,
-/// drawn from the session seed (identical draws across shards), fed only the
-/// items routed to that shard; [`TenantSketch::merge_from`] recombines the
-/// partials in shard order into the exact state of an unsharded run.
+/// A session's sketch state. Each of a session's two partials holds one of
+/// these, drawn from the session seed (identical draws), fed only the items
+/// routed to it; [`TenantSketch::merge_from`] recombines the partials, home
+/// then helper, into the exact state of an unpartitioned run.
 #[derive(Clone)]
 pub enum TenantSketch {
     /// KMV rows.
@@ -30,7 +30,7 @@ pub enum TenantSketch {
 
 impl TenantSketch {
     /// Draws a fresh sketch for `spec`. Deterministic: equal specs yield
-    /// bit-identical sketches, which is what makes the sharded partials
+    /// bit-identical sketches, which is what makes the service's partials
     /// mergeable and the pairwise session merge sound.
     pub fn new(spec: &SessionSpec) -> Self {
         let mut rng = Xoshiro256StarStar::seed_from_u64(spec.seed);
@@ -75,7 +75,7 @@ impl TenantSketch {
 
     /// Feeds a batch of `u64` stream items through the sketch's batched
     /// engine. `Err` on structured sessions (the control plane checks this
-    /// before routing, so shards never see the error path).
+    /// before routing, so partials never see the error path).
     pub fn ingest(&mut self, session: &str, items: &[u64]) -> Result<(), ServiceError> {
         match self {
             TenantSketch::Minimum(s) => s.process_stream(items),
@@ -135,7 +135,7 @@ impl TenantSketch {
     /// reject well-formed snapshot documents whose hashes were not actually
     /// drawn from the accompanying spec's seed — such a document would
     /// otherwise pass shape validation and only explode later, inside a
-    /// shard's `merge_from` assert.
+    /// partial's `merge_from` assert.
     pub fn same_draw(&self, other: &Self) -> bool {
         match (self, other) {
             (TenantSketch::Minimum(a), TenantSketch::Minimum(b)) => {
@@ -207,10 +207,10 @@ impl WindowSketch for TenantSketch {
 
 /// A session's *complete* sketch state: the classic everything-ever sketch,
 /// or an epoch-ring of identically-drawn sub-sketches when the spec carries
-/// a window. Each shard of a session holds one of these; rings stay
-/// epoch-aligned across shards because `advance` is broadcast, so the
-/// cross-shard fold is a slot-wise merge and every read remains
-/// bit-identical to an unsharded run.
+/// a window. Each partial of a session holds one of these; the two rings
+/// stay epoch-aligned because `advance` is broadcast, so their fold is a
+/// slot-wise merge and every read remains bit-identical to an
+/// unpartitioned run.
 #[derive(Clone)]
 pub enum SessionSketch {
     /// An unwindowed session: one sketch covering the whole stream.
@@ -263,7 +263,7 @@ impl SessionSketch {
 
     /// Moves a windowed session to `epoch`. The control plane validates
     /// windowedness and monotonicity before dispatch, so violations here
-    /// are invariant breaches that panic (and the shard supervisor reports
+    /// are invariant breaches that panic (and the partials' supervisor reports
     /// them as typed values).
     ///
     /// # Panics
@@ -346,7 +346,7 @@ impl SessionSketch {
 }
 
 /// The shared inclusion–exclusion core of the set-algebra queries, used
-/// verbatim by both the sharded service and the reference interpreter so
+/// verbatim by both the service and the reference interpreter so
 /// the two replies are bit-identical by construction. Returns
 /// `(intersection, jaccard)` from the two sessions' folded views:
 /// `inter = est(A) + est(B) − est(A ∪ B)` clamped to `≥ 0` (the raw value

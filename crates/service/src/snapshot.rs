@@ -6,7 +6,7 @@
 //! `serde_json::from_str`). Encoding is canonical — field order is fixed by
 //! the struct definitions and numbers use Rust's shortest-roundtrip
 //! rendering — so two equal sketch states always serialize to the same
-//! bytes; the differential suite pins snapshot equality across shard counts
+//! bytes; the differential suite pins snapshot equality across batch splits
 //! on exactly this property. Decoding reverses it losslessly: restore →
 //! save round trips are byte-identical.
 //!

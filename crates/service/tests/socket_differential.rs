@@ -31,16 +31,15 @@ use std::time::Duration;
 
 const BITS: usize = 16;
 
-/// Starts a loopback server over `shards` shard workers with the given
-/// tenants registered.
-fn start(shards: usize, tenants: &[(&str, &str, TenantQuota)]) -> mcf0_service::ServerHandle {
+/// Starts a loopback server with the given tenants registered.
+fn start(tenants: &[(&str, &str, TenantQuota)]) -> mcf0_service::ServerHandle {
     let mut directory = TenantDirectory::new();
     for (id, token, quota) in tenants {
         directory.register(id, token, *quota).unwrap();
     }
     serve(
         "127.0.0.1:0",
-        SketchService::new(shards),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )
@@ -117,29 +116,27 @@ fn expected_line(
     })
 }
 
-/// One tenant, one client, shard counts {1, 2, 4}: every reply line is
-/// byte-identical to the reference interpreter's.
+/// One tenant, one client: every reply line is byte-identical to the
+/// reference interpreter's.
 #[test]
-fn single_client_replies_are_byte_identical_across_shard_counts() {
-    for shards in [1usize, 2, 4] {
-        for seed in [7u64, 1234, 998877] {
-            let trace = random_trace(seed, BITS, 40);
-            let handle = start(shards, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
-            let mut client = Client::connect(&handle);
-            let mut reference = ReferenceService::new();
-            for (i, command) in trace.iter().enumerate() {
-                let id = 100 + i as u64;
-                let got = client.round_trip_raw(&Request {
-                    id,
-                    token: "tok-alpha".to_string(),
-                    command: command.clone(),
-                });
-                // Single client ⇒ seq is simply the command index.
-                let want = expected_line(&mut reference, "alpha", id, i as u64, command);
-                assert_eq!(got, want, "shards={shards} seed={seed} command {i}");
-            }
-            handle.shutdown();
+fn single_client_replies_are_byte_identical_to_the_reference() {
+    for seed in [7u64, 1234, 998877] {
+        let trace = random_trace(seed, BITS, 40);
+        let handle = start(&[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+        let mut client = Client::connect(&handle);
+        let mut reference = ReferenceService::new();
+        for (i, command) in trace.iter().enumerate() {
+            let id = 100 + i as u64;
+            let got = client.round_trip_raw(&Request {
+                id,
+                token: "tok-alpha".to_string(),
+                command: command.clone(),
+            });
+            // Single client ⇒ seq is simply the command index.
+            let want = expected_line(&mut reference, "alpha", id, i as u64, command);
+            assert_eq!(got, want, "seed={seed} command {i}");
         }
+        handle.shutdown();
     }
 }
 
@@ -241,13 +238,10 @@ fn commands(trace: Vec<ServiceCommand>) -> Vec<Sent> {
 /// Two tenants pipelining concurrently.
 #[test]
 fn interleaved_clients_replay_byte_identical_in_seq_order() {
-    let handle = start(
-        2,
-        &[
-            ("alpha", "tok-alpha", TenantQuota::unlimited()),
-            ("beta", "tok-beta", TenantQuota::unlimited()),
-        ],
-    );
+    let handle = start(&[
+        ("alpha", "tok-alpha", TenantQuota::unlimited()),
+        ("beta", "tok-beta", TenantQuota::unlimited()),
+    ]);
     let clients = vec![
         (
             "alpha",
@@ -274,7 +268,7 @@ fn interleaved_clients_replay_byte_identical_in_seq_order() {
 #[test]
 fn more_connections_than_workers_keep_reply_order_and_seq_replay() {
     const CLIENTS: u64 = 2 * 8 + 1;
-    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+    let handle = start(&[("alpha", "tok-alpha", TenantQuota::unlimited())]);
     let mut oversized = vec![b'x'; MAX_FRAME_BYTES + 4096];
     oversized.push(b'\n');
     let clients = (0..CLIENTS)
@@ -295,13 +289,10 @@ fn more_connections_than_workers_keep_reply_order_and_seq_replay() {
 /// and neither sees the other's data.
 #[test]
 fn tenants_can_reuse_session_names_without_collision() {
-    let handle = start(
-        2,
-        &[
-            ("alpha", "tok-alpha", TenantQuota::unlimited()),
-            ("beta", "tok-beta", TenantQuota::unlimited()),
-        ],
-    );
+    let handle = start(&[
+        ("alpha", "tok-alpha", TenantQuota::unlimited()),
+        ("beta", "tok-beta", TenantQuota::unlimited()),
+    ]);
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
     let mut alpha = Client::connect(&handle);
     let mut beta = Client::connect(&handle);
@@ -359,13 +350,10 @@ fn one_tenant_exhausting_requests_does_not_starve_another() {
         max_requests: Some(5),
         max_space_bits: None,
     };
-    let handle = start(
-        2,
-        &[
-            ("small", "tok-small", capped),
-            ("big", "tok-big", TenantQuota::unlimited()),
-        ],
-    );
+    let handle = start(&[
+        ("small", "tok-small", capped),
+        ("big", "tok-big", TenantQuota::unlimited()),
+    ]);
     let spec = SessionSpec::new(SketchKind::Minimum, 32, 64, 5, 7);
     let mut small = Client::connect(&handle);
     let mut big = Client::connect(&handle);
@@ -426,13 +414,10 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop() {
         max_requests: None,
         max_space_bits: Some(3 * bits), // room for exactly three sessions
     };
-    let handle = start(
-        1,
-        &[
-            ("cramped", "tok-cramped", cramped),
-            ("roomy", "tok-roomy", TenantQuota::unlimited()),
-        ],
-    );
+    let handle = start(&[
+        ("cramped", "tok-cramped", cramped),
+        ("roomy", "tok-roomy", TenantQuota::unlimited()),
+    ]);
     let mut client = Client::connect(&handle);
     let create = |name: &str| ServiceCommand::Create {
         name: name.to_string(),
@@ -490,7 +475,7 @@ fn space_quota_is_charged_on_create_and_refunded_on_drop() {
 /// silently without wedging the listener.
 #[test]
 fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
-    let handle = start(2, &[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+    let handle = start(&[("alpha", "tok-alpha", TenantQuota::unlimited())]);
     let mut client = Client::connect(&handle);
 
     // 1. Well-encoded junk → bad_request, no id, no seq.

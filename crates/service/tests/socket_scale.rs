@@ -110,7 +110,7 @@ fn slow_reader_gets_byte_identical_pipelined_responses() {
     }
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(2),
+        SketchService::new(1),
         directory(),
         ServerConfig::default(),
     )
@@ -286,7 +286,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
 
     // Phase 1: a durable-backed evented server takes the opening trace…
     let (durable, _report) =
-        DurableSketchService::open(&store.0, 2, DurableConfig::default()).unwrap();
+        DurableSketchService::open(&store.0, 1, DurableConfig::default()).unwrap();
     let handle = serve("127.0.0.1:0", durable, directory(), ServerConfig::default()).unwrap();
     let mut client = Client::connect(&handle);
     for (i, command) in phase1.iter().enumerate() {
@@ -303,7 +303,7 @@ fn durable_backed_server_recovers_after_kill_mid_trace() {
     // store continues the trace. `seq` is per-server-lifetime, so the
     // revived server numbers from 0 again.
     let (recovered, report) =
-        DurableSketchService::open(&store.0, 2, DurableConfig::default()).unwrap();
+        DurableSketchService::open(&store.0, 1, DurableConfig::default()).unwrap();
     let mutations = phase1.iter().filter(|c| c.mutates()).count();
     assert_eq!(
         report.replayed, mutations,

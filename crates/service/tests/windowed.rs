@@ -1,5 +1,5 @@
 //! Windowed-session and set-algebra coverage the random traces cannot pin
-//! precisely: every new typed error asserted **identically** in the sharded
+//! precisely: every new typed error asserted **identically** in the
 //! service, the reference interpreter, and over a real socket; serde round
 //! trips (WAL framing + wire codec) and adversarial decode rows for the
 //! four new command variants; and snapshot save → restore → save
@@ -173,37 +173,31 @@ fn error_gauntlet() -> (Vec<ServiceCommand>, Vec<(ServiceCommand, ServiceError)>
 }
 
 /// Every probe of the gauntlet produces the exact same typed error in the
-/// sharded service (shards 1, 2, 4) and the reference interpreter, and the
-/// failed command leaves no trace: the follow-up estimate still answers.
+/// service and the reference interpreter, and the failed command leaves no
+/// trace: the follow-up estimate still answers.
 #[test]
 fn typed_errors_are_identical_in_sharded_and_reference_interpreters() {
     let (setup, probes) = error_gauntlet();
-    for shards in [1usize, 2, 4] {
-        let mut service = SketchService::new(shards);
-        let mut reference = ReferenceService::new();
-        for command in &setup {
-            service.apply(command).unwrap();
-            reference.apply(command).unwrap();
-        }
-        for (command, want) in &probes {
-            assert_eq!(
-                service.apply(command).unwrap_err(),
-                *want,
-                "shards={shards} {command:?}"
-            );
-            assert_eq!(
-                reference.apply(command).unwrap_err(),
-                *want,
-                "reference {command:?}"
-            );
-        }
-        // The rejections were pure: both interpreters still agree on the
-        // live window (and the fold still holds the two live epochs).
-        let est = ServiceCommand::EstimateWindow { name: "w".into() };
-        let got = service.apply(&est).unwrap();
-        assert_eq!(got, reference.apply(&est).unwrap(), "shards={shards}");
-        assert_eq!(got, CommandReply::Estimate(2.0));
+    let mut service = SketchService::new(1);
+    let mut reference = ReferenceService::new();
+    for command in &setup {
+        service.apply(command).unwrap();
+        reference.apply(command).unwrap();
     }
+    for (command, want) in &probes {
+        assert_eq!(service.apply(command).unwrap_err(), *want, "{command:?}");
+        assert_eq!(
+            reference.apply(command).unwrap_err(),
+            *want,
+            "reference {command:?}"
+        );
+    }
+    // The rejections were pure: both interpreters still agree on the live
+    // window (and the fold still holds the two live epochs).
+    let est = ServiceCommand::EstimateWindow { name: "w".into() };
+    let got = service.apply(&est).unwrap();
+    assert_eq!(got, reference.apply(&est).unwrap());
+    assert_eq!(got, CommandReply::Estimate(2.0));
 }
 
 /// The same gauntlet over a real loopback connection: every reply line is
@@ -234,7 +228,7 @@ fn typed_errors_survive_the_wire_byte_identically() {
         .unwrap();
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(2),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )
@@ -367,8 +361,8 @@ fn adversarial_command_documents_are_rejected() {
 }
 
 /// Snapshot round trips for ring-bearing sessions: save → drop → restore →
-/// save is byte-identical, across shard counts and bit-identical to the
-/// reference interpreter's document — wraparound state, empty slots and a
+/// save is byte-identical, and bit-identical to the reference
+/// interpreter's document — wraparound state, empty slots and a
 /// structured windowed session included.
 #[test]
 fn windowed_snapshots_round_trip_byte_identically() {
@@ -394,39 +388,37 @@ fn windowed_snapshots_round_trip_byte_identically() {
         },
     ];
     setup.push(advance("w-dnf", 1));
-    for shards in [1usize, 2, 4] {
-        let mut service = SketchService::new(shards);
-        let mut reference = ReferenceService::new();
-        for command in &setup {
-            service.apply(command).unwrap();
-            reference.apply(command).unwrap();
-        }
-        for name in ["w", "w-empty", "w-dnf"] {
-            let save = ServiceCommand::Save { name: name.into() };
-            let CommandReply::Snapshot(doc) = service.apply(&save).unwrap() else {
-                panic!("save must reply with a snapshot");
-            };
-            assert_eq!(
-                reference.apply(&save).unwrap(),
-                CommandReply::Snapshot(doc.clone()),
-                "shards={shards} {name}"
-            );
-            // Drop, restore, save again: byte-identical, window intact.
-            let before = service.apply(&ServiceCommand::EstimateWindow { name: name.into() });
-            service
-                .apply(&ServiceCommand::Drop { name: name.into() })
-                .unwrap();
-            assert_eq!(service.restore(&doc).unwrap(), name);
-            let CommandReply::Snapshot(again) = service.apply(&save).unwrap() else {
-                panic!("save must reply with a snapshot");
-            };
-            assert_eq!(again, doc, "shards={shards} {name}");
-            assert_eq!(
-                service.apply(&ServiceCommand::EstimateWindow { name: name.into() }),
-                before,
-                "shards={shards} {name}"
-            );
-        }
+    let mut service = SketchService::new(1);
+    let mut reference = ReferenceService::new();
+    for command in &setup {
+        service.apply(command).unwrap();
+        reference.apply(command).unwrap();
+    }
+    for name in ["w", "w-empty", "w-dnf"] {
+        let save = ServiceCommand::Save { name: name.into() };
+        let CommandReply::Snapshot(doc) = service.apply(&save).unwrap() else {
+            panic!("save must reply with a snapshot");
+        };
+        assert_eq!(
+            reference.apply(&save).unwrap(),
+            CommandReply::Snapshot(doc.clone()),
+            "{name}"
+        );
+        // Drop, restore, save again: byte-identical, window intact.
+        let before = service.apply(&ServiceCommand::EstimateWindow { name: name.into() });
+        service
+            .apply(&ServiceCommand::Drop { name: name.into() })
+            .unwrap();
+        assert_eq!(service.restore(&doc).unwrap(), name);
+        let CommandReply::Snapshot(again) = service.apply(&save).unwrap() else {
+            panic!("save must reply with a snapshot");
+        };
+        assert_eq!(again, doc, "{name}");
+        assert_eq!(
+            service.apply(&ServiceCommand::EstimateWindow { name: name.into() }),
+            before,
+            "{name}"
+        );
     }
 }
 
@@ -436,7 +428,7 @@ fn windowed_snapshots_round_trip_byte_identically() {
 /// behind.
 #[test]
 fn hostile_ring_documents_are_typed_snapshot_rejections() {
-    let mut service = SketchService::new(2);
+    let mut service = SketchService::new(1);
     service
         .apply(&create_windowed("w", SketchKind::Minimum, 7, 2))
         .unwrap();

@@ -16,11 +16,11 @@
 //!   only increase; the ring never reads time. Replaying the same
 //!   item/advance schedule reproduces the same state bit for bit, which is
 //!   what lets the service's differential harness pin windowed sessions
-//!   against the unsharded reference interpreter.
+//!   against the unpartitioned reference interpreter.
 //! * **Shared draws.** All `K` slots are clones of one template sketch, so
 //!   they carry identical hash draws — the precondition of `merge_from` —
 //!   and a ring is itself mergeable slot-wise with any same-template,
-//!   same-epoch ring (how the service recombines per-shard partial rings).
+//!   same-epoch ring (how the service recombines its two partial rings).
 //!
 //! The fold costs `K − 1` merges per read; reads are expected to be rare
 //! next to updates (the usual sketch regime), and `K` is a caller-chosen
@@ -189,7 +189,7 @@ impl<S: WindowSketch> EpochRing<S> {
 
     /// The combined sketch of the live window: the template folded with
     /// every live slot in ascending epoch order (a fixed order, so folds
-    /// are deterministic and shard-count-invariant when rings are merged
+    /// are deterministic and partition-invariant when rings are merged
     /// slot-wise first).
     pub fn fold(&self) -> S {
         let window = self.slots.len() as u64;

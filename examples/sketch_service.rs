@@ -1,22 +1,23 @@
-//! The multi-tenant sketch service: named sessions, sharded batched
-//! ingestion, pairwise merge, and serde-based save/restore.
+//! The multi-tenant sketch service: named sessions, batched ingestion,
+//! pairwise merge, and serde-based save/restore.
 //!
 //! Run with `cargo run --release --example sketch_service`.
 //!
-//! Three tenants share one 4-shard service: two regional distinct-counter
+//! Three tenants share one service: two regional distinct-counter
 //! sessions drawn from the same spec (so they stay mergeable — think one
 //! logical counter fed from two ingest pipelines) and an AMS F2 session
 //! watching the same traffic's repeat skew. The demo merges the regions,
 //! snapshots the merged session to JSON, and restores it into a brand-new
-//! service — every estimate unchanged, because sharding, merging and
-//! save/restore are pure routing over the underlying sketches.
+//! service — every estimate unchanged, because the service's two-partial
+//! split of large batches, merging and save/restore are pure routing over
+//! the underlying sketches.
 
 use mcf0::hashing::Xoshiro256StarStar;
 use mcf0::service::{SessionSpec, SketchKind, SketchService};
 use mcf0::streaming::workloads::planted_f0_stream;
 
 fn main() {
-    let mut service = SketchService::new(4);
+    let mut service = SketchService::new(1);
 
     // Two regions, one spec: identical hash draws keep them mergeable.
     let counter_spec = SessionSpec::new(SketchKind::Minimum, 32, 150, 9, 2021);
@@ -56,7 +57,7 @@ fn main() {
     // Snapshot the merged session and resurrect it elsewhere.
     let saved = service.save("visitors/eu").unwrap();
     println!("snapshot: {} bytes of JSON", saved.len());
-    let mut other_deployment = SketchService::new(2);
+    let mut other_deployment = SketchService::new(1);
     other_deployment.restore(&saved).unwrap();
     let restored = other_deployment.estimate("visitors/eu").unwrap();
     println!(

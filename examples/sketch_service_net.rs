@@ -64,7 +64,7 @@ impl Client {
 }
 
 fn main() {
-    // A 4-shard service behind a loopback listener; port 0 picks a free one.
+    // A service behind a loopback listener; port 0 picks a free one.
     let mut directory = TenantDirectory::new();
     let tight = TenantQuota {
         max_requests: Some(6),
@@ -76,7 +76,7 @@ fn main() {
         .unwrap();
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(4),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )
@@ -177,7 +177,7 @@ fn main() {
         .unwrap();
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(4),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )

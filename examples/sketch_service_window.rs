@@ -88,7 +88,7 @@ fn main() {
         .unwrap();
     let handle = serve(
         "127.0.0.1:0",
-        SketchService::new(4),
+        SketchService::new(1),
         directory,
         ServerConfig::default(),
     )
@@ -119,7 +119,7 @@ fn main() {
     for tick in 0u64..8 {
         if tick > 0 {
             // The caller owns the clock: advancing retires the epoch that
-            // left the window on every shard of both sessions.
+            // left the window on both partials of both sessions.
             for name in ["edge-1", "edge-2"] {
                 client
                     .call(ServiceCommand::Advance {
