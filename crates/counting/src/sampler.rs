@@ -169,7 +169,7 @@ pub fn sample_solutions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcf0_formula::exact::{count_cnf_dpll, enumerate_dnf_solutions};
+    use mcf0_formula::exact::{count_cnf_dpll, enumerate_cnf_solutions, enumerate_dnf_solutions};
     use mcf0_formula::generators::{planted_dnf, random_k_cnf};
     use mcf0_formula::DnfFormula;
     use std::collections::HashMap;
@@ -216,20 +216,18 @@ mod tests {
         assert!(ApproxSampler::new(input, SamplerConfig::default(), &mut rng).is_none());
     }
 
-    #[test]
-    fn small_solution_sets_are_sampled_nearly_uniformly() {
-        // 24 planted solutions, 600 samples: every solution should appear,
-        // and no solution should be wildly over-represented. This is a
-        // statistical smoke test of the UniGen-style uniformity, not a proof.
-        let mut rng = Xoshiro256StarStar::seed_from_u64(304);
-        let (f, _) = planted_dnf(&mut rng, 10, 24);
-        let solutions = enumerate_dnf_solutions(&f);
-        assert_eq!(solutions.len(), 24);
-
-        let input = FormulaInput::Dnf(f.clone());
+    /// Draws 600 samples and fails unless every one is a solution, every
+    /// solution appears, and none is drawn 4× more or less often than
+    /// uniform. A statistical smoke test of the UniGen-style uniformity, not
+    /// a proof.
+    fn assert_sampled_nearly_uniformly(
+        input: FormulaInput,
+        solutions: &[Assignment],
+        rng: &mut Xoshiro256StarStar,
+    ) {
         let mut sampler =
-            ApproxSampler::new(input, SamplerConfig::default(), &mut rng).expect("satisfiable");
-        let samples = sampler.sample_many(600, &mut rng);
+            ApproxSampler::new(input, SamplerConfig::default(), rng).expect("satisfiable");
+        let samples = sampler.sample_many(600, rng);
         assert!(
             samples.len() >= 550,
             "too many rejected draws: {}",
@@ -238,16 +236,46 @@ mod tests {
 
         let mut frequency: HashMap<Vec<bool>, usize> = HashMap::new();
         for s in &samples {
+            assert!(solutions.contains(s), "a sample is not a solution");
             *frequency.entry(s.iter().collect()).or_default() += 1;
         }
-        assert_eq!(frequency.len(), 24, "some solution was never sampled");
-        let expected = samples.len() as f64 / 24.0;
+        assert_eq!(
+            frequency.len(),
+            solutions.len(),
+            "some solution was never sampled"
+        );
+        let expected = samples.len() as f64 / solutions.len() as f64;
         for &count in frequency.values() {
             assert!(
                 (count as f64) > expected / 4.0 && (count as f64) < expected * 4.0,
                 "solution frequency {count} too far from uniform expectation {expected}"
             );
         }
+    }
+
+    #[test]
+    fn small_solution_sets_are_sampled_nearly_uniformly() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(304);
+        let (f, _) = planted_dnf(&mut rng, 10, 24);
+        let solutions = enumerate_dnf_solutions(&f);
+        assert_eq!(solutions.len(), 24);
+        assert_sampled_nearly_uniformly(FormulaInput::Dnf(f), &solutions, &mut rng);
+    }
+
+    #[test]
+    fn small_cnf_solution_sets_are_sampled_nearly_uniformly() {
+        // A CNF cell's models come from the solver's enumeration, so these
+        // draws are the one output that depends on the order in which the
+        // solver returns them.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(306);
+        let f = loop {
+            let candidate = random_k_cnf(&mut rng, 10, 30, 3);
+            if (20..=28).contains(&count_cnf_dpll(&candidate)) {
+                break candidate;
+            }
+        };
+        let solutions = enumerate_cnf_solutions(&f);
+        assert_sampled_nearly_uniformly(FormulaInput::Cnf(f), &solutions, &mut rng);
     }
 
     #[test]

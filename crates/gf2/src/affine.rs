@@ -32,7 +32,6 @@ pub struct AffineSubspace {
     offset: BitVec,
     /// Basis vectors sorted by leading-one position (most significant first).
     basis: Vec<BitVec>,
-    queries: u64,
 }
 
 impl AffineSubspace {
@@ -82,7 +81,6 @@ impl AffineSubspace {
             width,
             offset,
             basis,
-            queries: 0,
         }
     }
 
@@ -259,12 +257,7 @@ impl PrefixOracle for AffineSubspace {
     }
 
     fn exists_with_prefix(&mut self, prefix: &BitVec) -> bool {
-        self.queries += 1;
         self.prefix_feasible(prefix)
-    }
-
-    fn queries(&self) -> u64 {
-        self.queries
     }
 }
 
@@ -294,6 +287,17 @@ mod tests {
         out.sort_unstable();
         out.dedup();
         out
+    }
+
+    #[test]
+    fn prefix_queries_leave_equality_unchanged() {
+        // Two generating sets of one subspace compare equal, and a prefix
+        // query on one of them must not change that.
+        let mut s = subspace_from_u64(6, 0b100001, &[0b000011, 0b000110]);
+        let t = subspace_from_u64(6, 0b100010, &[0b000101, 0b000011]);
+        assert_eq!(s, t);
+        assert!(s.exists_with_prefix(&BitVec::from_u64(0b10, 2)));
+        assert_eq!(s, t);
     }
 
     #[test]

@@ -20,12 +20,6 @@ pub trait PrefixOracle {
     /// (`prefix.len()` may be anywhere in `0..=width()`; the empty prefix
     /// asks whether the set is non-empty.)
     fn exists_with_prefix(&mut self, prefix: &BitVec) -> bool;
-
-    /// Number of primitive queries issued so far, if the oracle tracks it.
-    /// Used by the experiments to validate oracle-call complexities.
-    fn queries(&self) -> u64 {
-        0
-    }
 }
 
 /// Lexicographically smallest element of the set extending `prefix`,
@@ -107,18 +101,13 @@ pub fn lex_enumerate<O: PrefixOracle + ?Sized>(oracle: &mut O, p: usize) -> Vec<
 pub struct ExplicitSetOracle {
     width: usize,
     elements: Vec<BitVec>,
-    queries: u64,
 }
 
 impl ExplicitSetOracle {
     /// Builds an oracle over the given elements (all of width `width`).
     pub fn new(width: usize, elements: Vec<BitVec>) -> Self {
         assert!(elements.iter().all(|e| e.len() == width));
-        ExplicitSetOracle {
-            width,
-            elements,
-            queries: 0,
-        }
+        ExplicitSetOracle { width, elements }
     }
 }
 
@@ -128,14 +117,9 @@ impl PrefixOracle for ExplicitSetOracle {
     }
 
     fn exists_with_prefix(&mut self, prefix: &BitVec) -> bool {
-        self.queries += 1;
         self.elements
             .iter()
             .any(|e| e.prefix_eq(prefix, prefix.len()))
-    }
-
-    fn queries(&self) -> u64 {
-        self.queries
     }
 }
 

@@ -102,10 +102,6 @@ impl<H: LinearHash> PrefixOracle for HashedSolutionsOracle<'_, H> {
         }
         self.oracle.exists()
     }
-
-    fn queries(&self) -> u64 {
-        self.oracle.stats().sat_calls
-    }
 }
 
 /// `FindMin` for CNF: the `p` lexicographically smallest values of

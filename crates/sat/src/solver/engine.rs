@@ -1,7 +1,8 @@
 //! The CDCL search loop: propagation over both constraint stores, decisions,
 //! non-chronological backjumping, restarts, learned-clause installation and
 //! database maintenance, plus the incremental clause-store API
-//! (`add_clause`, `clause_mark` / `pop_clauses_to`, `enumerate_excluding`).
+//! (`add_clause`, `clause_mark` / `pop_clauses_to`) and the resumed model
+//! enumeration (`enumerate_excluding`).
 
 use super::clausedb::{ClauseRef, Deps};
 use super::restart::restart_budget;
@@ -96,17 +97,34 @@ impl CnfXorSolver {
     /// fully unwound before returning, so constraints can be pushed or popped
     /// freely between calls; learned clauses persist.
     pub fn solve(&mut self) -> SolveOutcome {
+        if !self.start() || !self.search() {
+            return SolveOutcome::Unsat;
+        }
+        let model = self.model();
+        self.cancel_all();
+        SolveOutcome::Sat(model)
+    }
+
+    /// Opens a search: counts one solve call and seeds the level-0 facts.
+    /// Returns false (with the trail unwound) if the store is already
+    /// contradictory.
+    fn start(&mut self) -> bool {
         self.solve_calls += 1;
         if self.has_empty || self.xors.inconsistent > 0 {
-            return SolveOutcome::Unsat;
+            return false;
         }
         debug_assert!(self.trail.is_empty() && self.qhead == 0 && self.xhead == 0);
-
         if !self.seed_level0() {
             self.cancel_all();
-            return SolveOutcome::Unsat;
+            return false;
         }
+        true
+    }
 
+    /// Runs the CDCL loop from the current trail. Returns true with every
+    /// variable assigned (the trail is kept, so the caller can read the model
+    /// and resume), or false with the trail unwound on UNSAT.
+    fn search(&mut self) -> bool {
         let mut restarts_this_call = 0u64;
         let mut conflicts_since_restart = 0u64;
         let mut restart_limit = restart_budget(restarts_this_call);
@@ -120,13 +138,13 @@ impl CnfXorSolver {
                         // Conflict under the level-0 facts alone: UNSAT in
                         // the current incremental context.
                         self.cancel_all();
-                        return SolveOutcome::Unsat;
+                        return false;
                     }
                     let (learnt, backjump, deps, lbd) = self.analyze(conflict);
                     self.backtrack(backjump);
                     if !self.record_learned(learnt, deps, lbd) {
                         self.cancel_all();
-                        return SolveOutcome::Unsat;
+                        return false;
                     }
                     self.order.decay();
                     self.db.decay_clauses();
@@ -148,15 +166,7 @@ impl CnfXorSolver {
                         continue;
                     }
                     if self.trail.len() == self.num_vars {
-                        let mut model = BitVec::zeros(self.num_vars);
-                        for (v, value) in self.assigns.iter().enumerate() {
-                            if value.expect("all variables are assigned") {
-                                model.set(v, true);
-                            }
-                        }
-                        self.cancel_all();
-                        debug_assert!(self.verify(&model));
-                        return SolveOutcome::Sat(model);
+                        return true;
                     }
                     // Decide: most active unassigned variable, saved phase.
                     self.stats.decisions += 1;
@@ -172,6 +182,18 @@ impl CnfXorSolver {
                 }
             }
         }
+    }
+
+    /// The total assignment on the trail after a successful [`Self::search`].
+    fn model(&self) -> Assignment {
+        let mut model = BitVec::zeros(self.num_vars);
+        for (v, value) in self.assigns.iter().enumerate() {
+            if value.expect("all variables are assigned") {
+                model.set(v, true);
+            }
+        }
+        debug_assert!(self.verify(&model));
+        model
     }
 
     /// Seeds the level-0 queue from single-column XOR rows, unit clauses
@@ -578,23 +600,64 @@ impl CnfXorSolver {
     /// Enumerates up to `limit` distinct solutions outside `known`: every
     /// known assignment is blocked behind the same clause mark as the
     /// solutions found, so the search starts past them.
+    ///
+    /// The search is resumed, not restarted, after each model: the model is
+    /// blocked by the negation of its decisions (propagation fixes the rest),
+    /// the search backjumps one level and flips the deepest decision with
+    /// that clause as its reason. A model with no decision is the last one.
+    /// One solve call is counted per model plus one for a final UNSAT search.
     pub fn enumerate_excluding(&mut self, known: &[Assignment], limit: usize) -> Vec<Assignment> {
         let mark = self.clause_mark();
         for model in known {
             self.block_assignment(model);
         }
         let mut out = Vec::new();
-        while out.len() < limit {
-            match self.solve() {
-                SolveOutcome::Sat(model) => {
-                    self.block_assignment(&model);
-                    out.push(model);
+        if limit > 0 && self.start() {
+            while self.search() {
+                out.push(self.model());
+                if self.trail_lim.is_empty() || out.len() == limit {
+                    self.cancel_all();
+                    break;
                 }
-                SolveOutcome::Unsat => break,
+                self.block_decisions();
+                self.solve_calls += 1;
             }
         }
         self.pop_clauses_to(mark);
         out
+    }
+
+    /// Adds the clause ¬d_k ∨ … ∨ ¬d_1 over the decisions of the current
+    /// trail (deepest first, so the two deepest are watched), backjumps to
+    /// level k − 1 and asserts ¬d_k with that clause as its reason. At
+    /// k = 1 the clause is a unit and ¬d_1 is asserted at level 0.
+    fn block_decisions(&mut self) {
+        let k = self.trail_lim.len();
+        let lits: Vec<Literal> = self
+            .trail_lim
+            .iter()
+            .rev()
+            .map(|&pos| {
+                let var = self.trail[pos];
+                if self.assigns[var] == Some(true) {
+                    Literal::negative(var)
+                } else {
+                    Literal::positive(var)
+                }
+            })
+            .collect();
+        let flip = lits[0];
+        self.backtrack(k - 1);
+        let reason = if k == 1 {
+            self.unit_lits.push(flip);
+            Reason::Unit(self.unit_lits.len() as u32 - 1)
+        } else {
+            let cr = ClauseRef::orig(self.db.orig.len());
+            self.db.add_orig(lits);
+            Reason::Clause(cr)
+        };
+        let enqueued = self.enqueue(flip.var(), flip.is_positive(), reason);
+        debug_assert!(enqueued, "the flipped decision was unassigned");
     }
 
     /// Checks a model against all clauses and active XOR rows (the reduced

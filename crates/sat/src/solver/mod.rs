@@ -236,7 +236,8 @@ impl CnfXorSolver {
         self.num_vars
     }
 
-    /// Number of `solve` invocations so far (the oracle-call metric).
+    /// Number of searches so far: one per `solve`, and in an enumeration one
+    /// per model plus one for a final UNSAT search.
     pub fn solve_calls(&self) -> u64 {
         self.solve_calls
     }
