@@ -47,9 +47,9 @@ use std::net::TcpStream;
 const PINS: &[(&str, f64, u64, u64)] = &[
     // ApproxMC (Algorithm 5) with its model pool (DESIGN.md §4).
     ("approxmc_cnf_linear", 144.0, 0, 163),
-    ("approxmc_cnf_galloping", 144.0, 0, 163),
+    ("approxmc_cnf_galloping", 144.0, 0, 132),
     ("approxmc_cnf_blocking", 45.0, 0, 140),
-    ("approxmc_cnf_n44", 58720256.0, 0, 538),
+    ("approxmc_cnf_n44", 58720256.0, 0, 316),
     // FindMin prefix search: the value is the number of minima found.
     ("findmin_cnf", 16.0, 0, 107),
     ("findmin_cnf_n40", 8.0, 0, 1148),

@@ -11,10 +11,15 @@
 //!
 //! * [`LevelSearch::Linear`] — the paper's Algorithm 5: start at `m = 0` and
 //!   increment (`O(n·ε⁻²)` oracle calls per iteration for CNF);
-//! * [`LevelSearch::Galloping`] — the ApproxMC2 refinement discussed in
-//!   "Further Optimizations": exponential probing followed by binary search
-//!   over the level (`O(log n · ε⁻²)` oracle calls per iteration), exploiting
-//!   the monotonicity `Sol(φ ∧ h_{m}(x)=0^{m}) ⊇ Sol(φ ∧ h_{m+1}(x)=0^{m+1})`.
+//! * [`LevelSearch::Galloping`] — ApproxMC2's LogSATSearch (Chakraborty, Meel
+//!   & Vardi, IJCAI 2016), the refinement discussed in "Further
+//!   Optimizations": start at the previous iteration's level (0 on the
+//!   first), step one level at a time within 3 of it, double the distance
+//!   beyond, and bisect once a large and a small level bracket the answer
+//!   (`O(log n · ε⁻²)` oracle calls per iteration, two probes when the level
+//!   repeats). It relies on the monotonicity
+//!   `Sol(φ ∧ h_{m}(x)=0^{m}) ⊇ Sol(φ ∧ h_{m+1}(x)=0^{m+1})`, which makes the
+//!   answer the same whatever levels are probed.
 //!
 //! The CNF path also takes ApproxMC2's solution reuse from the same nesting.
 //! A model pool holds what the current and the previous iteration's probes
@@ -41,7 +46,10 @@ use mcf0_sat::{bounded_sat_dnf, SatOracle, SolutionOracle, XorConstraint, XorPre
 pub enum LevelSearch {
     /// Linear scan from level 0 upward (Algorithm 5 as printed).
     Linear,
-    /// Exponential probing + binary search (the ApproxMC2 optimisation).
+    /// ApproxMC2's LogSATSearch: start at the previous iteration's level (0
+    /// on the first), step by one within 3 of it, double the distance
+    /// beyond, and bisect once the answer is bracketed. Returns Linear's
+    /// level and cell on every input, with fewer probes.
     Galloping,
 }
 
@@ -120,6 +128,7 @@ pub fn approx_mc_on_oracle<H: LinearHash>(
         );
         // The deepest level the search may reach is the hash output width.
         let n = hash.output_bits();
+        let hint = per_iteration.last().map(|&(level, _)| level);
         // Cell-size probe at a given level, saturating at `thresh`.
         let (level, cell) = match input {
             FormulaInput::Cnf(_) => {
@@ -132,14 +141,14 @@ pub fn approx_mc_on_oracle<H: LinearHash>(
                 let rows = hash_prefix_zero_constraints(&hash, n);
                 let mut session = XorPrefixSession::new(oracle);
                 pool.next_iteration(&hash);
-                let result = search_level(search, n, thresh, |m| {
+                let result = search_level(search, hint, n, thresh, |m| {
                     pool.probe(&hash, &rows, m, thresh, &mut session)
                 });
                 drop(session);
                 oracle_calls += oracle.stats().sat_calls - calls_before;
                 result
             }
-            FormulaInput::Dnf(dnf) => search_level(search, n, thresh, |m| {
+            FormulaInput::Dnf(dnf) => search_level(search, hint, n, thresh, |m| {
                 bounded_sat_dnf(dnf, &hash, m, thresh).count()
             }),
         };
@@ -238,7 +247,8 @@ pub fn approx_mc_reference<H: LinearHash>(
         let hash = sample_hash(rng);
         let n = hash.output_bits();
         let rows = hash_prefix_zero_constraints(&hash, n);
-        let (level, cell) = search_level(search, n, config.thresh, |m| {
+        let hint = per_iteration.last().map(|&(level, _)| level);
+        let (level, cell) = search_level(search, hint, n, config.thresh, |m| {
             let mut oracle = SatOracle::new(formula.clone());
             let count = oracle.enumerate_with_xors(&rows[..m], config.thresh).len();
             oracle_calls += oracle.stats().sat_calls;
@@ -255,11 +265,15 @@ pub fn approx_mc_reference<H: LinearHash>(
 }
 
 /// Finds the smallest level `m` whose cell is small (`count(m) < thresh`),
-/// returning `(m, count(m))`. `count` must be non-increasing in `m` up to the
-/// saturation at `thresh`, which holds because raising the level only shrinks
-/// the cell.
+/// returning `(m, count(m))`, or `(n, count(n))` when no level is small.
+/// `count` must be non-increasing in `m` up to the saturation at `thresh`,
+/// which holds because raising the level only shrinks the cell; the answer is
+/// then the same whichever levels are probed. `hint` is the previous row's
+/// level (`None` on the first row, read as 0); only
+/// [`LevelSearch::Galloping`] uses it.
 fn search_level(
     search: LevelSearch,
+    hint: Option<usize>,
     n: usize,
     thresh: usize,
     mut count: impl FnMut(usize) -> usize,
@@ -275,46 +289,38 @@ fn search_level(
             (m, c)
         }
         LevelSearch::Galloping => {
-            // Probe levels 0, 1, 2, 4, 8, … until the cell is small.
-            let mut c0 = count(0);
-            if c0 < thresh {
-                return (0, c0);
-            }
-            let mut lo = 0usize; // largest level known to be large (>= thresh)
-            let mut hi = 1usize;
+            // LogSATSearch: the answer lies in [lo, hi]; every level below
+            // `lo` is large, and `small` holds count(hi) once hi is probed.
+            let hint = hint.unwrap_or(0).min(n);
+            let (mut lo, mut hi, mut small) = (0usize, n, None);
+            let mut m = hint;
             loop {
-                if hi >= n {
-                    hi = n;
-                    c0 = count(hi);
-                    break;
-                }
-                c0 = count(hi);
-                if c0 < thresh {
-                    break;
-                }
-                lo = hi;
-                hi *= 2;
-            }
-            if c0 >= thresh {
-                // Even the full-length prefix is large; report saturation at n.
-                return (hi, c0);
-            }
-            // Invariant: count(lo) >= thresh > count(hi); binary search for the
-            // smallest small level in (lo, hi].
-            let mut small_level = hi;
-            let mut small_count = c0;
-            while hi - lo > 1 {
-                let mid = lo + (hi - lo) / 2;
-                let c = count(mid);
+                let c = count(m);
                 if c < thresh {
-                    hi = mid;
-                    small_level = mid;
-                    small_count = c;
+                    (hi, small) = (m, Some(c));
+                } else if m == n {
+                    // Even the full-length prefix is large: saturation at n.
+                    return (n, c);
                 } else {
-                    lo = mid;
+                    lo = m + 1;
+                }
+                match small {
+                    Some(cell) if lo == hi => return (hi, cell),
+                    // Bracketed by a large and a small probe: bisect.
+                    Some(_) if lo > 0 => m = lo + (hi - lo) / 2,
+                    // Otherwise move away from the hint, past `m`: one level
+                    // at a time within 3 of it, doubling the distance beyond.
+                    _ => {
+                        let d = m.abs_diff(hint);
+                        let d = if d < 3 { d + 1 } else { 2 * d };
+                        m = if c < thresh {
+                            hint.saturating_sub(d)
+                        } else {
+                            (hint + d).min(n)
+                        };
+                    }
                 }
             }
-            (small_level, small_count)
         }
     }
 }
@@ -324,6 +330,16 @@ mod tests {
     use super::*;
     use mcf0_formula::exact::{count_cnf_dpll, count_dnf_exact};
     use mcf0_formula::generators::{planted_dnf, random_dnf, random_k_cnf};
+
+    /// A first row's search: no previous level to start from.
+    fn search_level(
+        search: LevelSearch,
+        n: usize,
+        thresh: usize,
+        count: impl FnMut(usize) -> usize,
+    ) -> (usize, usize) {
+        super::search_level(search, None, n, thresh, count)
+    }
 
     fn config_for_tests() -> CountingConfig {
         // ε = 0.8 keeps Thresh at 150 but we reduce the repetition count to
@@ -487,6 +503,63 @@ mod tests {
             galloping_probes < linear_probes,
             "galloping {galloping_probes} vs linear {linear_probes}"
         );
+    }
+
+    #[test]
+    fn galloping_returns_linears_answer_from_every_hint() {
+        // Seeded non-increasing cell-size profiles over levels 0..=n: large
+        // (= thresh, the saturated probe value) below the answer level `a`
+        // and small, still non-increasing, from it on. `a = 0` is all small
+        // and `a = n + 1` all large, which saturates at n.
+        let mut rng = Xoshiro256StarStar::seed_from_u64(208);
+        for n in 1..=64usize {
+            for thresh in [1usize, 2, 40] {
+                for case in 0..4 {
+                    let a = match case {
+                        0 => 0,
+                        1 => n + 1,
+                        _ => rng.gen_range_inclusive(0, n as u64 + 1) as usize,
+                    };
+                    let mut small = thresh as u64 - 1;
+                    let profile: Vec<usize> = (0..=n)
+                        .map(|m| {
+                            if m < a {
+                                return thresh;
+                            }
+                            small = rng.gen_range_inclusive(0, small);
+                            small as usize
+                        })
+                        .collect();
+                    let linear =
+                        super::search_level(LevelSearch::Linear, None, n, thresh, |m| profile[m]);
+                    let hints = std::iter::once(None).chain((0..=n + 1).map(Some));
+                    for hint in hints {
+                        let mut probed = Vec::new();
+                        let galloping =
+                            super::search_level(LevelSearch::Galloping, hint, n, thresh, |m| {
+                                probed.push(m);
+                                profile[m]
+                            });
+                        let case = format!("n {n}, thresh {thresh}, a {a}, hint {hint:?}");
+                        assert_eq!(galloping, linear, "{case}, probed {probed:?}");
+                        let mut distinct = probed.clone();
+                        distinct.sort_unstable();
+                        distinct.dedup();
+                        assert_eq!(distinct.len(), probed.len(), "{case}: {probed:?}");
+                        let (level, count) = linear;
+                        let Some(hint) = hint else { continue };
+                        if hint == level && level >= 1 {
+                            // A saturated answer needs only the probe at n.
+                            let expected = if count < thresh { 2 } else { 1 };
+                            assert_eq!(probed.len(), expected, "{case}: {probed:?}");
+                        }
+                        if hint.abs_diff(level) == 1 {
+                            assert!(probed.len() <= 3, "{case}: {probed:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
