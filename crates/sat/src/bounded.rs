@@ -9,9 +9,10 @@
 
 use crate::oracle::SolutionOracle;
 use crate::solver::XorConstraint;
-use mcf0_formula::{Assignment, DnfFormula};
+use mcf0_formula::{Assignment, DnfFormula, Term};
 use mcf0_gf2::{BitMatrix, BitVec};
 use mcf0_hashing::LinearHash;
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 /// Result of a BoundedSAT query.
@@ -90,10 +91,26 @@ pub fn bounded_sat_dnf<H: LinearHash>(
     m: usize,
     p: usize,
 ) -> BoundedSatResult {
-    let n = formula.num_vars();
-    assert_eq!(n, hash.input_bits(), "hash/formula width mismatch");
+    assert_eq!(
+        formula.num_vars(),
+        hash.input_bits(),
+        "hash/formula width mismatch"
+    );
+    bounded_sat_terms(formula.terms(), hash, m, p)
+}
+
+/// [`bounded_sat_dnf`] over any sequence of terms on the hash's input
+/// variables (the Bucketing per-item query of structured stream items).
+pub fn bounded_sat_terms<H: LinearHash>(
+    terms: impl IntoIterator<Item = impl Borrow<Term>>,
+    hash: &H,
+    m: usize,
+    p: usize,
+) -> BoundedSatResult {
+    let n = hash.input_bits();
     let mut found: BTreeSet<BitVec> = BTreeSet::new();
-    'terms: for term in formula.terms() {
+    'terms: for term in terms {
+        let term = term.borrow();
         if term.is_contradictory() {
             continue;
         }
@@ -134,7 +151,7 @@ pub fn bounded_sat_dnf<H: LinearHash>(
             for (j, &v) in free_vars.iter().enumerate() {
                 full.set(v, free_assignment.get(j));
             }
-            debug_assert!(formula.eval(&full));
+            debug_assert!(term.eval(&full));
             debug_assert!(hash.prefix_is_zero(&full, m));
             found.insert(full);
             if found.len() >= p {

@@ -11,9 +11,10 @@
 
 use crate::oracle::SolutionOracle;
 use crate::solver::XorConstraint;
-use mcf0_formula::DnfFormula;
+use mcf0_formula::{DnfFormula, Term};
 use mcf0_gf2::{lex_enumerate, BitVec, PrefixOracle};
 use mcf0_hashing::LinearHash;
+use std::borrow::Borrow;
 
 /// `FindMin` for DNF: the `p` lexicographically smallest values of
 /// `h(Sol(φ))`, in increasing order, computed without any oracle.
@@ -23,8 +24,20 @@ pub fn find_min_dnf<H: LinearHash>(formula: &DnfFormula, hash: &H, p: usize) -> 
         hash.input_bits(),
         "hash/formula width mismatch"
     );
+    find_min_terms(formula.terms(), hash, p)
+}
+
+/// [`find_min_dnf`] over any sequence of terms on the hash's input
+/// variables: the per-item `FindMin` of structured stream items, whose
+/// DNF is generated term by term rather than stored.
+pub fn find_min_terms<H: LinearHash>(
+    terms: impl IntoIterator<Item = impl Borrow<Term>>,
+    hash: &H,
+    p: usize,
+) -> Vec<BitVec> {
     let mut merged: Vec<BitVec> = Vec::new();
-    for term in formula.terms() {
+    for term in terms {
+        let term = term.borrow();
         if term.is_contradictory() {
             continue;
         }

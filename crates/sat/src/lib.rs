@@ -49,8 +49,8 @@ pub mod oracle;
 pub mod solver;
 
 pub use affine::{affine_find_min, AffineSystem};
-pub use bounded::{bounded_sat_cnf, bounded_sat_dnf, BoundedSatResult};
+pub use bounded::{bounded_sat_cnf, bounded_sat_dnf, bounded_sat_terms, BoundedSatResult};
 pub use findmaxrange::{find_max_range_cnf, find_max_range_dnf, find_max_range_enumerative};
-pub use findmin::{find_min_cnf, find_min_dnf};
+pub use findmin::{find_min_cnf, find_min_dnf, find_min_terms};
 pub use oracle::{BruteForceOracle, OracleStats, SatOracle, SolutionOracle, XorPrefixSession};
 pub use solver::{ClauseMark, CnfXorSolver, SolveOutcome, SolverStats, XorConstraint};

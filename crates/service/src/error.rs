@@ -48,6 +48,25 @@ pub enum ServiceError {
         /// The rejected window size.
         window: usize,
     },
+    /// A `create` (or a restored snapshot) carried a specification no sketch
+    /// can be drawn from (see [`crate::SessionSpec::validate`]): rejected
+    /// before anything is drawn.
+    InvalidSpec {
+        /// Session the create addressed.
+        session: String,
+        /// Which range the specification violates.
+        reason: &'static str,
+    },
+    /// An ingest carried an item outside the session's universe: a `u64` at
+    /// or above `2^universe_bits`, or a structured set over a different
+    /// number of variables. Rejected before dispatch, so the batch is never
+    /// applied.
+    ItemOutsideUniverse {
+        /// Session the ingest addressed.
+        session: String,
+        /// The session's universe width.
+        universe_bits: usize,
+    },
     /// A windowed command (`advance`, `estimate_window`) addressed a
     /// session created without a window.
     NotWindowed(String),
@@ -172,6 +191,19 @@ impl fmt::Display for ServiceError {
                     f,
                     "session `{session}` window of {window} epochs is outside 1..={max}",
                     max = crate::service::MAX_WINDOW_EPOCHS
+                )
+            }
+            ServiceError::InvalidSpec { session, reason } => {
+                write!(f, "session `{session}` specification rejected: {reason}")
+            }
+            ServiceError::ItemOutsideUniverse {
+                session,
+                universe_bits,
+            } => {
+                write!(
+                    f,
+                    "session `{session}` ingests items of its {universe_bits}-bit universe \
+                     (u64 values below 2^{universe_bits}, sets over {universe_bits} variables)"
                 )
             }
             ServiceError::NotWindowed(name) => {

@@ -50,7 +50,9 @@ pub enum ErrorCode {
     /// The line was not a readable frame (invalid UTF-8).
     BadFrame,
     /// The frame was readable but not a well-formed request (malformed
-    /// JSON, missing members, unknown command op).
+    /// JSON, missing members, unknown command op), or the service rejected
+    /// its contents: [`ServiceError::InvalidSpec`] and
+    /// [`ServiceError::ItemOutsideUniverse`].
     BadRequest,
     /// A frame (or a logged command) exceeded the layer's byte cap.
     FrameTooLarge,
@@ -190,6 +192,9 @@ impl WireError {
             ServiceError::MergeIncompatible { .. } => ErrorCode::MergeIncompatible,
             ServiceError::MergeSelf(_) => ErrorCode::MergeSelf,
             ServiceError::InvalidWindow { .. } => ErrorCode::InvalidWindow,
+            ServiceError::InvalidSpec { .. } | ServiceError::ItemOutsideUniverse { .. } => {
+                ErrorCode::BadRequest
+            }
             ServiceError::NotWindowed(_) => ErrorCode::NotWindowed,
             ServiceError::EpochRegressed { .. } => ErrorCode::EpochRegressed,
             ServiceError::WindowEpochMismatch { .. } => ErrorCode::WindowEpochMismatch,

@@ -173,19 +173,19 @@ impl TenantDirectory {
     }
 
     /// The deterministic nominal space charge of a command (`Some` only for
-    /// `create`): what the session's sketch will occupy, computed from the
-    /// spec alone.
+    /// a `create` whose spec passes [`crate::SessionSpec::validate`]): what
+    /// the session's sketch will occupy, computed from the spec alone. An
+    /// invalid spec draws nothing here and charges nothing; the service
+    /// rejects it with a typed error.
     fn nominal_bits(command: &ServiceCommand) -> Option<u64> {
         match command {
-            ServiceCommand::Create { spec, .. } => {
+            ServiceCommand::Create { name, spec } if spec.validate(name).is_ok() => {
                 // Windowed sessions hold one complete sketch per ring slot,
                 // so the nominal charge scales with the window — a tenant
                 // cannot sidestep its space budget by asking for a huge ring
-                // of individually small sketches. (The admission pre-check
-                // runs before the service's own window-bound validation, so
-                // the multiplier saturates rather than trusting `window`.)
+                // of individually small sketches.
                 let per_slot = TenantSketch::new(spec).space_bits() as u64;
-                let slots = spec.window.unwrap_or(1).max(1) as u64;
+                let slots = spec.window.unwrap_or(1) as u64;
                 Some(per_slot.saturating_mul(slots))
             }
             _ => None,

@@ -9,7 +9,6 @@
 
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
-use crate::service::MAX_WINDOW_EPOCHS;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
 use crate::sketch::{set_algebra_estimates, SessionSketch};
 use crate::snapshot;
@@ -50,14 +49,7 @@ impl ReferenceService {
                 if self.sessions.contains_key(name) {
                     return Err(ServiceError::DuplicateSession(name.clone()));
                 }
-                if let Some(window) = spec.window {
-                    if window == 0 || window > MAX_WINDOW_EPOCHS {
-                        return Err(ServiceError::InvalidWindow {
-                            session: name.clone(),
-                            window,
-                        });
-                    }
-                }
+                spec.validate(name)?;
                 self.sessions.insert(
                     name.clone(),
                     ReferenceEntry {
@@ -70,12 +62,7 @@ impl ReferenceService {
             }
             ServiceCommand::Ingest { name, items } => {
                 let entry = self.entry_mut(name)?;
-                if entry.spec.kind == SketchKind::StructuredMinimum {
-                    return Err(ServiceError::WrongItemType {
-                        session: name.clone(),
-                        expected: "structured (DNF) set items",
-                    });
-                }
+                entry.spec.check_items(name, items)?;
                 entry.sketch.ingest(name, items)?;
                 entry.ledger.batches += 1;
                 entry.ledger.items += items.len() as u64;
@@ -83,12 +70,7 @@ impl ReferenceService {
             }
             ServiceCommand::IngestStructured { name, sets } => {
                 let entry = self.entry_mut(name)?;
-                if entry.spec.kind != SketchKind::StructuredMinimum {
-                    return Err(ServiceError::WrongItemType {
-                        session: name.clone(),
-                        expected: "u64 stream items",
-                    });
-                }
+                entry.spec.check_sets(name, sets)?;
                 entry.sketch.ingest_structured(name, sets)?;
                 entry.ledger.batches += 1;
                 entry.ledger.structured_items += sets.len() as u64;

@@ -121,14 +121,7 @@ impl SketchService {
         if self.sessions.contains_key(name) {
             return Err(ServiceError::DuplicateSession(name.to_string()));
         }
-        if let Some(window) = spec.window {
-            if window == 0 || window > MAX_WINDOW_EPOCHS {
-                return Err(ServiceError::InvalidWindow {
-                    session: name.to_string(),
-                    window,
-                });
-            }
-        }
+        spec.validate(name)?;
         self.partition.broadcast(|partials| {
             partials.insert(name.to_string(), SessionSketch::new(&spec));
         })?;
@@ -160,13 +153,7 @@ impl SketchService {
     /// functions of the distinct item set, and the partials merge back
     /// losslessly.
     pub fn ingest(&mut self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
-        let entry = self.entry(name)?;
-        if entry.spec.kind == SketchKind::StructuredMinimum {
-            return Err(ServiceError::WrongItemType {
-                session: name.to_string(),
-                expected: "structured (DNF) set items",
-            });
-        }
+        self.entry(name)?.spec.check_items(name, items)?;
         self.partition.ingest(name, items)?;
         let ledger = &mut self.entry_mut(name)?.ledger;
         ledger.batches += 1;
@@ -180,13 +167,7 @@ impl SketchService {
         name: &str,
         sets: &[DnfFormula],
     ) -> Result<(), ServiceError> {
-        let entry = self.entry(name)?;
-        if entry.spec.kind != SketchKind::StructuredMinimum {
-            return Err(ServiceError::WrongItemType {
-                session: name.to_string(),
-                expected: "u64 stream items",
-            });
-        }
+        self.entry(name)?.spec.check_sets(name, sets)?;
         self.partition.run(HOME, |partials| {
             if let Err(e) = partial(partials, name).ingest_structured(name, sets) {
                 panic!("shard invariant: item kind mismatch ({e})");

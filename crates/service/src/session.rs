@@ -1,5 +1,8 @@
 //! Session specifications and command-accounting ledgers.
 
+use crate::error::ServiceError;
+use crate::service::MAX_WINDOW_EPOCHS;
+use mcf0_formula::DnfFormula;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// Which sketch a session runs.
@@ -47,6 +50,12 @@ impl SketchKind {
 /// equal specifications hold identical hash functions, which is exactly the
 /// precondition for the service's pairwise merge (and for its partition
 /// itself — both partials of a session rederive the same draw from `seed`).
+///
+/// A sketch can be drawn only from a spec that passes
+/// [`SessionSpec::validate`]: `universe_bits` in `1..=64`, `rows ≥ 1`,
+/// `thresh ≥ 1` (AMS, which has no `Thresh`: `columns ≥ 1`), ε and δ in
+/// the open interval (0, 1), and a `window`, if any, in
+/// `1..=`[`MAX_WINDOW_EPOCHS`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionSpec {
     /// Sketch strategy.
@@ -102,6 +111,80 @@ impl SessionSpec {
     pub fn with_window(mut self, window: usize) -> Self {
         self.window = Some(window);
         self
+    }
+
+    /// Checks that a sketch can be drawn from this spec (the ranges are
+    /// listed on [`SessionSpec`]): [`ServiceError::InvalidWindow`] or
+    /// [`ServiceError::InvalidSpec`] for session `name` otherwise. Every
+    /// path that draws a sketch from untrusted input checks here first.
+    pub fn validate(&self, name: &str) -> Result<(), ServiceError> {
+        if let Some(window) = self.window {
+            if window == 0 || window > MAX_WINDOW_EPOCHS {
+                return Err(ServiceError::InvalidWindow {
+                    session: name.to_string(),
+                    window,
+                });
+            }
+        }
+        // `!(x > 0.0 && x < 1.0)` also rejects NaN.
+        let reason = if !(1..=64).contains(&self.universe_bits) {
+            "universe_bits must be in 1..=64"
+        } else if self.rows == 0 {
+            "rows must be at least 1"
+        } else if self.kind == SketchKind::Ams && self.columns == 0 {
+            "ams columns must be at least 1"
+        } else if self.kind != SketchKind::Ams && self.thresh == 0 {
+            "thresh must be at least 1"
+        } else if !(self.epsilon > 0.0 && self.epsilon < 1.0) {
+            "epsilon must be in (0, 1)"
+        } else if !(self.delta > 0.0 && self.delta < 1.0) {
+            "delta must be in (0, 1)"
+        } else {
+            return Ok(());
+        };
+        Err(ServiceError::InvalidSpec {
+            session: name.to_string(),
+            reason,
+        })
+    }
+
+    /// Checks a `u64` batch for session `name`: the session must ingest
+    /// `u64` items, and every item must lie below `2^universe_bits` (one OR
+    /// over the batch decides it).
+    pub fn check_items(&self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
+        if self.kind == SketchKind::StructuredMinimum {
+            return Err(ServiceError::WrongItemType {
+                session: name.to_string(),
+                expected: "structured (DNF) set items",
+            });
+        }
+        let bits = items.iter().fold(0, |acc, &x| acc | x);
+        if self.universe_bits < 64 && bits >> self.universe_bits != 0 {
+            return Err(self.outside_universe(name));
+        }
+        Ok(())
+    }
+
+    /// Checks a structured batch for session `name`: the session must
+    /// ingest structured items, each over exactly `universe_bits` variables.
+    pub fn check_sets(&self, name: &str, sets: &[DnfFormula]) -> Result<(), ServiceError> {
+        if self.kind != SketchKind::StructuredMinimum {
+            return Err(ServiceError::WrongItemType {
+                session: name.to_string(),
+                expected: "u64 stream items",
+            });
+        }
+        if sets.iter().any(|f| f.num_vars() != self.universe_bits) {
+            return Err(self.outside_universe(name));
+        }
+        Ok(())
+    }
+
+    fn outside_universe(&self, name: &str) -> ServiceError {
+        ServiceError::ItemOutsideUniverse {
+            session: name.to_string(),
+            universe_bits: self.universe_bits,
+        }
     }
 
     /// The streaming-crate configuration this spec describes.

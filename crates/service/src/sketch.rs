@@ -138,10 +138,7 @@ impl TenantSketch {
     /// partial's `merge_from` assert.
     pub fn same_draw(&self, other: &Self) -> bool {
         match (self, other) {
-            (TenantSketch::Minimum(a), TenantSketch::Minimum(b)) => {
-                a.num_rows() == b.num_rows()
-                    && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
-            }
+            (TenantSketch::Minimum(a), TenantSketch::Minimum(b)) => same_minimum_draw(a, b),
             (TenantSketch::Bucketing(a), TenantSketch::Bucketing(b)) => {
                 a.num_rows() == b.num_rows()
                     && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
@@ -158,8 +155,7 @@ impl TenantSketch {
                     })
             }
             (TenantSketch::StructuredMinimum(a), TenantSketch::StructuredMinimum(b)) => {
-                a.num_rows() == b.num_rows()
-                    && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
+                same_minimum_draw(a.minimum(), b.minimum())
             }
             _ => false,
         }
@@ -195,6 +191,12 @@ impl TenantSketch {
             TenantSketch::StructuredMinimum(s) => s.space_bits(),
         }
     }
+}
+
+/// Whether two Minimum sketches (plain or structured rows) hold the same
+/// hash draws.
+fn same_minimum_draw(a: &MinimumF0, b: &MinimumF0) -> bool {
+    a.num_rows() == b.num_rows() && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
 }
 
 // Lets [`EpochRing`] hold tenant sketches: the ring only needs clone +

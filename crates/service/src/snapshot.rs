@@ -17,12 +17,11 @@
 //! the restore path's draw validation pins it against the slots).
 
 use crate::error::ServiceError;
-use crate::service::MAX_WINDOW_EPOCHS;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
 use crate::sketch::{SessionSketch, TenantSketch};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, SWiseHash, ToeplitzHash};
-use mcf0_streaming::minimum::Key;
+use mcf0_streaming::minimum::key_of;
 use mcf0_streaming::{AmsF2, BucketingF0, EpochRing, EstimationF0, MinimumF0};
 use mcf0_structured::StructuredMinimumF0;
 use serde::{Deserialize, Serialize};
@@ -218,6 +217,57 @@ struct SessionDoc {
     window: Option<WindowSnap>,
 }
 
+/// Renders a Minimum sketch's rows: each reservoir key as its `3n`-bit
+/// value. Plain and structured Minimum sessions share this codec.
+fn minimum_rows(s: &MinimumF0) -> Vec<MinimumRowSnap> {
+    (0..s.num_rows())
+        .map(|i| {
+            let (hash, smallest) = s.row_parts(i);
+            let len = hash.output_bits();
+            MinimumRowSnap {
+                hash: ToeplitzSnap::of(hash),
+                smallest: smallest
+                    .iter()
+                    .map(|key| BitVecSnap {
+                        len,
+                        words: key[..len.div_ceil(64)].to_vec(),
+                    })
+                    .collect(),
+            }
+        })
+        .collect()
+}
+
+/// Rebuilds a Minimum sketch from its rows, validating their shape against
+/// the specification; the inverse of [`minimum_rows`].
+fn build_minimum(rows: &[MinimumRowSnap], spec: &SessionSpec) -> Result<MinimumF0, ServiceError> {
+    check_rows(rows.len(), spec.rows)?;
+    let mut parts = Vec::with_capacity(rows.len());
+    for row in rows {
+        let hash = row.hash.build()?;
+        check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
+        let mut smallest = Vec::with_capacity(row.smallest.len());
+        for v in &row.smallest {
+            if v.len != 3 * spec.universe_bits {
+                return Err(ServiceError::Snapshot("reservoir value width".into()));
+            }
+            smallest.push(key_of(&v.build()?));
+        }
+        // Canonical documents list each reservoir strictly ascending, as the
+        // sketch holds it; anything else would restore but not save back
+        // byte-identically.
+        if smallest.len() > spec.thresh || !smallest.windows(2).all(|w| w[0] < w[1]) {
+            return Err(ServiceError::Snapshot("malformed reservoir".into()));
+        }
+        parts.push((hash, smallest));
+    }
+    Ok(MinimumF0::from_parts(
+        spec.universe_bits,
+        spec.thresh,
+        parts,
+    ))
+}
+
 /// Renders one sketch's state to its per-kind snap members.
 fn snap_sketch(sketch: &TenantSketch) -> SketchSnap {
     let mut snap = SketchSnap {
@@ -228,26 +278,7 @@ fn snap_sketch(sketch: &TenantSketch) -> SketchSnap {
         structured_minimum: None,
     };
     match sketch {
-        TenantSketch::Minimum(s) => {
-            snap.minimum = Some(
-                (0..s.num_rows())
-                    .map(|i| {
-                        let (hash, smallest) = s.row_parts(i);
-                        let len = hash.output_bits();
-                        MinimumRowSnap {
-                            hash: ToeplitzSnap::of(hash),
-                            smallest: smallest
-                                .iter()
-                                .map(|key| BitVecSnap {
-                                    len,
-                                    words: key[..len.div_ceil(64)].to_vec(),
-                                })
-                                .collect(),
-                        }
-                    })
-                    .collect(),
-            );
-        }
+        TenantSketch::Minimum(s) => snap.minimum = Some(minimum_rows(s)),
         TenantSketch::Bucketing(s) => {
             snap.bucketing = Some(
                 (0..s.num_rows())
@@ -295,15 +326,7 @@ fn snap_sketch(sketch: &TenantSketch) -> SketchSnap {
         }
         TenantSketch::StructuredMinimum(s) => {
             snap.structured_minimum = Some(StructuredSnap {
-                rows: (0..s.num_rows())
-                    .map(|i| {
-                        let (hash, minima) = s.row_parts(i);
-                        MinimumRowSnap {
-                            hash: ToeplitzSnap::of(hash),
-                            smallest: minima.iter().map(BitVecSnap::of).collect(),
-                        }
-                    })
-                    .collect(),
+                rows: minimum_rows(s.minimum()),
                 items_processed: s.items_processed(),
             });
         }
@@ -374,34 +397,7 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
                 .minimum
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing minimum state".into()))?;
-            check_rows(rows.len(), spec.rows)?;
-            let mut parts = Vec::with_capacity(rows.len());
-            for row in rows {
-                let hash = row.hash.build()?;
-                check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
-                let mut smallest = Vec::with_capacity(row.smallest.len());
-                for v in &row.smallest {
-                    if v.len != 3 * spec.universe_bits {
-                        return Err(ServiceError::Snapshot("reservoir value width".into()));
-                    }
-                    let value = v.build()?;
-                    let mut key = Key::default();
-                    key[..value.words().len()].copy_from_slice(value.words());
-                    smallest.push(key);
-                }
-                // Canonical documents list each reservoir strictly ascending,
-                // as the sketch holds it; anything else would restore but
-                // not save back byte-identically.
-                if smallest.len() > spec.thresh || !smallest.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(ServiceError::Snapshot("malformed reservoir".into()));
-                }
-                parts.push((hash, smallest));
-            }
-            TenantSketch::Minimum(MinimumF0::from_parts(
-                spec.universe_bits,
-                spec.thresh,
-                parts,
-            ))
+            TenantSketch::Minimum(build_minimum(rows, spec)?)
         }
         SketchKind::Bucketing => {
             let rows = snap
@@ -498,27 +494,8 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
                 .structured_minimum
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing structured state".into()))?;
-            check_rows(structured.rows.len(), spec.rows)?;
-            let mut parts = Vec::with_capacity(structured.rows.len());
-            for row in &structured.rows {
-                let hash = row.hash.build()?;
-                check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
-                let mut minima = Vec::with_capacity(row.smallest.len());
-                for v in &row.smallest {
-                    if v.len != 3 * spec.universe_bits {
-                        return Err(ServiceError::Snapshot("minima value width".into()));
-                    }
-                    minima.push(v.build()?);
-                }
-                if minima.len() > spec.thresh || !minima.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(ServiceError::Snapshot("malformed minima list".into()));
-                }
-                parts.push((hash, minima));
-            }
             TenantSketch::StructuredMinimum(StructuredMinimumF0::from_parts(
-                spec.universe_bits,
-                spec.thresh,
-                parts,
+                build_minimum(&structured.rows, spec)?,
                 structured.items_processed,
             ))
         }
@@ -551,19 +528,11 @@ pub fn decode(
         seed: doc.spec.seed,
         window: doc.spec.window,
     };
-    if !(1..=64).contains(&spec.universe_bits) || spec.thresh == 0 || spec.rows == 0 {
-        return Err(ServiceError::Snapshot("malformed specification".into()));
-    }
-    // The window bound is re-validated here because a snapshot document is
-    // untrusted input like any other frame: a tampered `"window"` must be a
-    // typed rejection *before* any ring slot is allocated or decoded.
-    if let Some(window) = spec.window {
-        if window == 0 || window > MAX_WINDOW_EPOCHS {
-            return Err(ServiceError::Snapshot(format!(
-                "window of {window} epochs is outside 1..={MAX_WINDOW_EPOCHS}"
-            )));
-        }
-    }
+    // A snapshot document is untrusted input like any other frame: a
+    // tampered spec must be a typed rejection before any ring slot or row
+    // is allocated or decoded.
+    spec.validate(&doc.name)
+        .map_err(|e| ServiceError::Snapshot(e.to_string()))?;
     let plain = SketchSnap {
         minimum: doc.minimum,
         bucketing: doc.bucketing,

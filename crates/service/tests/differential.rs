@@ -18,6 +18,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use mcf0_bench::service_support::{query_outputs, random_trace, resplit_batches, trace_sessions};
+use mcf0_formula::generators::random_dnf;
 use mcf0_service::{
     CommandReply, ReferenceService, ServiceCommand, ServiceError, SessionSpec, SketchKind,
     SketchService,
@@ -225,6 +226,223 @@ fn minimum_save_documents_match_their_pinned_digests() {
     pinned_minimum_run(&mut service, "b", spec, 2);
     service.merge_sessions("a", "b").unwrap();
     assert_eq!(fnv1a64(&service.save("a").unwrap()), MERGED_SAVE_DIGEST);
+}
+
+/// Digests of canonical structured-Minimum Save documents, captured while
+/// the structured sketch still kept its own `BitVec` reservoir: a plain and
+/// a 3-epoch windowed session per width. `ReferenceService` shares
+/// `StructuredMinimumF0` too, so only fixed digests pin the document layout.
+const STRUCTURED_SAVE_DIGESTS: [(usize, u64, u64); 4] = [
+    (8, 0xa1e7ccac4c732210, 0x754b3fcc7ee221c6),
+    (22, 0x92fce2b7b3a86412, 0xf8227f791359265a),
+    (43, 0x52611e0c5463b397, 0xe7a0141c008b11e9),
+    (64, 0xf07defb6dced9bd0, 0x416854fd94abe347),
+];
+/// The same for a plain width-43 structured session after a twin merge.
+const STRUCTURED_MERGED_SAVE_DIGEST: u64 = 0xf85ab5428071a79f;
+
+/// Drives one structured session through four batches of three random DNF
+/// sets (terms of 2–5 literals, so each set outnumbers `Thresh` 24 and the
+/// reservoirs churn), advancing windowed sessions an epoch per batch.
+fn pinned_structured_run(service: &mut SketchService, name: &str, spec: SessionSpec, salt: u64) {
+    service.create_session(name, spec).unwrap();
+    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(salt);
+    for epoch in 1..=4u64 {
+        let sets: Vec<_> = (0..3)
+            .map(|_| random_dnf(&mut rng, spec.universe_bits, 3, (2, 5)))
+            .collect();
+        service.ingest_structured(name, &sets).unwrap();
+        if spec.window.is_some() {
+            service.advance(name, epoch).unwrap();
+        }
+    }
+}
+
+#[test]
+fn structured_save_documents_match_their_pinned_digests() {
+    let mut service = SketchService::new(1);
+    for (bits, plain, windowed) in STRUCTURED_SAVE_DIGESTS {
+        let spec = SessionSpec::new(SketchKind::StructuredMinimum, bits, 24, 3, 7);
+        pinned_structured_run(&mut service, "plain", spec, bits as u64);
+        pinned_structured_run(&mut service, "win", spec.with_window(3), bits as u64);
+        let got = (
+            fnv1a64(&service.save("plain").unwrap()),
+            fnv1a64(&service.save("win").unwrap()),
+        );
+        assert_eq!(got, (plain, windowed), "bits = {bits}");
+        service.drop_session("plain").unwrap();
+        service.drop_session("win").unwrap();
+    }
+    let spec = SessionSpec::new(SketchKind::StructuredMinimum, 43, 24, 3, 7);
+    pinned_structured_run(&mut service, "a", spec, 1);
+    pinned_structured_run(&mut service, "b", spec, 2);
+    service.merge_sessions("a", "b").unwrap();
+    assert_eq!(
+        fnv1a64(&service.save("a").unwrap()),
+        STRUCTURED_MERGED_SAVE_DIGEST
+    );
+}
+
+/// Specs no sketch can be drawn from, and items outside a session's
+/// universe, are typed rejections in both interpreters, made before
+/// anything is drawn or dispatched; the sessions already there carry on.
+#[test]
+fn hostile_specs_and_items_are_typed_rejections_in_both_interpreters() {
+    let good = SessionSpec::new(SketchKind::Minimum, 8, 12, 3, 1);
+    let dnf = SessionSpec::new(SketchKind::StructuredMinimum, 8, 12, 3, 1);
+    let ams = SessionSpec::new(SketchKind::Ams, 8, 4, 3, 1);
+    let create = |name: &str, spec| ServiceCommand::Create {
+        name: name.into(),
+        spec,
+    };
+    let bad_spec = |name: &str, reason| ServiceError::InvalidSpec {
+        session: name.into(),
+        reason,
+    };
+    let outside = |name: &str| ServiceError::ItemOutsideUniverse {
+        session: name.into(),
+        universe_bits: 8,
+    };
+    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(5);
+    let setup = [
+        create("m", good),
+        create("dnf", dnf),
+        ServiceCommand::Ingest {
+            name: "m".into(),
+            items: (0..256).collect(),
+        },
+        ServiceCommand::IngestStructured {
+            name: "dnf".into(),
+            sets: vec![random_dnf(&mut rng, 8, 3, (1, 4))],
+        },
+    ];
+    let width = "universe_bits must be in 1..=64";
+
+    let probes = [
+        (
+            create(
+                "u0",
+                SessionSpec {
+                    universe_bits: 0,
+                    ..good
+                },
+            ),
+            bad_spec("u0", width),
+        ),
+        (
+            create(
+                "u65",
+                SessionSpec {
+                    universe_bits: 65,
+                    ..good
+                },
+            ),
+            bad_spec("u65", width),
+        ),
+        (
+            create(
+                "s70",
+                SessionSpec {
+                    universe_bits: 70,
+                    ..dnf
+                },
+            ),
+            bad_spec("s70", width),
+        ),
+        (
+            create("t0", SessionSpec { thresh: 0, ..good }),
+            bad_spec("t0", "thresh must be at least 1"),
+        ),
+        (
+            create("r0", SessionSpec { rows: 0, ..dnf }),
+            bad_spec("r0", "rows must be at least 1"),
+        ),
+        (
+            create("c0", SessionSpec { columns: 0, ..ams }),
+            bad_spec("c0", "ams columns must be at least 1"),
+        ),
+        (
+            create(
+                "e0",
+                SessionSpec {
+                    kind: SketchKind::Estimation,
+                    epsilon: 0.0,
+                    ..good
+                },
+            ),
+            bad_spec("e0", "epsilon must be in (0, 1)"),
+        ),
+        (
+            create(
+                "enan",
+                SessionSpec {
+                    epsilon: f64::NAN,
+                    ..good
+                },
+            ),
+            bad_spec("enan", "epsilon must be in (0, 1)"),
+        ),
+        (
+            create("d1", SessionSpec { delta: 1.0, ..good }),
+            bad_spec("d1", "delta must be in (0, 1)"),
+        ),
+        (
+            ServiceCommand::Ingest {
+                name: "m".into(),
+                items: vec![1, 300],
+            },
+            outside("m"),
+        ),
+        (
+            ServiceCommand::Ingest {
+                name: "m".into(),
+                items: vec![256],
+            },
+            outside("m"),
+        ),
+        (
+            ServiceCommand::IngestStructured {
+                name: "dnf".into(),
+                sets: vec![random_dnf(&mut rng, 9, 2, (1, 3))],
+            },
+            outside("dnf"),
+        ),
+    ];
+    let (mut service, mut reference) = (SketchService::new(1), ReferenceService::new());
+    for command in &setup {
+        assert_eq!(service.apply(command), reference.apply(command));
+    }
+    for (command, want) in &probes {
+        assert_eq!(service.apply(command).as_ref(), Err(want), "{command:?}");
+        assert_eq!(reference.apply(command).as_ref(), Err(want), "{command:?}");
+    }
+    // Nothing was drawn or applied: the two sessions answer as before, in
+    // both interpreters, and keep ingesting.
+    assert_eq!(service.list_sessions(), ["dnf", "m"]);
+    let more = ServiceCommand::Ingest {
+        name: "m".into(),
+        items: vec![255, 7],
+    };
+    assert_eq!(service.apply(&more), Ok(CommandReply::Done));
+    assert_eq!(reference.apply(&more), Ok(CommandReply::Done));
+    for name in ["m", "dnf"] {
+        for query in [
+            ServiceCommand::Estimate { name: name.into() },
+            ServiceCommand::Save { name: name.into() },
+        ] {
+            assert_eq!(service.apply(&query), reference.apply(&query));
+        }
+    }
+    // The ledgers count only the accepted batches.
+    assert_eq!(service.ledger("m").unwrap().items, 256 + 2);
+    assert_eq!(service.ledger("dnf").unwrap().structured_items, 1);
+    // AMS has no `Thresh`, so a zero there is valid, and its Save
+    // document restores like any other.
+    let ams_zero = SessionSpec { thresh: 0, ..ams };
+    service.create_session("ams", ams_zero).unwrap();
+    let doc = service.save("ams").unwrap();
+    service.drop_session("ams").unwrap();
+    assert_eq!(service.restore(&doc).unwrap(), "ams");
 }
 
 #[test]

@@ -202,6 +202,78 @@ fn recovered_stores_continue_identically() {
     assert_state_matches(&durable, &mut reference);
 }
 
+/// Hostile commands (specs no sketch can be drawn from, items outside the
+/// universe) are logged like any mutation but rejected with typed errors:
+/// no apply panics, the store stays healthy, the other sessions carry on,
+/// and the log holding them reopens to the same state.
+#[test]
+fn hostile_commands_leave_the_store_healthy_and_reopenable() {
+    let store = TempDir::new("hostile");
+    let (mut durable, _) =
+        DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
+    let mut reference = ReferenceService::new();
+    let create = |name: &str, spec| ServiceCommand::Create {
+        name: name.into(),
+        spec,
+    };
+    let ingest = |name: &str, items: Vec<u64>| ServiceCommand::Ingest {
+        name: name.into(),
+        items,
+    };
+    let small = SessionSpec {
+        universe_bits: 8,
+        ..default_spec()
+    };
+    let trace = [
+        create("other", default_spec()),
+        ingest("other", (0..500).collect()),
+        create("small", small),
+        ingest("small", vec![1, 300]),
+        create(
+            "u0",
+            SessionSpec {
+                universe_bits: 0,
+                ..default_spec()
+            },
+        ),
+        create(
+            "wide",
+            SessionSpec {
+                kind: SketchKind::StructuredMinimum,
+                universe_bits: 70,
+                ..default_spec()
+            },
+        ),
+        create(
+            "t0",
+            SessionSpec {
+                thresh: 0,
+                ..default_spec()
+            },
+        ),
+        ingest("small", vec![1, 255]),
+        ingest("other", (500..900).collect()),
+    ];
+    for command in &trace {
+        let got = durable.apply(command);
+        assert!(
+            !matches!(got, Err(ServiceError::ShardPanicked { .. })),
+            "{command:?}"
+        );
+        assert_eq!(got, reference.apply(command), "{command:?}");
+    }
+    assert!(!durable.is_degraded());
+    assert_eq!(durable.list_sessions(), ["other", "small"]);
+    assert_state_matches(&durable, &mut reference);
+    durable.close().unwrap();
+
+    let (reopened, report) =
+        DurableSketchService::open(store.path(), 1, DurableConfig::default()).unwrap();
+    assert!(report.truncated.is_none());
+    assert_eq!(report.replayed, trace.len());
+    assert_state_matches(&reopened, &mut reference);
+}
+
 /// Checkpoints compact the log and bump the generation; automatic
 /// compaction (`compact_after_bytes`) includes the triggering command, and
 /// stale logs are swept on reopen.

@@ -549,6 +549,58 @@ fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
     handle.shutdown();
 }
 
+/// A `create` whose spec no sketch can be drawn from, and an ingest of
+/// items outside the session's universe, each get one typed `bad_request`
+/// reply byte-identical to the reference's; the same connection then
+/// creates and fills a valid session.
+#[test]
+fn hostile_specs_and_items_get_bad_request_and_the_connection_carries_on() {
+    let handle = start(&[("alpha", "tok-alpha", TenantQuota::unlimited())]);
+    let mut client = Client::connect(&handle);
+    let mut reference = ReferenceService::new();
+    let spec = SessionSpec::new(SketchKind::Minimum, 8, 12, 3, 7);
+    let create = |spec| ServiceCommand::Create {
+        name: "s".to_string(),
+        spec,
+    };
+    let ingest = |items: Vec<u64>| ServiceCommand::Ingest {
+        name: "s".to_string(),
+        items,
+    };
+    let script = [
+        (
+            create(SessionSpec {
+                universe_bits: 65,
+                ..spec
+            }),
+            Some(ErrorCode::BadRequest),
+        ),
+        (
+            create(SessionSpec { thresh: 0, ..spec }),
+            Some(ErrorCode::BadRequest),
+        ),
+        (create(spec), None),
+        (ingest(vec![1, 300]), Some(ErrorCode::BadRequest)),
+        (ingest(vec![1, 255]), None),
+        (ServiceCommand::Estimate { name: "s".into() }, None),
+    ];
+    for (seq, (command, code)) in script.into_iter().enumerate() {
+        let id = 40 + seq as u64;
+        let got = client.round_trip_raw(&Request {
+            id,
+            token: "tok-alpha".to_string(),
+            command: command.clone(),
+        });
+        let want = expected_line(&mut reference, "alpha", id, seq as u64, &command);
+        assert_eq!(got, want, "{command:?}");
+        let body = serde_json::from_str::<Response>(got.trim_end())
+            .unwrap()
+            .body;
+        assert_eq!(body.err().map(|e| e.code), code, "{command:?}");
+    }
+    handle.shutdown();
+}
+
 /// The connection cap: connection `max_connections + 1` is refused with one
 /// typed `server_busy` line and closed, while established connections keep
 /// working.

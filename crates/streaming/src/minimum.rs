@@ -10,6 +10,7 @@
 
 use crate::config::{median, F0Config};
 use crate::sketch::F0Sketch;
+use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
 use std::cmp::Ordering;
 
@@ -18,6 +19,13 @@ use std::cmp::Ordering;
 /// Array order is therefore the values' lexicographic order, for every
 /// width `n ≤ 64`.
 pub type Key = [u64; 3];
+
+/// The key of a hash value of at most 192 bits.
+pub fn key_of(value: &BitVec) -> Key {
+    let mut key = Key::default();
+    key[..value.words().len()].copy_from_slice(value.words());
+    key
+}
 
 #[derive(Clone)]
 struct MinimumRow {
@@ -207,6 +215,20 @@ impl MinimumF0 {
             universe_bits,
             thresh,
             rows,
+        }
+    }
+
+    /// Merges into each row the strictly ascending keys that
+    /// `offered(hash, thresh)` returns for the row's hash, by the same
+    /// linear merge as [`MinimumF0::merge_from`]. The structured variant's
+    /// per-item step: an item offers its `Thresh` smallest hash values.
+    pub fn merge_rows(&mut self, mut offered: impl FnMut(&ToeplitzHash, usize) -> Vec<Key>) {
+        for row in &mut self.rows {
+            let keys = offered(&row.hash, self.thresh);
+            debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "offer not ascending");
+            if !keys.is_empty() {
+                row.smallest = merge_smallest(&row.smallest, &keys, self.thresh);
+            }
         }
     }
 

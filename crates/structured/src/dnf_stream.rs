@@ -5,10 +5,11 @@
 //! giving per-item time `O(n⁴·k·ε⁻²·log δ⁻¹)` and space
 //! `O(n·ε⁻²·log δ⁻¹)` overall, as Theorem 5 states.
 
-use crate::stream_f0::{cell_members_from_terms, smallest_hashed_from_terms, StructuredSet};
+use crate::stream_f0::StructuredSet;
 use mcf0_formula::{exact, DnfFormula};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::ToeplitzHash;
+use mcf0_sat::{bounded_sat_dnf, find_min_dnf};
 
 /// A DNF-set stream item.
 #[derive(Clone, Debug)]
@@ -39,17 +40,11 @@ impl StructuredSet for DnfSet {
     }
 
     fn smallest_hashed(&self, hash: &ToeplitzHash, p: usize) -> Vec<BitVec> {
-        smallest_hashed_from_terms(self.formula.terms().iter(), hash, p)
+        find_min_dnf(&self.formula, hash, p)
     }
 
     fn members_in_cell(&self, hash: &ToeplitzHash, level: usize, limit: usize) -> Vec<BitVec> {
-        cell_members_from_terms(
-            self.formula.terms().iter(),
-            self.formula.num_vars(),
-            hash,
-            level,
-            limit,
-        )
+        bounded_sat_dnf(&self.formula, hash, level, limit).solutions
     }
 
     fn exact_size(&self) -> Option<u128> {

@@ -9,10 +9,11 @@
 //! at most `(2n)^d` terms — exactly the paper's construction.
 
 use crate::ranges::RangeDim;
-use crate::stream_f0::{cell_members_from_terms, smallest_hashed_from_terms, StructuredSet};
+use crate::stream_f0::StructuredSet;
 use mcf0_formula::{DnfFormula, Literal, Term};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::ToeplitzHash;
+use mcf0_sat::{bounded_sat_terms, find_min_terms};
 
 /// A one-dimensional arithmetic progression `[a, b, 2^ℓ]` over `bits`-bit
 /// integers.
@@ -176,13 +177,11 @@ impl StructuredSet for MultiDimProgression {
     }
 
     fn smallest_hashed(&self, hash: &ToeplitzHash, p: usize) -> Vec<BitVec> {
-        let terms = self.terms();
-        smallest_hashed_from_terms(terms.iter(), hash, p)
+        find_min_terms(self.terms(), hash, p)
     }
 
     fn members_in_cell(&self, hash: &ToeplitzHash, level: usize, limit: usize) -> Vec<BitVec> {
-        let terms = self.terms();
-        cell_members_from_terms(terms.iter(), self.total_bits(), hash, level, limit)
+        bounded_sat_terms(self.terms(), hash, level, limit).solutions
     }
 
     fn exact_size(&self) -> Option<u128> {

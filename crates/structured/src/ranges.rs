@@ -15,10 +15,11 @@
 //! Observation 2 — the pair quantifying the DNF/CNF representation gap the
 //! paper discusses.
 
-use crate::stream_f0::{cell_members_from_terms, smallest_hashed_from_terms, StructuredSet};
+use crate::stream_f0::StructuredSet;
 use mcf0_formula::{Clause, CnfFormula, DnfFormula, Literal, Term};
 use mcf0_gf2::BitVec;
 use mcf0_hashing::ToeplitzHash;
+use mcf0_sat::{bounded_sat_terms, find_min_terms};
 
 /// One dimension of a range: the inclusive interval `[lo, hi]` over
 /// `bits`-bit unsigned integers.
@@ -310,13 +311,11 @@ impl StructuredSet for MultiDimRange {
     }
 
     fn smallest_hashed(&self, hash: &ToeplitzHash, p: usize) -> Vec<BitVec> {
-        let terms: Vec<Term> = self.terms_iter().collect();
-        smallest_hashed_from_terms(terms.iter(), hash, p)
+        find_min_terms(self.terms_iter(), hash, p)
     }
 
     fn members_in_cell(&self, hash: &ToeplitzHash, level: usize, limit: usize) -> Vec<BitVec> {
-        let terms: Vec<Term> = self.terms_iter().collect();
-        cell_members_from_terms(terms.iter(), self.total_bits(), hash, level, limit)
+        bounded_sat_terms(self.terms_iter(), hash, level, limit).solutions
     }
 
     fn exact_size(&self) -> Option<u128> {

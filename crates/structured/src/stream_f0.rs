@@ -10,10 +10,10 @@
 //! in the representation size.
 
 use mcf0_counting::config::{median, CountingConfig};
-use mcf0_counting::estimate_from_minima;
-use mcf0_formula::Term;
 use mcf0_gf2::BitVec;
 use mcf0_hashing::{LinearHash, ToeplitzHash, Xoshiro256StarStar};
+use mcf0_streaming::minimum::key_of;
+use mcf0_streaming::{F0Config, F0Sketch, MinimumF0};
 use std::collections::BTreeSet;
 
 /// A stream item representing a subset of `{0,1}^n` succinctly.
@@ -21,12 +21,12 @@ pub trait StructuredSet {
     /// Universe width `n` (number of Boolean variables).
     fn num_vars(&self) -> usize;
 
-    /// The `p` lexicographically smallest values of `h(S)`, ascending.
+    /// The `p` lexicographically smallest values of `h(S)`, strictly
+    /// ascending.
     fn smallest_hashed(&self, hash: &ToeplitzHash, p: usize) -> Vec<BitVec>;
 
     /// Up to `limit` distinct members of `S ∩ h_m^{-1}(0^m)` (the Bucketing
-    /// per-item query). The default routes through [`Self::smallest_hashed`]
-    /// implementors with cube structure override it for efficiency.
+    /// per-item query).
     fn members_in_cell(&self, hash: &ToeplitzHash, level: usize, limit: usize) -> Vec<BitVec>;
 
     /// Exact number of elements of the set, when cheaply available
@@ -36,125 +36,45 @@ pub trait StructuredSet {
     }
 }
 
-/// Merges the `p` smallest hashed values of a collection of cubes (terms)
-/// over `n` variables — the shared implementation of `smallest_hashed` for
-/// every term-structured item type.
-pub fn smallest_hashed_from_terms<'a>(
-    terms: impl Iterator<Item = &'a Term>,
-    hash: &ToeplitzHash,
-    p: usize,
-) -> Vec<BitVec> {
-    let mut merged: Vec<BitVec> = Vec::new();
-    for term in terms {
-        if term.is_contradictory() {
-            continue;
-        }
-        let image = hash.image_of_cube(&term.fixed_assignments());
-        merged.extend(image.lex_smallest_direct(p));
-        merged.sort();
-        merged.dedup();
-        merged.truncate(p);
-    }
-    merged
-}
-
-/// Members of the hash cell `h_level^{-1}(0^level)` within a collection of
-/// cubes, up to `limit` — the shared implementation of `members_in_cell`.
-pub fn cell_members_from_terms<'a>(
-    terms: impl Iterator<Item = &'a Term>,
-    num_vars: usize,
-    hash: &ToeplitzHash,
-    level: usize,
-    limit: usize,
-) -> Vec<BitVec> {
-    use mcf0_gf2::BitMatrix;
-    let mut found: BTreeSet<BitVec> = BTreeSet::new();
-    'terms: for term in terms {
-        if term.is_contradictory() {
-            continue;
-        }
-        let fixed = term.fixed_assignments();
-        let mut is_fixed = vec![false; num_vars];
-        let mut base = BitVec::zeros(num_vars);
-        for &(v, val) in &fixed {
-            is_fixed[v] = true;
-            base.set(v, val);
-        }
-        let free_vars: Vec<usize> = (0..num_vars).filter(|&v| !is_fixed[v]).collect();
-        let rows = BitMatrix::from_fn(level, free_vars.len(), |i, j| {
-            hash.matrix_row(i).get(free_vars[j])
-        });
-        let mut rhs = BitVec::zeros(level);
-        for i in 0..level {
-            rhs.set(i, hash.offset_bit(i) ^ hash.matrix_row(i).dot(&base));
-        }
-        let Some((particular, nullspace)) = rows.solve(&rhs) else {
-            continue;
-        };
-        let dim = nullspace.len();
-        let combos: u128 = if dim >= 64 { u128::MAX } else { 1u128 << dim };
-        let mut mask: u128 = 0;
-        loop {
-            let mut free_assignment = particular.clone();
-            for (j, v) in nullspace.iter().enumerate() {
-                if (mask >> j) & 1 == 1 {
-                    free_assignment.xor_assign(v);
-                }
-            }
-            let mut full = base.clone();
-            for (j, &v) in free_vars.iter().enumerate() {
-                full.set(v, free_assignment.get(j));
-            }
-            found.insert(full);
-            if found.len() >= limit {
-                break 'terms;
-            }
-            mask += 1;
-            if mask >= combos {
-                break;
-            }
-        }
-    }
-    found.into_iter().collect()
-}
-
 /// Minimum-strategy F0 sketch over structured set streams (Theorem 5 /
-/// Theorem 6 / Theorem 7 depending on the item type).
+/// Theorem 6 / Theorem 7 depending on the item type): the streaming
+/// [`MinimumF0`] — same draws, same packed-key rows, same estimator — fed
+/// each item's `Thresh` smallest hashed values per row instead of one
+/// hashed item. Packed keys hold 3n-bit values, so `n ≤ 64`.
 #[derive(Clone)]
 pub struct StructuredMinimumF0 {
-    universe_bits: usize,
-    thresh: usize,
-    rows: Vec<(ToeplitzHash, Vec<BitVec>)>,
+    sketch: MinimumF0,
     items_processed: u64,
 }
 
 impl StructuredMinimumF0 {
-    /// Creates the sketch over `{0,1}^universe_bits`.
+    /// Creates the sketch over `{0,1}^universe_bits`, `universe_bits` in
+    /// `1..=64`.
     pub fn new(
         universe_bits: usize,
         config: &CountingConfig,
         rng: &mut Xoshiro256StarStar,
     ) -> Self {
-        assert!(universe_bits >= 1);
-        let rows = (0..config.rows)
-            .map(|_| {
-                (
-                    ToeplitzHash::sample(rng, universe_bits, 3 * universe_bits),
-                    Vec::new(),
-                )
-            })
-            .collect();
+        let config = F0Config::explicit(config.epsilon, config.delta, config.thresh, config.rows);
         StructuredMinimumF0 {
-            universe_bits,
-            thresh: config.thresh,
-            rows,
+            sketch: MinimumF0::new(universe_bits, &config, rng),
             items_processed: 0,
         }
     }
 
-    /// Universe width `n`.
-    pub fn universe_bits(&self) -> usize {
-        self.universe_bits
+    /// Rebuilds a sketch from its rows and item count (snapshot restore);
+    /// [`MinimumF0::from_parts`] validates the rows.
+    pub fn from_parts(sketch: MinimumF0, items_processed: u64) -> Self {
+        StructuredMinimumF0 {
+            sketch,
+            items_processed,
+        }
+    }
+
+    /// The underlying Minimum sketch: the complete per-row state, exported
+    /// for snapshots and draw comparison.
+    pub fn minimum(&self) -> &MinimumF0 {
+        &self.sketch
     }
 
     /// Number of items processed so far.
@@ -162,104 +82,38 @@ impl StructuredMinimumF0 {
         self.items_processed
     }
 
-    /// Reservoir size `Thresh`.
-    pub fn thresh(&self) -> usize {
-        self.thresh
-    }
-
-    /// Number of repetition rows `t`.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Row `i`'s hash draw and running minima — the complete per-row state,
-    /// exported for snapshots.
-    pub fn row_parts(&self, i: usize) -> (&ToeplitzHash, &[BitVec]) {
-        (&self.rows[i].0, &self.rows[i].1)
-    }
-
-    /// Rebuilds a sketch from exported per-row state (snapshot restore);
-    /// bit-identical to the source sketch.
-    pub fn from_parts(
-        universe_bits: usize,
-        thresh: usize,
-        rows: Vec<(ToeplitzHash, Vec<BitVec>)>,
-        items_processed: u64,
-    ) -> Self {
-        assert!(universe_bits >= 1);
-        assert!(thresh >= 1);
-        for (hash, minima) in &rows {
-            assert_eq!(hash.input_bits(), universe_bits, "hash input width");
-            assert_eq!(hash.output_bits(), 3 * universe_bits, "hash output width");
-            assert!(minima.len() <= thresh, "minima list larger than Thresh");
-            assert!(
-                minima.windows(2).all(|w| w[0] < w[1]),
-                "minima must be strictly ascending"
-            );
-        }
-        StructuredMinimumF0 {
-            universe_bits,
-            thresh,
-            rows,
-            items_processed,
-        }
-    }
-
     /// Merges another sketch of the same draw into this one, in place:
-    /// distinct-union semantics over the item sets, exactly the per-row
-    /// minima discipline of [`StructuredMinimumF0::process_item`] (union,
-    /// sort, dedup, truncate to `Thresh`). Panics on a draw mismatch.
+    /// distinct-union semantics over the item sets (see
+    /// [`MinimumF0::merge_from`]). Panics on a draw mismatch.
     pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(self.universe_bits, other.universe_bits, "universe width");
-        assert_eq!(self.thresh, other.thresh, "Thresh mismatch");
-        assert_eq!(self.rows.len(), other.rows.len(), "row count mismatch");
-        let thresh = self.thresh;
-        for ((hash, minima), (other_hash, other_minima)) in self.rows.iter_mut().zip(&other.rows) {
-            assert!(hash == other_hash, "merge requires identical hash draws");
-            minima.extend(other_minima.iter().cloned());
-            minima.sort();
-            minima.dedup();
-            minima.truncate(thresh);
-        }
+        self.sketch.merge_from(&other.sketch);
         self.items_processed += other.items_processed;
     }
 
     /// Processes one structured item: per row, merge the item's `Thresh`
-    /// smallest hashed values into the running minima.
+    /// smallest hashed values into the reservoir.
     pub fn process_item<S: StructuredSet + ?Sized>(&mut self, item: &S) {
         assert_eq!(
             item.num_vars(),
-            self.universe_bits,
+            self.sketch.universe_bits(),
             "item universe width mismatch"
         );
         self.items_processed += 1;
-        let thresh = self.thresh;
-        for (hash, minima) in &mut self.rows {
-            let local = item.smallest_hashed(hash, thresh);
-            minima.extend(local);
-            minima.sort();
-            minima.dedup();
-            minima.truncate(thresh);
-        }
+        self.sketch.merge_rows(|hash, thresh| {
+            let values = item.smallest_hashed(hash, thresh);
+            values.iter().map(key_of).collect()
+        });
     }
 
     /// Current (ε, δ) estimate of `|⋃_i S_i|`.
     pub fn estimate(&self) -> f64 {
-        let estimates: Vec<f64> = self
-            .rows
-            .iter()
-            .map(|(_, minima)| estimate_from_minima(minima, self.thresh))
-            .collect();
-        median(&estimates)
+        self.sketch.estimate()
     }
 
     /// Approximate sketch size in bits (hash representations + stored
     /// minima), for the space experiments.
     pub fn space_bits(&self) -> usize {
-        self.rows
-            .iter()
-            .map(|(h, minima)| h.representation_bits() + minima.len() * 3 * self.universe_bits)
-            .sum()
+        self.sketch.space_bits()
     }
 }
 
@@ -372,23 +226,6 @@ mod tests {
     use super::*;
     use crate::dnf_stream::DnfSet;
     use mcf0_formula::generators::random_dnf;
-
-    #[test]
-    fn helpers_agree_with_dnf_findmin_and_boundedsat() {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(901);
-        for _ in 0..5 {
-            let f = random_dnf(&mut rng, 9, 5, (2, 4));
-            let hash = ToeplitzHash::sample(&mut rng, 9, 27);
-            let via_helper = smallest_hashed_from_terms(f.terms().iter(), &hash, 20);
-            let via_findmin = mcf0_sat::find_min_dnf(&f, &hash, 20);
-            assert_eq!(via_helper, via_findmin);
-
-            let hash_nn = ToeplitzHash::sample(&mut rng, 9, 9);
-            let cell = cell_members_from_terms(f.terms().iter(), 9, &hash_nn, 2, 1000);
-            let expected = mcf0_sat::bounded_sat_dnf(&f, &hash_nn, 2, 1000);
-            assert_eq!(cell, expected.solutions);
-        }
-    }
 
     #[test]
     fn minimum_and_bucketing_sketches_agree_on_small_unions() {

@@ -330,8 +330,8 @@ proptest! {
         prop_assert_eq!(a.estimate(), u.estimate());
         prop_assert_eq!(a.space_bits(), u.space_bits());
         prop_assert_eq!(a.items_processed(), u.items_processed());
-        for i in 0..a.num_rows() {
-            prop_assert_eq!(a.row_parts(i).1, u.row_parts(i).1);
+        for i in 0..a.minimum().num_rows() {
+            prop_assert_eq!(a.minimum().row_parts(i).1, u.minimum().row_parts(i).1);
         }
 
         let mut a = StructuredBucketingF0::new(n, &config, &mut rng_from(seed));
