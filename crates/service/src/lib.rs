@@ -1,11 +1,12 @@
 //! Multi-tenant F0 sketch service.
 //!
 //! Named sessions own one sketch each (Minimum / Bucketing / Estimation /
-//! AMS F2 / structured F0), kept as two partials: home and helper. The
-//! batch picks the partition: a `u64` batch of 2048 items or more is cut
-//! into two halves, and the service's one helper thread applies the second
-//! half while the caller applies the first; anything smaller goes whole to
-//! the home partial on the calling thread. Estimates, pairwise merges,
+//! AMS F2 / structured F0), kept in the session's entry as two partials:
+//! home and helper. The batch picks the partition: a `u64` batch of 2048
+//! items or more is cut into two halves, and the caller moves the helper
+//! partial to the service's one helper thread, which applies the second
+//! half and hands the partial back, while the caller applies the first;
+//! anything smaller goes whole to the home partial on the calling thread. Estimates, pairwise merges,
 //! snapshots and serde-based save/restore all operate on the deterministic
 //! home-then-helper merge of the partials.
 //!
@@ -28,8 +29,8 @@
 //! ## The fault contract
 //!
 //! Failures are **values, never panics**: a panic inside a partial, on the
-//! caller's thread or the helper's, is caught by the partials' supervisor,
-//! retires both and surfaces as [`ServiceError::ShardPanicked`]; storage
+//! caller's thread or the helper's, is caught under `catch_unwind`, retires
+//! the service and surfaces as [`ServiceError::ShardPanicked`]; storage
 //! IO goes through the [`storage::Storage`] trait, is retried under a
 //! deterministic [`storage::RetryPolicy`], and an exhausted budget flips
 //! the durable store into degraded read-only mode
@@ -88,7 +89,7 @@ pub use net::{
 };
 pub use reference::ReferenceService;
 pub use service::{SessionSnapshot, SketchService, MAX_WINDOW_EPOCHS};
-pub use session::{SessionLedger, SessionSpec, SketchKind};
+pub use session::{SessionLedger, SessionSpec, SketchKind, MAX_SESSION_BITS};
 pub use sketch::{set_algebra_estimates, SessionSketch, TenantSketch};
 pub use storage::{
     with_retries, FaultKind, FaultPlan, FaultyStorage, FsStorage, RetryPolicy, Storage,

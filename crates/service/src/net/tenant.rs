@@ -16,17 +16,16 @@
 //! * **Quotas.** Per-tenant request-count and sketch-space budgets
 //!   ([`TenantQuota`]). Admission ([`TenantDirectory::admit`]) charges one
 //!   request per authenticated command and pre-checks `create` commands
-//!   against the space budget using the spec's *nominal* session size
-//!   (deterministic: [`TenantSketch::new`] + `space_bits`, a pure function
-//!   of the spec); the charge is recorded only when the create succeeds and
-//!   refunded when the session is dropped
+//!   against the space budget using the spec's *nominal* session size (the
+//!   bits of the empty sketch, in closed form from the spec: nothing is
+//!   drawn); the charge admission computed is recorded only when the create
+//!   succeeds and refunded when the session is dropped
 //!   ([`TenantDirectory::settle`]). An exhausted budget is a typed
 //!   `quota_exceeded` rejection that never reaches the service — one
 //!   tenant's exhaustion cannot starve another's traffic.
 
 use super::proto::{ErrorCode, WireError};
 use crate::command::ServiceCommand;
-use crate::sketch::TenantSketch;
 use std::collections::BTreeMap;
 
 /// Per-tenant budgets. `None` = unlimited.
@@ -62,6 +61,8 @@ struct TenantState {
     /// Nominal space charge per live session (unscoped name), so a drop
     /// refunds exactly what its create charged.
     charges: BTreeMap<String, u64>,
+    /// The charge of the last admitted command, for `settle` to record.
+    pending: Option<u64>,
 }
 
 /// The registered tenants: token → id, and per-tenant quota accounting.
@@ -104,6 +105,7 @@ impl TenantDirectory {
                 quota,
                 usage: TenantUsage::default(),
                 charges: BTreeMap::new(),
+                pending: None,
             },
         );
         Ok(())
@@ -172,26 +174,6 @@ impl TenantDirectory {
         }
     }
 
-    /// The deterministic nominal space charge of a command (`Some` only for
-    /// a `create` whose spec passes [`crate::SessionSpec::validate`]): what
-    /// the session's sketch will occupy, computed from the spec alone. An
-    /// invalid spec draws nothing here and charges nothing; the service
-    /// rejects it with a typed error.
-    fn nominal_bits(command: &ServiceCommand) -> Option<u64> {
-        match command {
-            ServiceCommand::Create { name, spec } if spec.validate(name).is_ok() => {
-                // Windowed sessions hold one complete sketch per ring slot,
-                // so the nominal charge scales with the window — a tenant
-                // cannot sidestep its space budget by asking for a huge ring
-                // of individually small sketches.
-                let per_slot = TenantSketch::new(spec).space_bits() as u64;
-                let slots = spec.window.unwrap_or(1) as u64;
-                Some(per_slot.saturating_mul(slots))
-            }
-            _ => None,
-        }
-    }
-
     /// Admission control: charges one request and pre-checks `create`
     /// commands against the space budget. A typed `quota_exceeded`
     /// rejection never reaches the service.
@@ -210,7 +192,17 @@ impl TenantDirectory {
                 ));
             }
         }
-        if let (Some(bits), Some(max)) = (Self::nominal_bits(command), state.quota.max_space_bits) {
+        // The nominal space charge, `Some` only for a valid `create`: the
+        // bits of its empty sketch in closed form, so nothing is drawn.
+        // Every window slot counts, so a huge ring of small sketches cannot
+        // sidestep the budget; an invalid spec is the service's to reject.
+        let charge = match command {
+            ServiceCommand::Create { name, spec } if spec.validate(name).is_ok() => {
+                Some(spec.nominal_bits())
+            }
+            _ => None,
+        };
+        if let (Some(bits), Some(max)) = (charge, state.quota.max_space_bits) {
             let after = state.usage.space_bits.saturating_add(bits);
             if after > max {
                 return Err(WireError::protocol(
@@ -224,22 +216,24 @@ impl TenantDirectory {
             }
         }
         state.usage.requests += 1;
+        state.pending = charge;
         Ok(())
     }
 
-    /// Post-apply accounting: a successful `create` records its space
-    /// charge, a successful `drop` refunds it. Failed commands charge
-    /// nothing beyond the admission request count.
+    /// Post-apply accounting: a successful `create` records the space
+    /// charge its admission computed, a successful `drop` refunds it.
+    /// Failed commands charge nothing beyond the admission request count.
     pub fn settle(&mut self, tenant: &str, command: &ServiceCommand, succeeded: bool) {
-        if !succeeded {
-            return;
-        }
         let Some(state) = self.tenants.get_mut(tenant) else {
             return;
         };
+        let charge = state.pending.take();
+        if !succeeded {
+            return;
+        }
         match command {
             ServiceCommand::Create { name, .. } => {
-                if let Some(bits) = Self::nominal_bits(command) {
+                if let Some(bits) = charge {
                     state.usage.space_bits = state.usage.space_bits.saturating_add(bits);
                     state.charges.insert(name.clone(), bits);
                 }

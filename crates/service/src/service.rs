@@ -1,10 +1,11 @@
-//! The multi-tenant service front-end: the session registry, and the
-//! routing of every command onto the two partials (see `shard.rs`).
+//! The multi-tenant service front-end: the session table, whose entries
+//! own their two partials, and the routing of every command onto them (see
+//! `shard.rs`).
 
 use crate::command::{CommandReply, ServiceCommand};
 use crate::error::ServiceError;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
-use crate::shard::{partial, Partition, HELPER, HOME};
+use crate::shard::{Partition, HELPER, HOME};
 use crate::sketch::{set_algebra_estimates, SessionSketch};
 use crate::snapshot;
 use mcf0_formula::DnfFormula;
@@ -46,14 +47,35 @@ struct SessionEntry {
     /// unwindowed ones). Mirrored on the control plane so `advance` can
     /// reject regressions *before* dispatching to the partial rings.
     epoch: u64,
+    /// The home partial, applied on the caller.
+    home: SessionSketch,
+    /// The helper partial. It leaves the entry only by value, for the
+    /// helper thread to apply a split batch's second half, and comes back
+    /// before the call returns; it is gone for good only if that thread was
+    /// lost, which retires the service.
+    helper: Option<SessionSketch>,
+}
+
+impl SessionEntry {
+    /// An entry whose two partials start as `sketch`.
+    fn new(spec: SessionSpec, ledger: SessionLedger, epoch: u64, sketch: SessionSketch) -> Self {
+        SessionEntry {
+            spec,
+            ledger,
+            epoch,
+            helper: Some(sketch.clone()),
+            home: sketch,
+        }
+    }
 }
 
 /// A multi-tenant sketch service.
 ///
-/// Named sessions own one sketch each, kept as two identically-drawn
-/// partials: home and helper. The batch picks the partition: a `u64` batch
-/// of 2048 items or more is cut into two halves, the second applied on the
-/// service's one helper thread; anything smaller, and every structured
+/// Named sessions own one sketch each, kept in the session's entry as two
+/// identically-drawn partials: home and helper. The batch picks the
+/// partition: a `u64` batch of 2048 items or more is cut into two halves,
+/// the second applied on the service's one helper thread, which borrows
+/// the helper partial by value; anything smaller, and every structured
 /// batch, goes whole to the home partial on the calling thread. Every read
 /// (estimate, snapshot, save) folds the helper partial into the home one.
 /// The split and batching are **pure routing**: every output is
@@ -107,42 +129,30 @@ impl SketchService {
     /// Deterministic and safe — but the service is state-poisoned
     /// afterwards, exactly like a real sketch bug.
     pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ServiceError> {
-        match shard {
-            HOME | HELPER => self
-                .partition
-                .run(shard, |_| panic!("injected worker panic")),
-            _ => Ok(()),
+        if shard > HELPER {
+            return Ok(());
         }
+        self.partition
+            .run(shard, || panic!("injected worker panic"))
     }
 
-    /// Registers a session. Both partials draw an identical sketch from the
-    /// spec's seed; the draws never touch shared state.
+    /// Registers a session. The sketch is drawn once from the spec's seed,
+    /// and the helper partial starts as its clone.
     pub fn create_session(&mut self, name: &str, spec: SessionSpec) -> Result<(), ServiceError> {
         if self.sessions.contains_key(name) {
             return Err(ServiceError::DuplicateSession(name.to_string()));
         }
         spec.validate(name)?;
-        self.partition.broadcast(|partials| {
-            partials.insert(name.to_string(), SessionSketch::new(&spec));
-        })?;
-        self.sessions.insert(
-            name.to_string(),
-            SessionEntry {
-                spec,
-                ledger: SessionLedger::default(),
-                epoch: 0,
-            },
-        );
+        let sketch = self.partition.run(HOME, || SessionSketch::new(&spec))?;
+        let entry = SessionEntry::new(spec, SessionLedger::default(), 0, sketch);
+        self.sessions.insert(name.to_string(), entry);
         Ok(())
     }
 
-    /// Forgets a session on both partials.
+    /// Forgets a session and both its partials.
     pub fn drop_session(&mut self, name: &str) -> Result<(), ServiceError> {
         self.entry(name)?;
-        self.partition.broadcast(|partials| {
-            partials.remove(name);
-        })?;
-        self.sessions.remove(name);
+        self.partition.run(HOME, || self.sessions.remove(name))?;
         Ok(())
     }
 
@@ -153,11 +163,11 @@ impl SketchService {
     /// functions of the distinct item set, and the partials merge back
     /// losslessly.
     pub fn ingest(&mut self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
-        self.entry(name)?.spec.check_items(name, items)?;
-        self.partition.ingest(name, items)?;
-        let ledger = &mut self.entry_mut(name)?.ledger;
-        ledger.batches += 1;
-        ledger.items += items.len() as u64;
+        let (partition, entry) = self.session_mut(name)?;
+        entry.spec.check_items(name, items)?;
+        partition.ingest(&mut entry.home, &mut entry.helper, items)?;
+        entry.ledger.batches += 1;
+        entry.ledger.items += items.len() as u64;
         Ok(())
     }
 
@@ -167,15 +177,13 @@ impl SketchService {
         name: &str,
         sets: &[DnfFormula],
     ) -> Result<(), ServiceError> {
-        self.entry(name)?.spec.check_sets(name, sets)?;
-        self.partition.run(HOME, |partials| {
-            if let Err(e) = partial(partials, name).ingest_structured(name, sets) {
-                panic!("shard invariant: item kind mismatch ({e})");
-            }
-        })?;
-        let ledger = &mut self.entry_mut(name)?.ledger;
-        ledger.batches += 1;
-        ledger.structured_items += sets.len() as u64;
+        let (partition, entry) = self.session_mut(name)?;
+        entry.spec.check_sets(name, sets)?;
+        // The outer error is a panic; the inner one, a kind mismatch that
+        // `check_sets` has already ruled out.
+        partition.run(HOME, || entry.home.ingest_structured(name, sets))??;
+        entry.ledger.batches += 1;
+        entry.ledger.structured_items += sets.len() as u64;
         Ok(())
     }
 
@@ -205,24 +213,20 @@ impl SketchService {
         // slot-wise ring union, and slots only mean the same epoch when the
         // rings are aligned. (Specs being equal, both are windowed or
         // neither is.)
-        if dst_spec.window.is_some() {
-            let dst_epoch = self.entry(dst)?.epoch;
-            let src_epoch = self.entry(src)?.epoch;
-            if dst_epoch != src_epoch {
-                return Err(ServiceError::WindowEpochMismatch {
-                    dst: dst.to_string(),
-                    src: src.to_string(),
-                });
-            }
+        if dst_spec.window.is_some() && self.entry(dst)?.epoch != self.entry(src)?.epoch {
+            return Err(ServiceError::WindowEpochMismatch {
+                dst: dst.to_string(),
+                src: src.to_string(),
+            });
         }
-        let merged_src = self.partition.merged(src)?;
+        let merged_src = self.merged(src)?;
         // The whole of `src` lands on `dst`'s home partial; the per-sketch
         // merges are associative and commute with the partition, so
         // estimates and snapshots after this are exactly the direct-run
         // values.
-        self.partition
-            .run(HOME, |partials| partial(partials, dst).absorb(&merged_src))?;
-        self.entry_mut(dst)?.ledger.merges += 1;
+        let (partition, dst) = self.session_mut(dst)?;
+        partition.run(HOME, || dst.home.absorb(&merged_src))?;
+        dst.ledger.merges += 1;
         Ok(())
     }
 
@@ -235,8 +239,7 @@ impl SketchService {
     /// never mutate them, so the durable wrapper can
     /// checkpoint (save every session) without exclusive access.
     pub fn estimate(&self, name: &str) -> Result<f64, ServiceError> {
-        self.entry(name)?;
-        Ok(self.partition.merged(name)?.into_folded().estimate())
+        Ok(self.merged(name)?.into_folded().estimate())
     }
 
     /// Moves a windowed session to a strictly larger epoch, retiring the
@@ -245,11 +248,7 @@ impl SketchService {
     /// strictly forward; violations are typed rejections that leave every
     /// ring untouched.
     pub fn advance(&mut self, name: &str, epoch: u64) -> Result<(), ServiceError> {
-        let entry = self.entry(name)?;
-        if entry.spec.window.is_none() {
-            return Err(ServiceError::NotWindowed(name.to_string()));
-        }
-        let current = entry.epoch;
+        let current = self.epoch(name)?;
         if epoch <= current {
             return Err(ServiceError::EpochRegressed {
                 session: name.to_string(),
@@ -257,9 +256,11 @@ impl SketchService {
                 requested: epoch,
             });
         }
-        self.partition
-            .broadcast(|partials| partial(partials, name).advance(name, epoch))?;
-        let entry = self.entry_mut(name)?;
+        let (partition, entry) = self.session_mut(name)?;
+        partition.run(HOME, || entry.home.advance(name, epoch))?;
+        if let Some(helper) = &mut entry.helper {
+            partition.run(HELPER, || helper.advance(name, epoch))?;
+        }
         entry.epoch = epoch;
         entry.ledger.advances += 1;
         Ok(())
@@ -278,11 +279,8 @@ impl SketchService {
     /// live epoch slots. `NotWindowed` on classic sessions (use
     /// [`SketchService::estimate`] there).
     pub fn estimate_window(&self, name: &str) -> Result<f64, ServiceError> {
-        let entry = self.entry(name)?;
-        if entry.spec.window.is_none() {
-            return Err(ServiceError::NotWindowed(name.to_string()));
-        }
-        Ok(self.partition.merged(name)?.into_folded().estimate())
+        self.epoch(name)?;
+        self.estimate(name)
     }
 
     /// The inclusion–exclusion intersection-size estimate of two same-spec
@@ -321,43 +319,32 @@ impl SketchService {
         // `a == b` is allowed (the answer degenerates to est(A) and
         // similarity 1) — unlike merge, nothing is mutated, so self-pairing
         // is harmless.
-        let view_a = self.partition.merged(a)?.into_folded();
-        let view_b = if a == b {
-            view_a.clone()
-        } else {
-            self.partition.merged(b)?.into_folded()
-        };
+        let view_a = self.merged(a)?.into_folded();
+        let view_b = self.merged(b)?.into_folded();
         Ok(set_algebra_estimates(&view_a, &view_b))
     }
 
     /// The Estimation strategy's (ε, δ) estimate given a rough `r` (`None`
     /// for other session kinds or a degenerate `r`).
     pub fn estimate_with_r(&self, name: &str, r: u32) -> Result<Option<f64>, ServiceError> {
-        self.entry(name)?;
-        Ok(self
-            .partition
-            .merged(name)?
-            .into_folded()
-            .estimate_with_r(r))
+        Ok(self.merged(name)?.into_folded().estimate_with_r(r))
     }
 
     /// The merged session state's size in bits (windowed sessions: summed
     /// over every ring slot).
     pub fn space_bits(&self, name: &str) -> Result<usize, ServiceError> {
-        self.entry(name)?;
-        Ok(self.partition.merged(name)?.space_bits())
+        Ok(self.merged(name)?.space_bits())
     }
 
     /// A fully materialized snapshot of the session (merged sketch + spec +
     /// ledger).
     pub fn snapshot(&self, name: &str) -> Result<SessionSnapshot, ServiceError> {
         let entry = self.entry(name)?;
-        let (spec, ledger) = (entry.spec, entry.ledger);
         Ok(SessionSnapshot {
             name: name.to_string(),
-            spec,
-            ledger,
-            sketch: self.partition.merged(name)?,
+            spec: entry.spec,
+            ledger: entry.ledger,
+            sketch: self.merged(name)?,
         })
     }
 
@@ -367,10 +354,11 @@ impl SketchService {
     }
 
     /// Restores a session from a [`SketchService::save`] document, under its
-    /// saved name. Both partials are re-drawn empty from the saved spec and
-    /// the saved state lands on the home partial, so subsequent ingestion
-    /// continues exactly where the saved session left off (restore → save
-    /// round trips are byte-identical).
+    /// saved name. The sketch is re-drawn empty from the saved spec, once:
+    /// the helper partial starts as its clone, and the saved state lands on
+    /// the home partial, so subsequent ingestion continues exactly where the
+    /// saved session left off (restore → save round trips are
+    /// byte-identical).
     pub fn restore(&mut self, json: &str) -> Result<String, ServiceError> {
         let (name, spec, ledger, sketch) = snapshot::decode(json)?;
         if self.sessions.contains_key(&name) {
@@ -381,36 +369,27 @@ impl SketchService {
         // or the partials (redrawn from that seed) could never merge with
         // the restored state. A tampered seed or hash word is rejected here
         // instead of detonating a partial-side assert later.
-        if !SessionSketch::new(&spec).same_draw(&sketch) {
+        let mut fresh = SessionSketch::new(&spec);
+        if !fresh.same_draw(&sketch) {
             return Err(ServiceError::Snapshot(
                 "hash draws do not match the specification's seed".into(),
             ));
         }
-        let epoch = match sketch.ring() {
-            Some(ring) => ring.epoch(),
-            None => 0,
-        };
-        self.partition.broadcast(|partials| {
-            partials.insert(name.clone(), SessionSketch::new(&spec));
+        let epoch = sketch.ring().map_or(0, |ring| ring.epoch());
+        // A freshly drawn ring sits at epoch 0; catch it up to the saved
+        // epoch (its slots are still empty, so the catch-up retires
+        // nothing) before it is cloned into the two partials and the saved
+        // state lands on the home one — the two rings must be
+        // epoch-aligned for every later fold.
+        let entry = self.partition.run(HOME, || {
+            if epoch > 0 {
+                fresh.advance(&name, epoch);
+            }
+            let mut entry = SessionEntry::new(spec, ledger, epoch, fresh);
+            entry.home.absorb(&sketch);
+            entry
         })?;
-        // Freshly created ring partials sit at epoch 0; catch both up to the
-        // saved epoch (their slots are still empty, so the catch-up retires
-        // nothing) before the saved state lands on the home partial — the
-        // two rings must be epoch-aligned for every later fold.
-        if epoch > 0 {
-            self.partition
-                .broadcast(|partials| partial(partials, &name).advance(&name, epoch))?;
-        }
-        self.partition
-            .run(HOME, |partials| partial(partials, &name).absorb(&sketch))?;
-        self.sessions.insert(
-            name.clone(),
-            SessionEntry {
-                spec,
-                ledger,
-                epoch,
-            },
-        );
+        self.sessions.insert(name.clone(), entry);
         Ok(name)
     }
 
@@ -460,9 +439,27 @@ impl SketchService {
             .ok_or_else(|| ServiceError::UnknownSession(name.to_string()))
     }
 
-    fn entry_mut(&mut self, name: &str) -> Result<&mut SessionEntry, ServiceError> {
-        self.sessions
+    /// The partition and a session's entry, borrowed together.
+    fn session_mut(
+        &mut self,
+        name: &str,
+    ) -> Result<(&mut Partition, &mut SessionEntry), ServiceError> {
+        let entry = self
+            .sessions
             .get_mut(name)
-            .ok_or_else(|| ServiceError::UnknownSession(name.to_string()))
+            .ok_or_else(|| ServiceError::UnknownSession(name.to_string()))?;
+        Ok((&mut self.partition, entry))
+    }
+
+    /// The session's full state: the home partial cloned, the helper
+    /// partial absorbed into it (for rings a slot-wise union: `advance`
+    /// reaches both, so the two rings stay epoch-aligned).
+    fn merged(&self, name: &str) -> Result<SessionSketch, ServiceError> {
+        let entry = self.entry(name)?;
+        let mut merged = self.partition.run(HOME, || entry.home.clone())?;
+        if let Some(helper) = &entry.helper {
+            self.partition.run(HELPER, || merged.absorb(helper))?;
+        }
+        Ok(merged)
     }
 }

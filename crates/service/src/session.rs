@@ -5,6 +5,25 @@ use crate::service::MAX_WINDOW_EPOCHS;
 use mcf0_formula::DnfFormula;
 use serde::{DeError, Deserialize, Serialize, Value};
 
+/// Hard cap on a session's nominal size: the bits of its empty sketch,
+/// every window slot counted, as [`SessionSpec::validate`] computes them
+/// from the spec. Like [`MAX_WINDOW_EPOCHS`], it keeps one hostile `create`
+/// (`rows: 1e9`, or an Estimation session with ε = 1e-300) from asking the
+/// allocator for an unbounded draw: such a spec is rejected with the typed
+/// [`ServiceError::InvalidSpec`] before anything is drawn.
+///
+/// 2^23 is the smallest power of two at least 16 times the largest session
+/// any test, example, experiment or benchmark workload creates (an AMS
+/// session at n = 48, 9 × 150 cells: 345,600 bits). Measured peak RSS of
+/// one `SketchService::create_session` at the cap (n = 64, `Thresh` or
+/// columns 150, as many rows as fit; release build, 2-vCPU Xeon):
+/// Minimum and structured Minimum +597 MB (18,766 rows, 2.3 s), Bucketing
+/// +788 MB (32,896 rows, 2.3 s), Estimation +8 MB (211 rows), AMS +7 MB
+/// (174 rows). The nominal size counts a Toeplitz hash's random bits, not
+/// the evaluation tables each draw expands them into, so the
+/// Toeplitz-based kinds hold about 70 bytes per nominal bit.
+pub const MAX_SESSION_BITS: u64 = 1 << 23;
+
 /// Which sketch a session runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SketchKind {
@@ -54,8 +73,9 @@ impl SketchKind {
 /// A sketch can be drawn only from a spec that passes
 /// [`SessionSpec::validate`]: `universe_bits` in `1..=64`, `rows ≥ 1`,
 /// `thresh ≥ 1` (AMS, which has no `Thresh`: `columns ≥ 1`), ε and δ in
-/// the open interval (0, 1), and a `window`, if any, in
-/// `1..=`[`MAX_WINDOW_EPOCHS`].
+/// the open interval (0, 1), a `window`, if any, in
+/// `1..=`[`MAX_WINDOW_EPOCHS`], and a nominal size (the bits of the empty
+/// sketch, every window slot counted) of at most [`MAX_SESSION_BITS`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SessionSpec {
     /// Sketch strategy.
@@ -139,6 +159,8 @@ impl SessionSpec {
             "epsilon must be in (0, 1)"
         } else if !(self.delta > 0.0 && self.delta < 1.0) {
             "delta must be in (0, 1)"
+        } else if self.nominal_bits() > MAX_SESSION_BITS {
+            "nominal size exceeds MAX_SESSION_BITS"
         } else {
             return Ok(());
         };
@@ -146,6 +168,29 @@ impl SessionSpec {
             session: name.to_string(),
             reason,
         })
+    }
+
+    /// The size in bits of the empty sketch this spec draws: what
+    /// [`crate::SessionSketch::space_bits`] reports for a fresh draw, every
+    /// window slot counted, computed from the shape alone. Saturates
+    /// instead of overflowing. The ranges of [`SessionSpec::validate`] other
+    /// than the size cap must hold.
+    pub(crate) fn nominal_bits(&self) -> u64 {
+        let n = self.universe_bits as u64;
+        let (rows, thresh, columns) = (self.rows as u64, self.thresh as u64, self.columns as u64);
+        // Per row or cell: hash bits (a Toeplitz n → m hash holds n + 2m − 1
+        // bits, an s-wise one s words of n bits), plus fixed counters.
+        let (cells, bits_per_cell) = match self.kind {
+            SketchKind::Minimum | SketchKind::StructuredMinimum => (rows, 7 * n - 1),
+            SketchKind::Bucketing => (rows, 3 * n - 1 + 64),
+            SketchKind::Estimation => {
+                let s = self.f0_config().s_wise_independence() as u64;
+                (rows.saturating_mul(thresh), s * n + 8)
+            }
+            SketchKind::Ams => (rows.saturating_mul(columns), 4 * n + 64),
+        };
+        let slots = self.window.unwrap_or(1) as u64;
+        cells.saturating_mul(bits_per_cell).saturating_mul(slots)
     }
 
     /// Checks a `u64` batch for session `name`: the session must ingest
@@ -275,4 +320,67 @@ pub struct SessionLedger {
     pub merges: u64,
     /// Epoch advances applied to this (windowed) session.
     pub advances: u64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sketch::SessionSketch;
+
+    #[test]
+    fn nominal_bits_is_the_size_of_a_fresh_draw() {
+        let kinds = [
+            SketchKind::Minimum,
+            SketchKind::Bucketing,
+            SketchKind::Estimation,
+            SketchKind::Ams,
+            SketchKind::StructuredMinimum,
+        ];
+        for kind in kinds {
+            for universe_bits in [1, 8, 32, 64] {
+                for window in [None, Some(3)] {
+                    let spec = SessionSpec {
+                        epsilon: 0.1,
+                        window,
+                        ..SessionSpec::new(kind, universe_bits, 5, 3, 11)
+                    };
+                    let drawn = SessionSketch::new(&spec).space_bits() as u64;
+                    assert_eq!(spec.nominal_bits(), drawn, "{spec:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_size_cap_admits_up_to_max_session_bits_and_draws_nothing() {
+        // `validate` only computes: these specs are never drawn.
+        let row_bits = 7 * 64 - 1;
+        let rows = (MAX_SESSION_BITS / row_bits) as usize;
+        let at_cap = SessionSpec::new(SketchKind::Minimum, 64, 150, rows, 1);
+        assert!(at_cap.nominal_bits() <= MAX_SESSION_BITS);
+        assert_eq!(at_cap.validate("s"), Ok(()));
+        let over = SessionSpec {
+            rows: rows + 1,
+            ..at_cap
+        };
+        let hostile_rows = SessionSpec {
+            rows: usize::MAX,
+            ..at_cap
+        };
+        let hostile_epsilon = SessionSpec {
+            kind: SketchKind::Estimation,
+            epsilon: 1e-300,
+            ..SessionSpec::new(SketchKind::Estimation, 64, 150, 9, 1)
+        };
+        for spec in [over, hostile_rows, hostile_epsilon] {
+            assert_eq!(
+                spec.validate("s"),
+                Err(ServiceError::InvalidSpec {
+                    session: "s".into(),
+                    reason: "nominal size exceeds MAX_SESSION_BITS",
+                }),
+                "{spec:?}"
+            );
+        }
+    }
 }

@@ -1,36 +1,40 @@
-//! The two partials of every session, the service's one helper thread, and
-//! their supervision.
+//! The service's one helper thread, and the supervision of every session's
+//! two partials.
 //!
-//! Every session keeps two partial sketches, both drawn from the session
-//! seed: the *home* partial (index 0) and the *helper* partial (index 1).
-//! They are state, not threads: each sits behind its own `Mutex`, and every
-//! command runs on the calling thread but one. The batch picks the
-//! partition. A `u64` batch of at least 2 × [`HELPER_MIN_ITEMS`] items is
-//! cut into two contiguous halves: the caller applies the first to the home
-//! partial while the helper thread (`mcf0-shard-1`) applies the second to
-//! the helper partial. A smaller batch, where a channel hop and a wake would
+//! Every session entry owns two partial sketches, drawn once from the
+//! session seed and cloned: the *home* partial (index 0) and the *helper*
+//! partial (index 1). They are state, not threads: every command runs on
+//! the calling thread but one. The batch picks the partition. A `u64` batch
+//! of at least 2 × [`HELPER_MIN_ITEMS`] items is cut into two contiguous
+//! halves: the caller moves the helper partial into a job with the second
+//! half and applies the first half to the home partial, while the helper
+//! thread (`mcf0-shard-1`) applies the second half and sends the partial
+//! back in its reply. A smaller batch, where a channel hop and a wake would
 //! cost more than the sketch work, goes whole to the home partial, and so
 //! does every structured batch (DESIGN §7 has the measurements). Reads fold
 //! the helper partial into the home one. The sketches are functions of the
 //! distinct item set (AMS: of the item multiset), so any partition merges
 //! back exactly: the split is pure routing, never a semantic change.
 //!
-//! **Supervision.** Every operation on a partial, on the caller or on the
-//! helper, goes through one wrapper, [`Partition::run`], which runs it under
-//! `catch_unwind`: a panic inside the sketch engine (or one injected by the
-//! chaos hook) comes back as [`ServiceError::ShardPanicked`], and it retires
-//! *both* partials. The one that panicked may be half-updated, and a small
-//! ingest touches only the home partial, so only retiring both makes every
-//! later operation report the panic. No panic ever re-raises in a caller,
-//! and no `expect` sits on these paths. Rebuilding a consistent service
-//! after a panic is the durable layer's job (checkpoint + log replay).
+//! **Supervision.** Every operation on a partial runs under
+//! `catch_unwind`: on the caller through [`Partition::run`], on the helper
+//! around its half. A panic inside the sketch engine (or one injected by
+//! the chaos hook) comes back as [`ServiceError::ShardPanicked`], and it
+//! retires the service: the one flag [`Partition::run`] checks first. The
+//! partial that panicked may be half-updated, and a small ingest touches
+//! only the home partial, so only retiring both makes every later operation
+//! report the panic. A helper thread lost before it replies retires the
+//! service too, so no read ever needs the partial it took. No panic ever
+//! re-raises in a caller, and no `expect` sits on these paths. Rebuilding a
+//! consistent service after a panic is the durable layer's job (checkpoint
+//! + log replay).
 
 use crate::error::ServiceError;
 use crate::sketch::SessionSketch;
-use std::collections::HashMap;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Items each half of a split batch holds at least: a batch under twice
@@ -42,164 +46,118 @@ const HELPER_MIN_ITEMS: usize = 1024;
 pub(crate) const HOME: usize = 0;
 /// Index of the helper partial, applied on the helper thread.
 pub(crate) const HELPER: usize = 1;
-/// [`State::retired`] while both partials serve.
+/// [`Partition::retired`] while both partials serve.
 const SERVING: usize = usize::MAX;
 
-/// One partial's sessions: name → partial sketch.
-pub(crate) type Partials = HashMap<String, SessionSketch>;
-
-/// The one job the helper takes: feed the second half of a batch to a
-/// session.
+/// The one job the helper takes: the helper partial, by value, and the
+/// second half of a batch to feed it.
 struct Job {
-    name: String,
-    items: Vec<u64>,
+    partial: SessionSketch,
+    half: Vec<u64>,
 }
 
-/// The helper's answer, handing the half-batch buffer back for reuse.
-struct Reply {
-    outcome: Result<(), ServiceError>,
-    items: Vec<u64>,
-}
-
-/// Both partials, shared by `Arc` with the helper thread.
-struct State {
-    partials: [Mutex<Partials>; 2],
-    /// [`SERVING`], or the index of the partial whose panic retired both.
-    /// Written once, by the `compare_exchange` in [`State::run`]; its
-    /// release pairs with the acquire load there, and nothing else is
-    /// published through it.
-    retired: AtomicUsize,
-}
-
-impl State {
-    fn run<R>(&self, index: usize, op: impl FnOnce(&mut Partials) -> R) -> Result<R, ServiceError> {
-        let retired_by = self.retired.load(Ordering::Acquire);
-        if retired_by != SERVING {
-            return Err(retired(retired_by));
-        }
-        // `op` always runs under `catch_unwind`, so no panic poisons the
-        // lock; a poisoned one reads as retired all the same.
-        let Ok(mut partials) = self.partials[index].lock() else {
-            return Err(retired(index));
-        };
-        catch_unwind(AssertUnwindSafe(|| op(&mut partials))).map_err(|payload| {
-            // The first panic names the retirement.
-            let _ =
-                self.retired
-                    .compare_exchange(SERVING, index, Ordering::AcqRel, Ordering::Acquire);
-            ServiceError::ShardPanicked {
-                shard: index,
-                message: panic_message(payload.as_ref()),
-            }
-        })
-    }
-}
-
-fn retired(index: usize) -> ServiceError {
-    ServiceError::ShardPanicked {
-        shard: index,
-        message: "shard retired by an earlier panic".into(),
-    }
-}
+/// The helper's answer: the job back (the partial, and the half-batch
+/// buffer for reuse), and the panic payload if applying the half panicked.
+type Reply = (Job, std::thread::Result<()>);
 
 /// The helper thread and its two channels.
 struct Helper {
     jobs: mpsc::Sender<Job>,
-    /// In a `Mutex` only so the service stays `Sync`; reached through
-    /// `get_mut`, never locked.
+    /// In a `Mutex` only so the service stays `Sync`; locked only by
+    /// [`Partition::ingest`], which holds `&mut self`, so never contended.
     replies: Mutex<mpsc::Receiver<Reply>>,
     thread: JoinHandle<()>,
 }
 
-/// The home and helper partials, the helper thread, and the buffer the
-/// second half of a split batch is copied into, reused call to call.
+/// The retirement flag, the helper thread, and the buffer the second half
+/// of a split batch is copied into, reused call to call.
 pub(crate) struct Partition {
-    state: Arc<State>,
+    /// [`SERVING`], or the index of the partial whose panic retired the
+    /// service. Written once, by the `compare_exchange` in `retire`; its
+    /// release pairs with the acquire load in [`Partition::run`], and
+    /// nothing else is published through it.
+    retired: AtomicUsize,
     helper: Option<Helper>,
     spare: Vec<u64>,
 }
 
 impl Partition {
     pub(crate) fn new() -> Self {
-        let state = Arc::new(State {
-            partials: Default::default(),
-            retired: AtomicUsize::new(SERVING),
-        });
-        // A helper that cannot be spawned leaves every batch on the caller:
-        // the state lives here, so nothing is lost but the parallelism.
-        let helper = spawn_helper(&state);
         Partition {
-            state,
-            helper,
+            retired: AtomicUsize::new(SERVING),
+            // A helper that cannot be spawned leaves every batch on the
+            // caller: the partials live in the sessions, so nothing is lost
+            // but the parallelism.
+            helper: spawn_helper(),
             spare: Vec::new(),
         }
     }
 
-    /// Runs `op` on partial `index` ([`HOME`] or [`HELPER`]) under
-    /// supervision (see the module docs).
-    pub(crate) fn run<R>(
-        &self,
-        index: usize,
-        op: impl FnOnce(&mut Partials) -> R,
-    ) -> Result<R, ServiceError> {
-        self.state.run(index, op)
+    /// Runs `op`, an operation on partial `index` ([`HOME`] or [`HELPER`]),
+    /// under supervision (see the module docs).
+    pub(crate) fn run<R>(&self, index: usize, op: impl FnOnce() -> R) -> Result<R, ServiceError> {
+        let retired_by = self.retired.load(Ordering::Acquire);
+        if retired_by != SERVING {
+            return Err(ServiceError::ShardPanicked {
+                shard: retired_by,
+                message: "shard retired by an earlier panic".into(),
+            });
+        }
+        catch_unwind(AssertUnwindSafe(op)).map_err(|payload| self.retire(index, payload.as_ref()))
     }
 
-    /// Runs `op` on both partials, home first; the first typed error wins.
-    pub(crate) fn broadcast(&self, op: impl Fn(&mut Partials)) -> Result<(), ServiceError> {
-        let home = self.run(HOME, &op);
-        home.and(self.run(HELPER, &op))
+    /// Retires the service for a panic in partial `index`; the first panic
+    /// names the retirement.
+    fn retire(&self, index: usize, payload: &(dyn Any + Send)) -> ServiceError {
+        let _ = self
+            .retired
+            .compare_exchange(SERVING, index, Ordering::AcqRel, Ordering::Acquire);
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into());
+        ServiceError::ShardPanicked {
+            shard: index,
+            message,
+        }
     }
 
-    /// The session's full state: the home partial cloned, the helper
-    /// partial absorbed into it (for rings a slot-wise union: `advance` is
-    /// broadcast, so the two rings stay epoch-aligned).
-    pub(crate) fn merged(&self, name: &str) -> Result<SessionSketch, ServiceError> {
-        let mut merged = self.run(HOME, |partials| partial(partials, name).clone())?;
-        self.run(HELPER, |partials| merged.absorb(partial(partials, name)))?;
-        Ok(merged)
-    }
-
-    /// Feeds a batch of `u64` items to the session: whole to the home
-    /// partial, or split in two halves with the second on the helper (see
-    /// the module docs). Returns once both halves are applied; the home
-    /// half's error wins.
-    pub(crate) fn ingest(&mut self, name: &str, items: &[u64]) -> Result<(), ServiceError> {
+    /// Feeds a batch of `u64` items to a session's partials: whole to the
+    /// home partial, or split in two halves with the second on the helper
+    /// (see the module docs). Returns once both halves are applied and the
+    /// helper partial is back in `helper`; the home half's error wins.
+    pub(crate) fn ingest(
+        &mut self,
+        home: &mut SessionSketch,
+        helper: &mut Option<SessionSketch>,
+        items: &[u64],
+    ) -> Result<(), ServiceError> {
         if items.is_empty() {
             return Ok(());
         }
         let split = items.len() >= 2 * HELPER_MIN_ITEMS;
-        let Some(helper) = self.helper.as_mut().filter(|_| split) else {
-            return self
-                .state
-                .run(HOME, |partials| ingest(partials, name, items));
+        let job = self.helper.as_ref().filter(|_| split);
+        let Some((thread, partial)) = job.and_then(|thread| Some((thread, helper.take()?))) else {
+            return self.run(HOME, || apply(home, items));
         };
         let (first, second) = items.split_at(items.len() / 2);
-        let mut buffer = std::mem::take(&mut self.spare);
-        buffer.clear();
-        buffer.extend_from_slice(second);
+        let mut half = std::mem::take(&mut self.spare);
+        half.clear();
+        half.extend_from_slice(second);
         // A failed send means the helper has exited; `recv` then fails too.
-        let _ = helper.jobs.send(Job {
-            name: name.to_string(),
-            items: buffer,
-        });
-        let home = self
-            .state
-            .run(HOME, |partials| ingest(partials, name, first));
-        let replies = helper
-            .replies
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner);
-        let away = match replies.recv() {
-            Ok(Reply { outcome, items }) => {
-                self.spare = items;
-                outcome
+        let _ = thread.jobs.send(Job { partial, half });
+        let home = self.run(HOME, || apply(home, first));
+        let replies = thread.replies.lock();
+        let away = match replies.unwrap_or_else(PoisonError::into_inner).recv() {
+            Ok((job, outcome)) => {
+                *helper = Some(job.partial);
+                self.spare = job.half;
+                outcome.map_err(|payload| self.retire(HELPER, &*payload))
             }
-            // The helper exited without applying the half: the helper
-            // partial missed it, so the partition retires.
-            Err(mpsc::RecvError) => self
-                .state
-                .run(HELPER, |_| panic!("shard helper thread exited")),
+            // The helper exited without replying, and its partial with it:
+            // the service retires, so no read needs that partial again.
+            Err(mpsc::RecvError) => Err(self.retire(HELPER, &"shard helper thread exited")),
         };
         home.and(away)
     }
@@ -216,16 +174,15 @@ impl Drop for Partition {
     }
 }
 
-fn spawn_helper(state: &Arc<State>) -> Option<Helper> {
+fn spawn_helper() -> Option<Helper> {
     let (jobs, inbox) = mpsc::channel::<Job>();
     let (outbox, replies) = mpsc::channel();
-    let shared = Arc::clone(state);
     let thread = std::thread::Builder::new()
         .name(format!("mcf0-shard-{HELPER}"))
         .spawn(move || {
-            for Job { name, items } in inbox {
-                let outcome = shared.run(HELPER, |partials| ingest(partials, &name, &items));
-                if outbox.send(Reply { outcome, items }).is_err() {
+            for mut job in inbox {
+                let outcome = catch_unwind(AssertUnwindSafe(|| apply(&mut job.partial, &job.half)));
+                if outbox.send((job, outcome)).is_err() {
                     break;
                 }
             }
@@ -238,32 +195,90 @@ fn spawn_helper(state: &Arc<State>) -> Option<Helper> {
     })
 }
 
-/// A session's partial. The control plane vouched for its existence, so a
-/// miss is an invariant violation: it panics, and [`Partition::run`]
-/// reports it.
-pub(crate) fn partial<'a>(partials: &'a mut Partials, name: &str) -> &'a mut SessionSketch {
-    match partials.get_mut(name) {
-        Some(sketch) => sketch,
-        None => panic!("shard invariant: session `{name}` missing"),
+/// Feeds `u64` items to a partial (the control plane checked the item
+/// kind; a mismatch panics like any invariant).
+fn apply(partial: &mut SessionSketch, items: &[u64]) {
+    if partial.ingest("", items).is_err() {
+        panic!("shard invariant: item kind mismatch");
     }
 }
 
-/// Feeds `u64` items to a session's partial (the control plane checked the
-/// item kind; a mismatch panics like any invariant).
-fn ingest(partials: &mut Partials, name: &str, items: &[u64]) {
-    if let Err(e) = partial(partials, name).ingest(name, items) {
-        panic!("shard invariant: item kind mismatch ({e})");
-    }
-}
+#[cfg(test)]
+#[allow(clippy::disallowed_methods)] // unit tests may unwrap
+mod tests {
+    use super::*;
+    use crate::session::{SessionSpec, SketchKind};
 
-/// Renders a caught panic payload as text (the common `&str` / `String`
-/// payloads verbatim, anything else by type-erasure note).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+    /// Where a windowed partial keeps its ring slots. A partial that moves
+    /// keeps this heap address; a clone gets a new one.
+    fn slots_address(partial: &Option<SessionSketch>) -> usize {
+        partial
+            .as_ref()
+            .and_then(|p| p.ring())
+            .unwrap()
+            .slots()
+            .as_ptr() as usize
+    }
+
+    fn retired_by_helper<R>(result: Result<R, ServiceError>) -> bool {
+        matches!(
+            result,
+            Err(ServiceError::ShardPanicked { shard: HELPER, .. })
+        )
+    }
+
+    #[test]
+    fn a_helper_thread_panic_retires_the_service_and_returns_the_partial() {
+        let spec = SessionSpec::new(SketchKind::Minimum, 16, 12, 3, 7).with_window(2);
+        let items: Vec<u64> = (0..2 * HELPER_MIN_ITEMS as u64).collect();
+        let mut partition = Partition::new();
+
+        // A split batch moves the helper partial to the helper thread and
+        // back: the same slots return.
+        let mut home = SessionSketch::new(&spec);
+        let mut helper = Some(home.clone());
+        let slots = slots_address(&helper);
+        partition.ingest(&mut home, &mut helper, &items).unwrap();
+        assert_eq!(slots_address(&helper), slots);
+
+        // A helper partial of the wrong kind panics on the helper thread
+        // only; the partial still comes back, moved, not copied.
+        let structured = SessionSpec::new(SketchKind::StructuredMinimum, 16, 12, 3, 7);
+        let mut helper = Some(SessionSketch::new(&structured.with_window(2)));
+        let slots = slots_address(&helper);
+        let err = partition
+            .ingest(&mut home, &mut helper, &items)
+            .unwrap_err();
+        assert!(err.to_string().contains("item kind mismatch"), "{err}");
+        assert!(retired_by_helper::<()>(Err(err)));
+        assert_eq!(slots_address(&helper), slots);
+
+        // Every later read, ingest (whole or split) and create reports the
+        // retirement.
+        assert!(retired_by_helper(partition.run(HOME, || home.clone())));
+        assert!(retired_by_helper(partition.ingest(
+            &mut home,
+            &mut helper,
+            &items[..16]
+        )));
+        assert!(retired_by_helper(partition.ingest(
+            &mut home,
+            &mut helper,
+            &items
+        )));
+        assert!(retired_by_helper(
+            partition.run(HOME, || SessionSketch::new(&spec))
+        ));
+
+        // Dropping the partition joins the helper thread: once `drop`
+        // returns, the thread's end of the reply channel is gone.
+        let thread = partition.helper.as_mut().unwrap();
+        let replies = std::mem::replace(&mut thread.replies, Mutex::new(mpsc::channel().1));
+        drop(partition);
+        let replies = replies.into_inner().unwrap();
+        assert_eq!(
+            replies.try_recv().err(),
+            Some(mpsc::TryRecvError::Disconnected)
+        );
     }
 }

@@ -11,7 +11,7 @@ use mcf0_streaming::{
 use mcf0_structured::{DnfSet, StructuredMinimumF0};
 
 /// A session's sketch state. Each of a session's two partials holds one of
-/// these, drawn from the session seed (identical draws), fed only the items
+/// these, drawn once from the session seed and cloned, fed only the items
 /// routed to it; [`TenantSketch::merge_from`] recombines the partials, home
 /// then helper, into the exact state of an unpartitioned run.
 #[derive(Clone)]
@@ -210,7 +210,7 @@ impl WindowSketch for TenantSketch {
 /// A session's *complete* sketch state: the classic everything-ever sketch,
 /// or an epoch-ring of identically-drawn sub-sketches when the spec carries
 /// a window. Each partial of a session holds one of these; the two rings
-/// stay epoch-aligned because `advance` is broadcast, so their fold is a
+/// stay epoch-aligned because `advance` reaches both, so their fold is a
 /// slot-wise merge and every read remains bit-identical to an
 /// unpartitioned run.
 #[derive(Clone)]

@@ -283,9 +283,10 @@ fn structured_save_documents_match_their_pinned_digests() {
     );
 }
 
-/// Specs no sketch can be drawn from, and items outside a session's
-/// universe, are typed rejections in both interpreters, made before
-/// anything is drawn or dispatched; the sessions already there carry on.
+/// Specs no sketch can be drawn from or too large to draw, and items
+/// outside a session's universe, are typed rejections in both interpreters,
+/// made before anything is drawn or dispatched; the sessions already there
+/// carry on.
 #[test]
 fn hostile_specs_and_items_are_typed_rejections_in_both_interpreters() {
     let good = SessionSpec::new(SketchKind::Minimum, 8, 12, 3, 1);
@@ -317,6 +318,7 @@ fn hostile_specs_and_items_are_typed_rejections_in_both_interpreters() {
         },
     ];
     let width = "universe_bits must be in 1..=64";
+    let too_big = "nominal size exceeds MAX_SESSION_BITS";
 
     let probes = [
         (
@@ -385,6 +387,26 @@ fn hostile_specs_and_items_are_typed_rejections_in_both_interpreters() {
         (
             create("d1", SessionSpec { delta: 1.0, ..good }),
             bad_spec("d1", "delta must be in (0, 1)"),
+        ),
+        (
+            create(
+                "r1e9",
+                SessionSpec {
+                    rows: 1_000_000_000,
+                    ..good
+                },
+            ),
+            bad_spec("r1e9", too_big),
+        ),
+        (
+            create(
+                "e1e-300",
+                SessionSpec {
+                    epsilon: 1e-300,
+                    ..SessionSpec::new(SketchKind::Estimation, 64, 150, 9, 1)
+                },
+            ),
+            bad_spec("e1e-300", too_big),
         ),
         (
             ServiceCommand::Ingest {

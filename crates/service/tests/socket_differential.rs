@@ -549,10 +549,10 @@ fn hostile_lines_get_typed_errors_and_the_connection_stays_sane() {
     handle.shutdown();
 }
 
-/// A `create` whose spec no sketch can be drawn from, and an ingest of
-/// items outside the session's universe, each get one typed `bad_request`
-/// reply byte-identical to the reference's; the same connection then
-/// creates and fills a valid session.
+/// A `create` whose spec no sketch can be drawn from, or whose nominal size
+/// exceeds `MAX_SESSION_BITS`, and an ingest of items outside the session's
+/// universe, each get one typed `bad_request` reply byte-identical to the
+/// reference's; the same connection then creates and fills a valid session.
 #[test]
 fn hostile_specs_and_items_get_bad_request_and_the_connection_carries_on() {
     let handle = start(&[("alpha", "tok-alpha", TenantQuota::unlimited())]);
@@ -577,6 +577,20 @@ fn hostile_specs_and_items_get_bad_request_and_the_connection_carries_on() {
         ),
         (
             create(SessionSpec { thresh: 0, ..spec }),
+            Some(ErrorCode::BadRequest),
+        ),
+        (
+            create(SessionSpec {
+                rows: 1_000_000_000,
+                ..spec
+            }),
+            Some(ErrorCode::BadRequest),
+        ),
+        (
+            create(SessionSpec {
+                epsilon: 1e-300,
+                ..SessionSpec::new(SketchKind::Estimation, 64, 150, 9, 7)
+            }),
             Some(ErrorCode::BadRequest),
         ),
         (create(spec), None),
