@@ -248,8 +248,10 @@ impl DurableSketchService {
                 )));
             }
             for session in &doc.sessions {
-                // Full snapshot validation (shape, draw-vs-seed, duplicate
-                // session names) happens here; any defect is a typed error.
+                // Decoding validates each document's shape and checks its
+                // hashes against one draw from its seed, which the restored
+                // state is built on; a defect or duplicate session name is a
+                // typed error.
                 inner.restore(session)?;
             }
             generation = doc.generation;

@@ -56,19 +56,6 @@ struct SessionEntry {
     helper: Option<SessionSketch>,
 }
 
-impl SessionEntry {
-    /// An entry whose two partials start as `sketch`.
-    fn new(spec: SessionSpec, ledger: SessionLedger, epoch: u64, sketch: SessionSketch) -> Self {
-        SessionEntry {
-            spec,
-            ledger,
-            epoch,
-            helper: Some(sketch.clone()),
-            home: sketch,
-        }
-    }
-}
-
 /// A multi-tenant sketch service.
 ///
 /// Named sessions own one sketch each, kept in the session's entry as two
@@ -144,7 +131,13 @@ impl SketchService {
         }
         spec.validate(name)?;
         let sketch = self.partition.run(HOME, || SessionSketch::new(&spec))?;
-        let entry = SessionEntry::new(spec, SessionLedger::default(), 0, sketch);
+        let entry = SessionEntry {
+            spec,
+            ledger: SessionLedger::default(),
+            epoch: 0,
+            helper: Some(sketch.clone()),
+            home: sketch,
+        };
         self.sessions.insert(name.to_string(), entry);
         Ok(())
     }
@@ -354,40 +347,24 @@ impl SketchService {
     }
 
     /// Restores a session from a [`SketchService::save`] document, under its
-    /// saved name. The sketch is re-drawn empty from the saved spec, once:
-    /// the helper partial starts as its clone, and the saved state lands on
-    /// the home partial, so subsequent ingestion continues exactly where the
-    /// saved session left off (restore → save round trips are
-    /// byte-identical).
+    /// saved name. Decoding draws the sketch from the saved spec's seed
+    /// once, rejects a document whose hashes are not that draw, and builds
+    /// the saved state on the drawn hashes: the state becomes the home
+    /// partial and the empty draw, at the saved epoch, the helper. So
+    /// subsequent ingestion continues exactly where the saved session left
+    /// off (restore → save round trips are byte-identical).
     pub fn restore(&mut self, json: &str) -> Result<String, ServiceError> {
-        let (name, spec, ledger, sketch) = snapshot::decode(json)?;
+        let (name, spec, ledger, home, helper) = snapshot::decode(json)?;
         if self.sessions.contains_key(&name) {
             return Err(ServiceError::DuplicateSession(name));
         }
-        // Shape validation happened in decode; now pin the *draw*: the
-        // document's hashes must be exactly what the spec's seed produces,
-        // or the partials (redrawn from that seed) could never merge with
-        // the restored state. A tampered seed or hash word is rejected here
-        // instead of detonating a partial-side assert later.
-        let mut fresh = SessionSketch::new(&spec);
-        if !fresh.same_draw(&sketch) {
-            return Err(ServiceError::Snapshot(
-                "hash draws do not match the specification's seed".into(),
-            ));
-        }
-        let epoch = sketch.ring().map_or(0, |ring| ring.epoch());
-        // A freshly drawn ring sits at epoch 0; catch it up to the saved
-        // epoch (its slots are still empty, so the catch-up retires
-        // nothing) before it is cloned into the two partials and the saved
-        // state lands on the home one — the two rings must be
-        // epoch-aligned for every later fold.
-        let entry = self.partition.run(HOME, || {
-            if epoch > 0 {
-                fresh.advance(&name, epoch);
-            }
-            let mut entry = SessionEntry::new(spec, ledger, epoch, fresh);
-            entry.home.absorb(&sketch);
-            entry
+        let epoch = home.ring().map_or(0, |ring| ring.epoch());
+        let entry = self.partition.run(HOME, || SessionEntry {
+            spec,
+            ledger,
+            epoch,
+            home,
+            helper: Some(helper),
         })?;
         self.sessions.insert(name.clone(), entry);
         Ok(name)

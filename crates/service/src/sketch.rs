@@ -129,38 +129,6 @@ impl TenantSketch {
         }
     }
 
-    /// Whether the two sketches carry identical hash draws (kind, shape and
-    /// every hash's randomness; the accumulated *state* is not compared).
-    /// This is the merge precondition, and the restore path uses it to
-    /// reject well-formed snapshot documents whose hashes were not actually
-    /// drawn from the accompanying spec's seed — such a document would
-    /// otherwise pass shape validation and only explode later, inside a
-    /// partial's `merge_from` assert.
-    pub fn same_draw(&self, other: &Self) -> bool {
-        match (self, other) {
-            (TenantSketch::Minimum(a), TenantSketch::Minimum(b)) => same_minimum_draw(a, b),
-            (TenantSketch::Bucketing(a), TenantSketch::Bucketing(b)) => {
-                a.num_rows() == b.num_rows()
-                    && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
-            }
-            (TenantSketch::Estimation(a), TenantSketch::Estimation(b)) => {
-                a.num_rows() == b.num_rows()
-                    && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
-            }
-            (TenantSketch::Ams(a), TenantSketch::Ams(b)) => {
-                a.num_rows() == b.num_rows()
-                    && a.num_columns() == b.num_columns()
-                    && (0..a.num_rows()).all(|i| {
-                        (0..a.num_columns()).all(|j| a.cell_parts(i, j).0 == b.cell_parts(i, j).0)
-                    })
-            }
-            (TenantSketch::StructuredMinimum(a), TenantSketch::StructuredMinimum(b)) => {
-                same_minimum_draw(a.minimum(), b.minimum())
-            }
-            _ => false,
-        }
-    }
-
     /// The sketch's current estimate (F0, or F2 for AMS sessions).
     pub fn estimate(&self) -> f64 {
         match self {
@@ -191,12 +159,6 @@ impl TenantSketch {
             TenantSketch::StructuredMinimum(s) => s.space_bits(),
         }
     }
-}
-
-/// Whether two Minimum sketches (plain or structured rows) hold the same
-/// hash draws.
-fn same_minimum_draw(a: &MinimumF0, b: &MinimumF0) -> bool {
-    a.num_rows() == b.num_rows() && (0..a.num_rows()).all(|i| a.row_parts(i).0 == b.row_parts(i).0)
 }
 
 // Lets [`EpochRing`] hold tenant sketches: the ring only needs clone +
@@ -283,37 +245,17 @@ impl SessionSketch {
         }
     }
 
-    /// Merges another partial of the same session shape. Plain sketches
-    /// merge directly; rings merge slot-wise, catching an *empty* behind
-    /// ring up first (the restore path applies a saved ring onto freshly
-    /// created epoch-0 partials). The control plane rejects windowed
-    /// cross-session merges at unequal epochs before dispatch, so the
-    /// catch-up is only ever exercised with empty slots.
+    /// Merges another partial of the same session shape: plain sketches
+    /// merge directly, rings slot-wise (the control plane checks that
+    /// windowed merges run at equal epochs before dispatch).
     ///
     /// # Panics
-    /// On a plain/windowed or window-size mismatch, or when `self`'s ring
-    /// is ahead of `other`'s.
+    /// On a plain/windowed, window-size or epoch mismatch.
     pub fn absorb(&mut self, other: &Self) {
         match (self, other) {
             (SessionSketch::Plain(a), SessionSketch::Plain(b)) => a.merge_from(b),
-            (SessionSketch::Windowed(a), SessionSketch::Windowed(b)) => a.absorb(b),
+            (SessionSketch::Windowed(a), SessionSketch::Windowed(b)) => a.merge_from(b),
             _ => panic!("merge across windowed and unwindowed session state"),
-        }
-    }
-
-    /// Whether the two states carry identical hash draws and window shape
-    /// (slot-wise for rings, epochs not compared — a freshly drawn ring at
-    /// epoch 0 validates a saved ring at any epoch). The restore path's
-    /// tamper check, exactly like [`TenantSketch::same_draw`].
-    pub fn same_draw(&self, other: &Self) -> bool {
-        match (self, other) {
-            (SessionSketch::Plain(a), SessionSketch::Plain(b)) => a.same_draw(b),
-            (SessionSketch::Windowed(a), SessionSketch::Windowed(b)) => {
-                a.window() == b.window()
-                    && a.template().same_draw(b.template())
-                    && a.slots().iter().zip(b.slots()).all(|(x, y)| x.same_draw(y))
-            }
-            _ => false,
         }
     }
 

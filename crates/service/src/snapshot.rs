@@ -10,11 +10,16 @@
 //! on exactly this property. Decoding reverses it losslessly: restore →
 //! save round trips are byte-identical.
 //!
+//! A document's hashes are a function of its spec's seed, so decoding
+//! draws the sketch from that seed once, checks every saved hash word for
+//! word against the draw, and builds the saved state on the drawn hashes:
+//! every restored row and ring slot shares the draw's tables, and a
+//! tampered seed or hash is a typed rejection.
+//!
 //! Windowed sessions serialize their *whole epoch ring* — current epoch plus
 //! every slot's sketch state in ring-index order — under the `window`
 //! member, with the plain per-kind members left null; the ring's empty
-//! template is not stored (it is redrawn from the spec's seed on decode, and
-//! the restore path's draw validation pins it against the slots).
+//! template is not stored (it is the draw).
 
 use crate::error::ServiceError;
 use crate::session::{SessionLedger, SessionSpec, SketchKind};
@@ -50,7 +55,19 @@ impl BitVecSnap {
                 "bit vector word count does not match its length".into(),
             ));
         }
+        // Bits past `len` would be masked off on build, so the document
+        // would restore but not save back byte-identically.
+        let used = self.len % 64;
+        if used != 0 && self.words.last().is_some_and(|&w| w << used != 0) {
+            return Err(ServiceError::Snapshot(
+                "bit vector sets bits past its length".into(),
+            ));
+        }
         Ok(BitVec::from_words(self.len, &self.words))
+    }
+
+    fn is(&self, v: &BitVec) -> bool {
+        self.len == v.len() && self.words == v.words()
     }
 }
 
@@ -72,20 +89,13 @@ impl ToeplitzSnap {
         }
     }
 
-    fn build(&self) -> Result<ToeplitzHash, ServiceError> {
-        if self.input_bits == 0
-            || self.output_bits == 0
-            || self.diag.len != self.input_bits + self.output_bits - 1
-            || self.offset.len != self.output_bits
-        {
-            return Err(ServiceError::Snapshot("malformed Toeplitz hash".into()));
-        }
-        Ok(ToeplitzHash::from_parts(
-            self.input_bits,
-            self.output_bits,
-            self.diag.build()?,
-            self.offset.build()?,
-        ))
+    /// The drawn hash, when the saved one is exactly it.
+    fn check(&self, drawn: &ToeplitzHash) -> Result<ToeplitzHash, ServiceError> {
+        let same = self.input_bits == drawn.input_bits()
+            && self.output_bits == drawn.output_bits()
+            && self.diag.is(drawn.diagonal())
+            && self.offset.is(drawn.offset());
+        same.then(|| drawn.clone()).ok_or_else(draw_mismatch)
     }
 }
 
@@ -103,21 +113,10 @@ impl SWiseSnap {
         }
     }
 
-    fn build(&self) -> Result<SWiseHash, ServiceError> {
-        if self.width == 0 || self.width > 64 || self.coeffs.is_empty() {
-            return Err(ServiceError::Snapshot("malformed s-wise hash".into()));
-        }
-        let mask = if self.width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.width) - 1
-        };
-        if self.coeffs.iter().any(|&c| c & !mask != 0) {
-            return Err(ServiceError::Snapshot(
-                "s-wise coefficient outside the field".into(),
-            ));
-        }
-        Ok(SWiseHash::from_coeffs(self.width, self.coeffs.clone()))
+    /// The drawn hash, when the saved one is exactly it.
+    fn check(&self, drawn: &SWiseHash) -> Result<SWiseHash, ServiceError> {
+        let same = self.width == drawn.width() && self.coeffs == drawn.coeffs();
+        same.then(|| drawn.clone()).ok_or_else(draw_mismatch)
     }
 }
 
@@ -238,14 +237,18 @@ fn minimum_rows(s: &MinimumF0) -> Vec<MinimumRowSnap> {
         .collect()
 }
 
-/// Rebuilds a Minimum sketch from its rows, validating their shape against
-/// the specification; the inverse of [`minimum_rows`].
-fn build_minimum(rows: &[MinimumRowSnap], spec: &SessionSpec) -> Result<MinimumF0, ServiceError> {
+/// Rebuilds a Minimum sketch from its rows on the drawn one's hashes,
+/// validating their shape against the specification; the inverse of
+/// [`minimum_rows`].
+fn build_minimum(
+    rows: &[MinimumRowSnap],
+    spec: &SessionSpec,
+    drawn: &MinimumF0,
+) -> Result<MinimumF0, ServiceError> {
     check_rows(rows.len(), spec.rows)?;
     let mut parts = Vec::with_capacity(rows.len());
-    for row in rows {
-        let hash = row.hash.build()?;
-        check_hash_dims(&hash, spec.universe_bits, 3 * spec.universe_bits)?;
+    for (i, row) in rows.iter().enumerate() {
+        let hash = row.hash.check(drawn.row_parts(i).0)?;
         let mut smallest = Vec::with_capacity(row.smallest.len());
         for v in &row.smallest {
             if v.len != 3 * spec.universe_bits {
@@ -387,28 +390,31 @@ pub fn encode(
     out
 }
 
-/// Rebuilds one sketch's state from its snap members, validating shape
-/// against the specification (the restore path separately validates the
-/// hash *draws* against the spec's seed).
-fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, ServiceError> {
-    Ok(match spec.kind {
-        SketchKind::Minimum => {
+/// Rebuilds one sketch's state from its snap members on `drawn`'s hashes:
+/// its shape is validated against the specification, and every saved hash
+/// must be exactly the drawn one.
+fn build_sketch(
+    snap: &SketchSnap,
+    spec: &SessionSpec,
+    drawn: &TenantSketch,
+) -> Result<TenantSketch, ServiceError> {
+    Ok(match drawn {
+        TenantSketch::Minimum(drawn) => {
             let rows = snap
                 .minimum
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing minimum state".into()))?;
-            TenantSketch::Minimum(build_minimum(rows, spec)?)
+            TenantSketch::Minimum(build_minimum(rows, spec, drawn)?)
         }
-        SketchKind::Bucketing => {
+        TenantSketch::Bucketing(drawn) => {
             let rows = snap
                 .bucketing
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing bucketing state".into()))?;
             check_rows(rows.len(), spec.rows)?;
             let mut parts = Vec::with_capacity(rows.len());
-            for row in rows {
-                let hash = row.hash.build()?;
-                check_hash_dims(&hash, spec.universe_bits, spec.universe_bits)?;
+            for (i, row) in rows.iter().enumerate() {
+                let hash = row.hash.check(drawn.row_parts(i).0)?;
                 if row.level > spec.universe_bits {
                     return Err(ServiceError::Snapshot("level beyond the hash range".into()));
                 }
@@ -427,25 +433,20 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
                 parts,
             ))
         }
-        SketchKind::Estimation => {
+        TenantSketch::Estimation(drawn) => {
             let rows = snap
                 .estimation
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing estimation state".into()))?;
             check_rows(rows.len(), spec.rows)?;
             let mut parts = Vec::with_capacity(rows.len());
-            for row in rows {
+            for (i, row) in rows.iter().enumerate() {
                 if row.hashes.len() != spec.thresh || row.cells.len() != spec.thresh {
                     return Err(ServiceError::Snapshot("row width is not Thresh".into()));
                 }
-                let mut hashes = Vec::with_capacity(row.hashes.len());
-                for h in &row.hashes {
-                    let hash = h.build()?;
-                    if hash.width() as usize != spec.universe_bits {
-                        return Err(ServiceError::Snapshot("hash width mismatch".into()));
-                    }
-                    hashes.push(hash);
-                }
+                let hashes = (row.hashes.iter().zip(drawn.row_parts(i).0))
+                    .map(|(h, d)| h.check(d))
+                    .collect::<Result<Vec<_>, _>>()?;
                 if row.cells.iter().any(|&m| m as usize > spec.universe_bits) {
                     return Err(ServiceError::Snapshot("cell beyond the hash width".into()));
                 }
@@ -457,7 +458,7 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
                 parts,
             ))
         }
-        SketchKind::Ams => {
+        TenantSketch::Ams(drawn) => {
             let ams = snap
                 .ams
                 .as_ref()
@@ -472,14 +473,10 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
             let mut grid = Vec::with_capacity(ams.rows);
             // `cells.len() == rows * columns` was checked above, so chunking
             // by `columns` yields exactly `rows` full rows.
-            for chunk in ams.cells.chunks(ams.columns) {
+            for (i, chunk) in ams.cells.chunks(ams.columns).enumerate() {
                 let mut row = Vec::with_capacity(ams.columns);
-                for cell in chunk {
-                    let hash = cell.hash.build()?;
-                    if hash.width() as usize != spec.universe_bits {
-                        return Err(ServiceError::Snapshot("hash width mismatch".into()));
-                    }
-                    row.push((hash, cell.accumulator));
+                for (j, cell) in chunk.iter().enumerate() {
+                    row.push((cell.hash.check(drawn.cell_parts(i, j).0)?, cell.accumulator));
                 }
                 grid.push(row);
             }
@@ -489,23 +486,34 @@ fn build_sketch(snap: &SketchSnap, spec: &SessionSpec) -> Result<TenantSketch, S
                 ams.items_processed,
             ))
         }
-        SketchKind::StructuredMinimum => {
+        TenantSketch::StructuredMinimum(drawn) => {
             let structured = snap
                 .structured_minimum
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing structured state".into()))?;
             TenantSketch::StructuredMinimum(StructuredMinimumF0::from_parts(
-                build_minimum(&structured.rows, spec)?,
+                build_minimum(&structured.rows, spec, drawn.minimum())?,
                 structured.items_processed,
             ))
         }
     })
 }
 
-/// Decodes a document back into `(name, spec, ledger, sketch)`.
+/// Decodes a document into `(name, spec, ledger, state, draw)`: `draw` is
+/// the sketch drawn from the spec's seed, still empty and at the saved
+/// epoch, and `state` is the saved sketch built on its hashes.
 pub fn decode(
     json: &str,
-) -> Result<(String, SessionSpec, SessionLedger, SessionSketch), ServiceError> {
+) -> Result<
+    (
+        String,
+        SessionSpec,
+        SessionLedger,
+        SessionSketch,
+        SessionSketch,
+    ),
+    ServiceError,
+> {
     let doc: SessionDoc =
         serde_json::from_str(json).map_err(|e| ServiceError::Snapshot(e.to_string()))?;
     if doc.format != SNAPSHOT_FORMAT {
@@ -529,8 +537,8 @@ pub fn decode(
         window: doc.spec.window,
     };
     // A snapshot document is untrusted input like any other frame: a
-    // tampered spec must be a typed rejection before any ring slot or row
-    // is allocated or decoded.
+    // tampered spec must be a typed rejection before anything is drawn or
+    // any ring slot or row is decoded.
     spec.validate(&doc.name)
         .map_err(|e| ServiceError::Snapshot(e.to_string()))?;
     let plain = SketchSnap {
@@ -540,16 +548,14 @@ pub fn decode(
         ams: doc.ams,
         structured_minimum: doc.structured_minimum,
     };
-    let sketch = match spec.window {
-        None => {
-            if doc.window.is_some() {
-                return Err(ServiceError::Snapshot(
-                    "ring state on an unwindowed specification".into(),
-                ));
-            }
-            SessionSketch::Plain(build_sketch(&plain, &spec)?)
+    let (epoch, snaps) = match (spec.window, &doc.window) {
+        (None, Some(_)) => {
+            return Err(ServiceError::Snapshot(
+                "ring state on an unwindowed specification".into(),
+            ))
         }
-        Some(window) => {
+        (None, None) => (0, std::slice::from_ref(&plain)),
+        (Some(window), win) => {
             if plain.minimum.is_some()
                 || plain.bucketing.is_some()
                 || plain.estimation.is_some()
@@ -560,8 +566,7 @@ pub fn decode(
                     "plain sketch state on a windowed specification".into(),
                 ));
             }
-            let win = doc
-                .window
+            let win = win
                 .as_ref()
                 .ok_or_else(|| ServiceError::Snapshot("missing ring state".into()))?;
             if win.slots.len() != window {
@@ -570,20 +575,23 @@ pub fn decode(
                     win.slots.len()
                 )));
             }
-            let mut slots = Vec::with_capacity(win.slots.len());
-            for slot in &win.slots {
-                slots.push(build_sketch(slot, &spec)?);
-            }
-            // The empty template is not stored: redraw it from the spec's
-            // seed (the restore path then pins the slots' draws against it).
-            SessionSketch::Windowed(EpochRing::from_parts(
-                TenantSketch::new(&spec),
-                win.epoch,
-                slots,
-            ))
+            (win.epoch, &win.slots[..])
         }
     };
-    Ok((doc.name, spec, doc.ledger, sketch))
+    let mut draw = SessionSketch::new(&spec);
+    if epoch > 0 {
+        draw.advance(&doc.name, epoch);
+    }
+    let state = match &draw {
+        SessionSketch::Plain(drawn) => SessionSketch::Plain(build_sketch(&snaps[0], &spec, drawn)?),
+        SessionSketch::Windowed(ring) => {
+            let drawn = ring.template();
+            let slots = (snaps.iter().map(|slot| build_sketch(slot, &spec, drawn)))
+                .collect::<Result<_, _>>()?;
+            SessionSketch::Windowed(EpochRing::from_parts(drawn.clone(), epoch, slots))
+        }
+    };
+    Ok((doc.name, spec, doc.ledger, state, draw))
 }
 
 fn check_rows(got: usize, expected: usize) -> Result<(), ServiceError> {
@@ -596,10 +604,6 @@ fn check_rows(got: usize, expected: usize) -> Result<(), ServiceError> {
     }
 }
 
-fn check_hash_dims(hash: &ToeplitzHash, n: usize, m: usize) -> Result<(), ServiceError> {
-    if hash.input_bits() == n && hash.output_bits() == m {
-        Ok(())
-    } else {
-        Err(ServiceError::Snapshot("hash dimensions mismatch".into()))
-    }
+fn draw_mismatch() -> ServiceError {
+    ServiceError::Snapshot("hash draws do not match the specification's seed".into())
 }

@@ -13,9 +13,10 @@
 //! object each), but the framing layer is payload-agnostic. The length
 //! prefix makes torn final writes detectable (a frame that overruns the
 //! file), and the checksum catches bit rot and partially overwritten
-//! frames; [`scan`] reads the longest valid frame prefix and reports the
-//! first bad frame as a typed [`ServiceError::WalRecord`] — never a panic —
-//! so recovery can truncate the log there and keep everything before it.
+//! frames; [`scan_bytes`] and [`WalCursor`] read the longest valid frame
+//! prefix and report the first bad frame as a typed
+//! [`ServiceError::WalRecord`] — never a panic — so recovery can truncate
+//! the log there and keep everything before it.
 //!
 //! Durability is batched: [`WalWriter::append`] hands frames to the OS
 //! immediately (a *process* crash loses nothing that was appended) and
@@ -154,24 +155,6 @@ pub struct WalScan {
     pub torn: Option<ServiceError>,
 }
 
-/// Reads a log file through `storage` and scans it (a missing file scans as
-/// empty). `Err` only on I/O failure; corruption is reported inside the
-/// [`WalScan`], never as a panic. Collects every record in memory — the
-/// recovery path streams over a [`WalCursor`] instead.
-pub fn scan(storage: &dyn Storage, path: &Path) -> Result<WalScan, ServiceError> {
-    let mut cursor = WalCursor::new(storage, path, RetryPolicy::none());
-    let mut records = Vec::new();
-    while let Some(record) = cursor.next_record()? {
-        records.push(record);
-    }
-    let (valid_len, torn) = cursor.finish();
-    Ok(WalScan {
-        records,
-        valid_len,
-        torn,
-    })
-}
-
 /// One step of the incremental frame decoder shared by [`scan_bytes`] and
 /// [`WalCursor`]. `buf` starts at a frame boundary whose file offset is
 /// `offset`; `at_end` says no further bytes can arrive behind `buf`.
@@ -262,7 +245,7 @@ pub fn scan_bytes(bytes: &[u8]) -> WalScan {
 /// (plus one frame), never the log size. A missing file scans as empty.
 /// Reads are retried under the cursor's [`RetryPolicy`]; corruption ends
 /// the iteration and is reported by [`WalCursor::finish`], exactly like
-/// [`scan`]'s `torn` field.
+/// [`scan_bytes`]'s `torn` field.
 pub struct WalCursor<'a> {
     storage: &'a dyn Storage,
     path: PathBuf,
@@ -727,7 +710,7 @@ mod tests {
         assert!(writer.is_empty());
         writer.append(b"fine", &retry).unwrap();
         writer.close(&retry).unwrap();
-        let scanned = scan(&storage, &path).unwrap();
+        let scanned = scan_bytes(&std::fs::read(&path).unwrap());
         assert_eq!(scanned.records.len(), 1);
         assert!(scanned.torn.is_none());
         let _ = std::fs::remove_dir_all(&dir);

@@ -169,6 +169,105 @@ fn corrupt_snapshots_are_rejected_not_trusted() {
     }
 }
 
+/// `doc` with one word of the first number list after byte `at` XORed with
+/// `mask`: the list's last word when `last`, else its first.
+fn xor_word(doc: &str, at: usize, last: bool, mask: u64) -> String {
+    let open = at
+        + doc[at..]
+            .match_indices('[')
+            .find(|(i, _)| doc[at + i + 1..].starts_with(|c: char| c.is_ascii_digit()))
+            .unwrap()
+            .0
+        + 1;
+    let close = open + doc[open..].find(']').unwrap();
+    let mut words: Vec<u64> = doc[open..close]
+        .split(',')
+        .map(|w| w.parse().unwrap())
+        .collect();
+    let i = if last { words.len() - 1 } else { 0 };
+    words[i] ^= mask;
+    let words: Vec<String> = words.iter().map(u64::to_string).collect();
+    format!("{}{}{}", &doc[..open], words.join(","), &doc[close..])
+}
+
+/// Bits set past a saved bit vector's length would be masked off on
+/// restore, so the session would save back different bytes than it was
+/// restored from: a typed rejection, in a hash word and in a reservoir
+/// value alike.
+#[test]
+fn bits_past_a_saved_vectors_length_are_rejected() {
+    let mut service = SketchService::new(1);
+    // A width-64 row's `diag` holds 255 bits and a width-8 reservoir value
+    // 24; words are MSB-first, so bit 0 of the last word lies past the end.
+    for (bits, member) in [(64, "\"diag\""), (8, "\"smallest\"")] {
+        let spec = SessionSpec::new(SketchKind::Minimum, bits, 24, 3, 7);
+        pinned_minimum_run(&mut service, "s", spec, 1);
+        let doc = service.save("s").unwrap();
+        service.drop_session("s").unwrap();
+        let tampered = xor_word(&doc, doc.find(member).unwrap(), true, 1);
+        assert!(
+            matches!(service.restore(&tampered), Err(ServiceError::Snapshot(_))),
+            "accepted a set tail bit in {member} at width {bits}"
+        );
+        assert!(service.list_sessions().is_empty());
+    }
+}
+
+/// One flipped randomness word in the last row of the last slot — a
+/// Toeplitz `offset` bit, or an s-wise coefficient bit inside the field —
+/// fails the check against the spec's draw for every kind, plain and
+/// windowed: a typed rejection that leaves no session behind, while the
+/// untouched document restores and saves back byte-identically.
+#[test]
+fn a_flipped_hash_word_is_rejected_for_every_kind_and_slot() {
+    let mut service = SketchService::new(1);
+    let mut rng = mcf0_hashing::Xoshiro256StarStar::seed_from_u64(3);
+    for kind in [
+        SketchKind::Minimum,
+        SketchKind::Bucketing,
+        SketchKind::Estimation,
+        SketchKind::Ams,
+        SketchKind::StructuredMinimum,
+    ] {
+        for window in [None, Some(3)] {
+            let spec = SessionSpec {
+                window,
+                ..SessionSpec::new(kind, 12, 8, 3, 5)
+            };
+            service.create_session("s", spec).unwrap();
+            for epoch in 1..=3u64 {
+                if kind == SketchKind::StructuredMinimum {
+                    let sets = [random_dnf(&mut rng, 12, 3, (2, 5))];
+                    service.ingest_structured("s", &sets).unwrap();
+                } else {
+                    let items: Vec<u64> = (0..60).map(|_| rng.next_u64() >> 52).collect();
+                    service.ingest("s", &items).unwrap();
+                }
+                if window.is_some() && epoch < 3 {
+                    service.advance("s", epoch).unwrap();
+                }
+            }
+            let doc = service.save("s").unwrap();
+            service.drop_session("s").unwrap();
+            // The last member in the document sits in the last row of the
+            // last slot; an `offset` word's top bit is the offset's bit 0.
+            let (member, mask) = match kind {
+                SketchKind::Estimation | SketchKind::Ams => ("\"coeffs\"", 1),
+                _ => ("\"offset\"", 1 << 63),
+            };
+            let tampered = xor_word(&doc, doc.rfind(member).unwrap(), false, mask);
+            assert!(
+                matches!(service.restore(&tampered), Err(ServiceError::Snapshot(_))),
+                "accepted a flipped {member} word: {kind:?}, window {window:?}"
+            );
+            assert!(service.list_sessions().is_empty());
+            assert_eq!(service.restore(&doc).unwrap(), "s");
+            assert_eq!(service.save("s").unwrap(), doc);
+            service.drop_session("s").unwrap();
+        }
+    }
+}
+
 /// FNV-1a-64 over a document's bytes.
 fn fnv1a64(doc: &str) -> u64 {
     doc.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {

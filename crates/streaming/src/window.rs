@@ -216,22 +216,6 @@ impl<S: WindowSketch> EpochRing<S> {
             mine.merge_from(theirs);
         }
     }
-
-    /// Like [`EpochRing::merge_from`], but first catches `self` up to
-    /// `other`'s epoch when `self` is behind (resetting rotated-out slots
-    /// on the way). Sound only when `self`'s skipped epochs are empty —
-    /// the restore path's case, where `self` is a freshly created ring.
-    ///
-    /// # Panics
-    /// If `self` is *ahead* of `other`, or on a window mismatch.
-    pub fn absorb(&mut self, other: &Self) {
-        assert!(self.epoch <= other.epoch, "absorbing a ring from the past");
-        if self.epoch < other.epoch {
-            // Cannot regress (just checked), so advance cannot fail.
-            let _ = self.advance(other.epoch);
-        }
-        self.merge_from(other);
-    }
 }
 
 #[cfg(test)]
@@ -322,16 +306,5 @@ mod tests {
         // Retiring epoch 0 drops both sides' epoch-0 items.
         a.advance(3).unwrap();
         assert_eq!(distinct(&a), 2);
-    }
-
-    #[test]
-    fn absorb_catches_an_empty_ring_up() {
-        let mut donor = EpochRing::new(SetSketch::default(), 3);
-        donor.advance(9).unwrap();
-        donor.current_mut().0.insert(5);
-        let mut fresh = EpochRing::new(SetSketch::default(), 3);
-        fresh.absorb(&donor);
-        assert_eq!(fresh.epoch(), 9);
-        assert_eq!(distinct(&fresh), 1);
     }
 }
