@@ -802,8 +802,11 @@ fn e15_delphic_vs_hashing() -> Vec<ExperimentRow> {
 /// (`BENCH_solver.json`, `chrono_baseline`).
 fn e17_large_n_cnf() -> Vec<ExperimentRow> {
     use mcf0::counting::approx_mc_on_oracle;
+    use mcf0::gf2::BitVec;
     use mcf0::hashing::ToeplitzHash;
-    use mcf0::sat::{find_max_range_cnf, find_min_cnf, SatOracle, SolutionOracle};
+    use mcf0::sat::{
+        find_max_range_cnf, find_min_cnf, find_min_cnf_reference, SatOracle, SolutionOracle,
+    };
 
     let mut rows = Vec::new();
     let config = CountingConfig::explicit(0.8, 0.2, 40, 3);
@@ -840,12 +843,21 @@ fn e17_large_n_cnf() -> Vec<ExperimentRow> {
         );
     }
 
-    // FindMin at n = 40 under a 3n-bit hash (the Minimum counter's pattern).
-    {
+    // FindMin at n = 40 under a 3n-bit hash (the Minimum counter's
+    // pattern), read from hash cells and by Proposition 2's prefix search.
+    type FindMin = fn(&mut dyn SolutionOracle, &ToeplitzHash, usize) -> Vec<BitVec>;
+    let searches: [(&str, FindMin); 2] = [
+        ("FindMin by cells (CDCL oracle)", find_min_cnf),
+        (
+            "FindMin prefix search (CDCL oracle)",
+            find_min_cnf_reference,
+        ),
+    ];
+    for (algorithm, findmin) in searches {
         let (f, h, p) = mcf0_bench::large_n::findmin_n40();
         let mut oracle = SatOracle::new(f);
         let start = Instant::now();
-        let minima = find_min_cnf(&mut oracle, &h, p);
+        let minima = findmin(&mut oracle, &h, p);
         rows.push(
             ExperimentRow::new(
                 "E17",
@@ -854,7 +866,7 @@ fn e17_large_n_cnf() -> Vec<ExperimentRow> {
                     oracle.stats().sat_calls,
                     oracle.solver_stats().conflicts
                 ),
-                "FindMin prefix search (CDCL oracle)",
+                algorithm,
                 None,
                 minima.len() as f64,
             )

@@ -50,17 +50,17 @@ const PINS: &[(&str, f64, u64, u64)] = &[
     ("approxmc_cnf_galloping", 144.0, 0, 132),
     ("approxmc_cnf_blocking", 45.0, 0, 140),
     ("approxmc_cnf_n44", 58720256.0, 0, 316),
-    // FindMin prefix search: the value is the number of minima found.
-    ("findmin_cnf", 16.0, 0, 107),
-    ("findmin_cnf_n40", 8.0, 0, 1148),
-    ("findmin_cnf_n48", 8.0, 0, 1375),
+    // FindMin read from hash cells: the value is the number of minima found.
+    ("findmin_cnf", 16.0, 0, 63),
+    ("findmin_cnf_n40", 8.0, 0, 72),
+    ("findmin_cnf_n48", 8.0, 0, 72),
     // FindMaxRange binary search: the value is the deepest trailing-zero
     // count reached (-1 if the formula is unsatisfiable).
     ("findmaxrange_cnf", 10.0, 0, 5),
     ("findmaxrange_cnf_n56", 36.0, 0, 7),
     // The Estimation and Minimum counters end to end.
     ("est_enumerative_dnf", 11948.534385038376, 0, 0),
-    ("min_counter_cnf", 52.47877988798629, 0, 4889),
+    ("min_counter_cnf", 52.47877988798629, 0, 303),
     // F0 sketches on seeded streams; the distributed row's bits are its
     // total communication.
     ("bucketing_w32", 20480.0, 29015, 0),
@@ -90,6 +90,16 @@ const APPROXMC_BASELINES: &[(&str, u64)] = &[
     ("approxmc_cnf_galloping", 356),
     ("approxmc_cnf_blocking", 230),
     ("approxmc_cnf_n44", 1014),
+];
+
+/// FindMin's oracle calls under Proposition 2's prefix search, which
+/// `find_min_cnf` ran before it read minima from hash cells and still runs
+/// when a cell cannot answer. No FindMin pin may exceed its baseline.
+const FINDMIN_BASELINES: &[(&str, u64)] = &[
+    ("findmin_cnf", 107),
+    ("findmin_cnf_n40", 1148),
+    ("findmin_cnf_n48", 1375),
+    ("min_counter_cnf", 4889),
 ];
 
 /// `(service row, direct-engine row, sketches)`: the service row must
@@ -146,20 +156,31 @@ fn check_service(name: &str, (value, space_bits): (f64, u64)) {
     );
 }
 
-#[test]
-fn approxmc_pins_never_exceed_their_baselines() {
-    let rows: Vec<_> = PINS
-        .iter()
-        .filter(|row| row.0.starts_with("approxmc"))
-        .collect();
-    assert_eq!(rows.len(), APPROXMC_BASELINES.len());
+/// Fails unless every pin whose name passes `filter` has a baseline in
+/// `baselines` and stays at or under it.
+fn check_baselines(filter: impl Fn(&str) -> bool, baselines: &[(&str, u64)]) {
+    let rows: Vec<_> = PINS.iter().filter(|row| filter(row.0)).collect();
+    assert_eq!(rows.len(), baselines.len());
     for &&(name, _, _, pin) in &rows {
-        let &(_, baseline) = APPROXMC_BASELINES
+        let &(_, baseline) = baselines
             .iter()
             .find(|&&(row, _)| row == name)
             .unwrap_or_else(|| panic!("{name} has no baseline"));
         assert!(pin <= baseline, "{name}: pin {pin} > baseline {baseline}");
     }
+}
+
+#[test]
+fn approxmc_pins_never_exceed_their_baselines() {
+    check_baselines(|name| name.starts_with("approxmc"), APPROXMC_BASELINES);
+}
+
+#[test]
+fn findmin_pins_never_exceed_the_prefix_search() {
+    check_baselines(
+        |name| name.starts_with("findmin") || name == "min_counter_cnf",
+        FINDMIN_BASELINES,
+    );
 }
 
 fn seeded(seed: u64) -> Xoshiro256StarStar {
@@ -307,7 +328,7 @@ fn counter_pins() {
         (result.estimate, result.oracle_calls),
     );
 
-    // The Minimum counter (prefix search under a 3n-bit hash).
+    // The Minimum counter (FindMin under a 3n-bit hash).
     let mut rng = seeded(303);
     let f = random_k_cnf(&mut rng, 9, 16, 3);
     let input = FormulaInput::Cnf(f);

@@ -42,24 +42,6 @@ pub fn hash_prefix_zero_constraints<H: LinearHash>(hash: &H, m: usize) -> Vec<Xo
         .collect()
 }
 
-/// Builds the XOR constraints encoding `h_{ℓ}(x) = prefix` (first ℓ output
-/// bits equal to the given values).
-pub fn hash_prefix_constraints<H: LinearHash>(hash: &H, prefix: &BitVec) -> Vec<XorConstraint> {
-    (0..prefix.len())
-        .map(|i| XorConstraint::from_row(&hash.matrix_row(i), hash.offset_bit(i) ^ prefix.get(i)))
-        .collect()
-}
-
-/// Builds the XOR constraints encoding "the last `t` output bits of `h(x)`
-/// are zero" (the trailing-zero constraint of the Estimation strategy).
-pub fn hash_suffix_zero_constraints<H: LinearHash>(hash: &H, t: usize) -> Vec<XorConstraint> {
-    let m = hash.output_bits();
-    assert!(t <= m);
-    (m - t..m)
-        .map(|i| XorConstraint::from_row(&hash.matrix_row(i), hash.offset_bit(i)))
-        .collect()
-}
-
 /// BoundedSAT for a formula behind an oracle (the CNF case of Proposition 1):
 /// returns up to `p` solutions of `φ ∧ h_m(x) = 0^m` using `O(p)` oracle
 /// calls.
@@ -177,6 +159,26 @@ mod tests {
     use mcf0_formula::exact::enumerate_dnf_solutions;
     use mcf0_formula::generators::{random_dnf, random_k_cnf};
     use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
+
+    /// Builds the XOR constraints encoding `h_{ℓ}(x) = prefix` (first ℓ output
+    /// bits equal to the given values).
+    fn hash_prefix_constraints<H: LinearHash>(hash: &H, prefix: &BitVec) -> Vec<XorConstraint> {
+        (0..prefix.len())
+            .map(|i| {
+                XorConstraint::from_row(&hash.matrix_row(i), hash.offset_bit(i) ^ prefix.get(i))
+            })
+            .collect()
+    }
+
+    /// Builds the XOR constraints encoding "the last `t` output bits of `h(x)`
+    /// are zero" (the trailing-zero constraint of the Estimation strategy).
+    fn hash_suffix_zero_constraints<H: LinearHash>(hash: &H, t: usize) -> Vec<XorConstraint> {
+        let m = hash.output_bits();
+        assert!(t <= m);
+        (m - t..m)
+            .map(|i| XorConstraint::from_row(&hash.matrix_row(i), hash.offset_bit(i)))
+            .collect()
+    }
 
     #[test]
     fn cnf_bounded_sat_counts_match_brute_force() {

@@ -8,14 +8,18 @@
 //!
 //! The paper requires an `O(log 1/ε)`-wise independent hash for the accuracy
 //! guarantee; a polynomial hash over GF(2^n) cannot be expressed as XOR
-//! constraints, so the SAT-backed path uses an affine (2-wise) hash while
-//! [`find_max_range_enumerative`] exercises the genuine s-wise family against
-//! the brute-force oracle. Both are compared in the experiments (see
-//! DESIGN.md §5, substitution table).
+//! constraints, so the SAT-backed path uses an affine (2-wise) hash, and the
+//! genuine s-wise family runs only on the Estimation counter's enumerative
+//! backend (see DESIGN.md §5, substitution table).
+//!
+//! The cell lemma behind [`crate::find_min_cnf`] gives
+//! [`find_max_range_cnf`] nothing: the binary search already makes
+//! `O(log m)` calls, about what the cell search spends on its level search
+//! alone.
 
-use crate::oracle::{BruteForceOracle, SolutionOracle, XorPrefixSession};
+use crate::oracle::{SolutionOracle, XorPrefixSession};
 use crate::solver::XorConstraint;
-use mcf0_hashing::{LinearHash, SWiseHash};
+use mcf0_hashing::LinearHash;
 
 /// `FindMaxRange` with an affine hash and an NP oracle.
 ///
@@ -120,44 +124,31 @@ pub fn find_max_range_dnf<H: LinearHash>(
     best
 }
 
-/// `FindMaxRange` with the genuine s-wise polynomial hash, evaluated against
-/// a brute-force oracle (ground truth / small-n path).
-pub fn find_max_range_enumerative(oracle: &mut BruteForceOracle, hash: &SWiseHash) -> Option<u32> {
-    assert_eq!(
-        oracle.num_vars() as u32,
-        hash.width(),
-        "hash width must equal variable count"
-    );
-    oracle.max_over_solutions(|a| hash.trail_zero_u64(a.to_u64_lsb(a.len())))
-}
-
-/// Extension trait converting an assignment (variable `i` at index `i`) into
-/// the `u64` consumed by the s-wise hash (bit `i` = variable `i`).
-pub trait AssignmentAsU64 {
-    /// The assignment as a `u64` with bit `i` equal to variable `i`.
-    fn to_u64_lsb(&self, num_vars: usize) -> u64;
-}
-
-impl AssignmentAsU64 for mcf0_formula::Assignment {
-    fn to_u64_lsb(&self, num_vars: usize) -> u64 {
-        assert!(num_vars <= 64);
-        let mut out = 0u64;
-        for i in 0..num_vars {
-            if self.get(i) {
-                out |= 1 << i;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::SatOracle;
+    use crate::oracle::{BruteForceOracle, SatOracle};
     use mcf0_formula::generators::random_k_cnf;
-    use mcf0_formula::{Clause, CnfFormula, Literal};
-    use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
+    use mcf0_formula::{Assignment, Clause, CnfFormula, Literal};
+    use mcf0_hashing::{SWiseHash, ToeplitzHash, Xoshiro256StarStar};
+
+    /// `FindMaxRange` with the genuine s-wise polynomial hash, evaluated against
+    /// a brute-force oracle (ground truth / small-n path).
+    fn find_max_range_enumerative(oracle: &mut BruteForceOracle, hash: &SWiseHash) -> Option<u32> {
+        assert_eq!(
+            oracle.num_vars() as u32,
+            hash.width(),
+            "hash width must equal variable count"
+        );
+        oracle.max_over_solutions(|a| hash.trail_zero_u64(to_u64_lsb(a)))
+    }
+
+    /// The assignment as the `u64` the s-wise hash consumes: bit `i` is
+    /// variable `i`.
+    fn to_u64_lsb(a: &Assignment) -> u64 {
+        assert!(a.len() <= 64);
+        a.iter_ones().fold(0, |out, i| out | 1 << i)
+    }
 
     #[test]
     fn matches_brute_force_maximum() {
@@ -231,7 +222,7 @@ mod tests {
         // Direct maximum over enumerated solutions.
         let expected = mcf0_formula::exact::enumerate_cnf_solutions(&f)
             .into_iter()
-            .map(|a| h.trail_zero_u64(a.to_u64_lsb(8)))
+            .map(|a| h.trail_zero_u64(to_u64_lsb(&a)))
             .max();
         assert_eq!(got, expected);
     }

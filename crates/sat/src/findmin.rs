@@ -5,13 +5,31 @@
 //!   subspace of `{0,1}^m`, whose smallest elements are found in polynomial
 //!   time; the per-term lists are merged. This gives the `O(m³·n·k·p)` bound
 //!   of the paper and makes the Minimum-based counter an FPRAS for DNF.
-//! * For a **CNF** formula the same prefix-search driver runs against the NP
-//!   oracle: "is there a solution whose hash value starts with this prefix?"
-//!   is one oracle call, so `p` minima cost `O(p·m)` calls.
+//! * For a **CNF** formula [`find_min_cnf`] answers from one hash cell.
+//!   Every value that starts with ℓ zero bits is smaller than every value
+//!   that does not, so the `p` smallest values of `h(Sol(φ))` are the `p`
+//!   smallest of the deepest cell `Sol(φ ∧ h_ℓ(x) = 0^ℓ)` that holds `p`
+//!   models, provided that cell has `p` distinct values. A level search
+//!   like ApproxMC's finds ℓ: gallop 1, 2, 4, … from 0, then bisect, each
+//!   probe a bounded enumeration of at most `p` models, so at most `p + 1`
+//!   calls. The cell is then read whole, `|cell(ℓ)| + 1` calls. Both are
+//!   cut by the models of the shallowest cell already enumerated whole,
+//!   which answers every deeper probe and is handed to the oracle as known
+//!   models by every shallower one. So the calls are `O(p·log m)` for the
+//!   probes plus the read, and they depend on the cell sizes alone, so
+//!   every backend counts the same.
+//! * [`find_min_cnf_reference`] is Proposition 2 as printed: a prefix search
+//!   in which "is there a solution whose hash value starts with this
+//!   prefix?" is one oracle call, so `p` minima cost `O(p·m)` calls. It is
+//!   the executable specification of the cell search, and the cell search
+//!   falls back to it when the cell holds more than `64·p` models, or when a
+//!   cell past level 0 has fewer than `p` distinct values. `O(p·m)` is then
+//!   the worst case, plus the probes.
 
-use crate::oracle::SolutionOracle;
+use crate::bounded::hash_prefix_zero_constraints;
+use crate::oracle::{SolutionOracle, XorPrefixSession};
 use crate::solver::XorConstraint;
-use mcf0_formula::{DnfFormula, Term};
+use mcf0_formula::{Assignment, DnfFormula, Term};
 use mcf0_gf2::{lex_enumerate, BitVec, PrefixOracle};
 use mcf0_hashing::LinearHash;
 use std::borrow::Borrow;
@@ -61,7 +79,7 @@ pub fn find_min_terms<H: LinearHash>(
 /// the first differing bit — the lexicographic search of Proposition 2
 /// mostly toggles deep bits, so the solver's Gaussian-elimination state for
 /// the shallow rows is reused across almost every query.
-pub struct HashedSolutionsOracle<'a, H: LinearHash> {
+struct HashedSolutionsOracle<'a, H: LinearHash> {
     oracle: &'a mut dyn SolutionOracle,
     hash: &'a H,
     base: usize,
@@ -70,7 +88,7 @@ pub struct HashedSolutionsOracle<'a, H: LinearHash> {
 
 impl<'a, H: LinearHash> HashedSolutionsOracle<'a, H> {
     /// Wraps an oracle and a hash function.
-    pub fn new(oracle: &'a mut dyn SolutionOracle, hash: &'a H) -> Self {
+    fn new(oracle: &'a mut dyn SolutionOracle, hash: &'a H) -> Self {
         assert_eq!(
             oracle.num_vars(),
             hash.input_bits(),
@@ -117,9 +135,33 @@ impl<H: LinearHash> PrefixOracle for HashedSolutionsOracle<'_, H> {
     }
 }
 
+/// The cell read enumerates at most this many models per requested minimum
+/// before [`find_min_cnf`] falls back to the prefix search.
+const CELL_CAP_PER_P: usize = 64;
+
 /// `FindMin` for CNF: the `p` lexicographically smallest values of
-/// `h(Sol(φ))` via prefix search over the NP oracle (`O(p·m)` calls).
+/// `h(Sol(φ))`, read from the deepest hash cell that holds `p` models.
+///
+/// The level search costs `O(p·log m)` oracle calls and the cell read
+/// `|cell(ℓ)| + 1` less the models the probes already returned. Only when
+/// the cell holds more than `64·p` models, or a cell past level 0 has fewer
+/// than `p` distinct values, does it fall back to
+/// [`find_min_cnf_reference`]'s `O(p·m)` calls. The values are those of the prefix search on every
+/// input; only the calls differ.
 pub fn find_min_cnf<H: LinearHash>(
+    oracle: &mut dyn SolutionOracle,
+    hash: &H,
+    p: usize,
+) -> Vec<BitVec> {
+    cell_search(oracle, hash, p, CELL_CAP_PER_P.saturating_mul(p))
+        .unwrap_or_else(|| find_min_cnf_reference(oracle, hash, p))
+}
+
+/// Proposition 2 as printed: `lex_min`, then `p − 1` `lex_successor`s of a
+/// prefix search over the NP oracle, one call per prefix bit, so `O(p·m)`
+/// calls. The executable specification of [`find_min_cnf`], which falls
+/// back to it.
+pub fn find_min_cnf_reference<H: LinearHash>(
     oracle: &mut dyn SolutionOracle,
     hash: &H,
     p: usize,
@@ -128,12 +170,120 @@ pub fn find_min_cnf<H: LinearHash>(
     lex_enumerate(&mut adapter, p)
 }
 
+/// The cell search behind [`find_min_cnf`], reading at most `cap ≥ p`
+/// models of the cell; `None` when the answer needs the prefix search.
+fn cell_search<H: LinearHash>(
+    oracle: &mut dyn SolutionOracle,
+    hash: &H,
+    p: usize,
+    cap: usize,
+) -> Option<Vec<BitVec>> {
+    assert_eq!(
+        oracle.num_vars(),
+        hash.input_bits(),
+        "hash/formula width mismatch"
+    );
+    if p == 0 {
+        return Some(Vec::new());
+    }
+    let m = hash.output_bits();
+    let mut cells = CellPool {
+        hash,
+        rows: hash_prefix_zero_constraints(hash, m),
+        session: XorPrefixSession::new(oracle),
+        models: Vec::new(),
+        complete_at: None,
+    };
+    // Every level below `lo` holds p models; level `hi` and every deeper one
+    // hold fewer (`m + 1`: no level is known to).
+    let (mut lo, mut hi) = (0, m + 1);
+    let mut level = 1;
+    while level <= m {
+        if cells.count(level, p) < p {
+            hi = level;
+            break;
+        }
+        lo = level + 1;
+        level *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if cells.count(mid, p) == p {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    // The deepest level holding p models, or level 0 when Sol(φ) has fewer
+    // than p: the probes have then enumerated it whole.
+    let level = lo.saturating_sub(1);
+    if cells.count(level, cap) == cap {
+        return None;
+    }
+    let mut values: Vec<BitVec> = cells.members(level).map(|(v, _)| v.clone()).collect();
+    values.sort();
+    values.dedup();
+    if values.len() < p && level > 0 {
+        return None;
+    }
+    values.truncate(p);
+    Some(values)
+}
+
+/// The shallowest cell the search has enumerated whole: one probe came back
+/// below its limit there. A model is in cell(ℓ) iff its hash value starts
+/// with ℓ zero bits, so every deeper cell is read from the pool, and a
+/// shallower probe hands the pool to the oracle as known models and
+/// enumerates only the rest. The pool is fixed by the solution set, not by
+/// which models a backend returned, so every backend counts the same calls.
+struct CellPool<'a, H> {
+    hash: &'a H,
+    /// `rows[..ℓ]` encode `h_ℓ(x) = 0^ℓ`.
+    rows: Vec<XorConstraint>,
+    session: XorPrefixSession<'a>,
+    /// `(h(x), x)` for every model of cell(`complete_at`).
+    models: Vec<(BitVec, Assignment)>,
+    /// The level of the cell `models` holds whole; `None` before any.
+    complete_at: Option<usize>,
+}
+
+impl<H: LinearHash> CellPool<'_, H> {
+    /// The pooled members of cell(`level`).
+    fn members(&self, level: usize) -> impl Iterator<Item = &(BitVec, Assignment)> {
+        self.models
+            .iter()
+            .filter(move |(value, _)| value.prefix_is_zero(level))
+    }
+
+    /// `min(|cell(level)|, limit)`, asking the oracle only for the members
+    /// the pool does not hold. `limit` is at least `p`, so more than the
+    /// pool, which came back below a limit of `p`.
+    fn count(&mut self, level: usize, limit: usize) -> usize {
+        if self.complete_at.is_some_and(|at| at <= level) {
+            return self.members(level).count().min(limit);
+        }
+        let known: Vec<Assignment> = self.models.iter().map(|(_, x)| x.clone()).collect();
+        self.session.set_rows(&self.rows[..level]);
+        let fresh = self
+            .session
+            .enumerate_excluding(&known, limit - known.len());
+        let count = known.len() + fresh.len();
+        if count < limit {
+            let hash = self.hash;
+            self.models
+                .extend(fresh.into_iter().map(|x| (hash.eval(&x), x)));
+            self.complete_at = Some(level);
+        }
+        count
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{BruteForceOracle, SatOracle};
     use mcf0_formula::generators::{planted_dnf, random_dnf, random_k_cnf};
-    use mcf0_formula::DnfFormula;
+    use mcf0_formula::{Clause, CnfFormula, DnfFormula, Literal};
     use mcf0_hashing::{ToeplitzHash, Xoshiro256StarStar};
 
     fn ground_truth_minima<H: LinearHash>(
@@ -237,5 +387,65 @@ mod tests {
             calls <= (p as u64) * (h.output_bits() as u64) * 4 + 10,
             "calls={calls}"
         );
+    }
+
+    #[test]
+    fn random_cells_answer_without_the_prefix_search() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(27);
+        for _ in 0..6 {
+            let f = random_k_cnf(&mut rng, 14, 28, 3);
+            let h = ToeplitzHash::sample(&mut rng, 14, 42);
+            for p in [1usize, 8, 40] {
+                let mut sat = SatOracle::new(f.clone());
+                let got = cell_search(&mut sat, &h, p, CELL_CAP_PER_P * p);
+                let expected = find_min_cnf_reference(&mut SatOracle::new(f.clone()), &h, p);
+                assert_eq!(got, Some(expected), "p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_cap_falls_back_to_the_prefix_search() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(28);
+        let deep = random_k_cnf(&mut rng, 12, 20, 3);
+        // Variables 0–7 fixed: four models of 10 variables, and the deepest
+        // cell holding all four is cell(0) when cell(1) has fewer.
+        let clauses = (0..8).map(|v| Clause::new(vec![Literal::positive(v)]));
+        let shallow = CnfFormula::new(10, clauses.collect());
+        let h_shallow = std::iter::repeat_with(|| ToeplitzHash::sample(&mut rng, 10, 30))
+            .find(|h| {
+                let values = ground_truth_minima(|a| (0..8).all(|v| a.get(v)), 10, h, 4);
+                values.len() == 4 && values.iter().filter(|value| !value.get(0)).count() < 4
+            })
+            .unwrap();
+        for (f, h, p) in [
+            (deep, ToeplitzHash::sample(&mut rng, 12, 36), 6),
+            (shallow, h_shallow, 4),
+        ] {
+            // The deepest cell holding p models holds at least p, so a cap
+            // of p is always reached.
+            assert_eq!(cell_search(&mut SatOracle::new(f.clone()), &h, p, p), None);
+            let expected = find_min_cnf_reference(&mut SatOracle::new(f.clone()), &h, p);
+            assert_eq!(expected.len(), p);
+            assert_eq!(find_min_cnf(&mut SatOracle::new(f), &h, p), expected);
+        }
+    }
+
+    #[test]
+    fn a_cell_of_repeated_values_falls_back_to_the_prefix_search() {
+        // Every assignment of 8 variables under a 2-bit hash: cell(2) holds
+        // the 64 models hashing to 00, one value where p = 3 are asked for.
+        let f = CnfFormula::tautology(8);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(29);
+        let h = ToeplitzHash::sample(&mut rng, 8, 2);
+        let p = 3;
+        let cell_cap = CELL_CAP_PER_P * p;
+        assert_eq!(
+            cell_search(&mut SatOracle::new(f.clone()), &h, p, cell_cap),
+            None
+        );
+        let expected = ground_truth_minima(|_| true, 8, &h, p);
+        assert_eq!(expected.len(), p);
+        assert_eq!(find_min_cnf(&mut SatOracle::new(f), &h, p), expected);
     }
 }

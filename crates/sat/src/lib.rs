@@ -29,7 +29,9 @@
 //!   polynomial-time DNF specialisation.
 //! * [`findmin`] — Proposition 2's `FindMin`: the `p` lexicographically
 //!   smallest elements of `h(Sol(φ))`, polynomial time for DNF (affine-image
-//!   enumeration per term) and NP-oracle-backed prefix search for CNF.
+//!   enumeration per term) and, for CNF, read from the deepest hash cell
+//!   holding `p` models, with the oracle-backed prefix search as its
+//!   specification and fallback.
 //! * [`findmaxrange`] — Proposition 3's `FindMaxRange`: the largest number of
 //!   trailing zeros of `h(x)` over solutions `x`.
 //! * [`affine`] — Proposition 4's `AffineFindMin` for affine-space stream
@@ -50,7 +52,7 @@ pub mod solver;
 
 pub use affine::{affine_find_min, AffineSystem};
 pub use bounded::{bounded_sat_cnf, bounded_sat_dnf, bounded_sat_terms, BoundedSatResult};
-pub use findmaxrange::{find_max_range_cnf, find_max_range_dnf, find_max_range_enumerative};
-pub use findmin::{find_min_cnf, find_min_dnf, find_min_terms};
+pub use findmaxrange::{find_max_range_cnf, find_max_range_dnf};
+pub use findmin::{find_min_cnf, find_min_cnf_reference, find_min_dnf, find_min_terms};
 pub use oracle::{BruteForceOracle, OracleStats, SatOracle, SolutionOracle, XorPrefixSession};
 pub use solver::{ClauseMark, CnfXorSolver, SolveOutcome, SolverStats, XorConstraint};
